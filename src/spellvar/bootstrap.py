@@ -10,10 +10,11 @@ pooled patterns extract.  Both pools only ever grow.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from spellvar.corpus import Corpus, DictEntry, VariantPair
+from spellvar.corpus import Corpus, VariantPair
 
 SLOT = "<SLOT>"
 
@@ -213,36 +214,71 @@ def generate_patterns(
     return list(patterns.values())
 
 
-def _pattern_extractions(
-    pattern: SurfacePattern, corpus: Corpus
-) -> Iterable[tuple[str, str, str, int]]:
-    """Yield (informal, formal, entry_id, position) for every match site,
-    skipping slots that would pair a headword with itself."""
-    for entry in corpus:
-        informal = entry.headword.casefold()
-        lowers = tuple(tok.lower for tok in entry.definition)
-        for v in range(len(lowers)):
-            if lowers[v] == informal:
+Row = tuple[str, str, tuple[str, ...]]
+Site = tuple[str, str, str, int, list[str]]
+
+
+def _lowered_rows(corpus: Corpus) -> list[Row]:
+    """(entry_id, case-folded headword, lowered tokens) per entry, in corpus order."""
+    return [(e.entry_id, e.headword.casefold(), tuple(t.lower for t in e.definition))
+            for e in corpus]
+
+
+def _sweep(rows: Iterable[Row], patterns: Iterable[tuple[str, SurfacePattern]]) -> Iterator[Site]:
+    """Yield (informal, formal, entry_id, position, matched ids) for each
+    non-identity slot that an (id, pattern) pair matches, in corpus order.
+    Looking up each slot's (left, right) contexts in one dict makes a pass
+    cost O(tokens x window^2), whatever the number of patterns."""
+    wanted: dict[tuple[tuple[str, ...], tuple[str, ...]], list[str]] = {}
+    for pid, pattern in patterns:
+        wanted.setdefault((pattern.left, pattern.right), []).append(pid)
+    max_left = max((len(left) for left, _ in wanted), default=0)
+    max_right = max((len(right) for _, right in wanted), default=0)
+    for entry_id, informal, lowers in rows:
+        for v, formal in enumerate(lowers):
+            if formal == informal:
                 continue
-            if pattern.matches_at(lowers, v):
-                yield informal, lowers[v], entry.entry_id, v
+            lefts = [lowers[v - l:v] for l in range(min(max_left, v) + 1)]
+            rights = [lowers[v + 1:v + 1 + r] for r in range(min(max_right + 1, len(lowers) - v))]
+            hits = [pid for left in lefts for right in rights
+                    for pid in wanted.get((left, right), ())]
+            if hits:
+                yield informal, formal, entry_id, v, hits
+
+
+def _pattern_stats(
+    sites: Iterable[Site], patterns: Iterable[tuple[str, SurfacePattern]], tuple_pool: set
+) -> dict[str, PatternStats]:
+    """RlogF statistics per pattern id over the distinct tuples it extracts."""
+    extracted: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
+    for informal, formal, _, _, hits in sites:
+        for pid in hits:
+            extracted[pid].add((informal, formal))
+    stats: dict[str, PatternStats] = {}
+    for pid, pattern in patterns:
+        matches, found = len(extracted[pid] & tuple_pool), len(extracted[pid])
+        stats[pid] = PatternStats(pattern, matches, found, rlogf(matches, found))
+    return stats
+
+
+def _candidates(sites: Iterable[Site], pools: Pools) -> list[TupleStats]:
+    """Unpooled tuples extracted by pooled patterns, in order of first site."""
+    stats: dict[tuple[str, str], TupleStats] = {}
+    for informal, formal, entry_id, _, hits in sites:
+        pooled = [pid for pid in hits if pid in pools.pattern_pool]
+        if not pooled or (informal, formal) in pools.tuple_pool:
+            continue
+        st = stats.setdefault((informal, formal), TupleStats(informal, formal, set(), 0, entry_id))
+        st.matching_patterns.update(pooled)
+        st.occurrence_count += 1
+    return list(stats.values())
 
 
 def score_pattern(pattern: SurfacePattern, pools: Pools, corpus: Corpus) -> PatternStats:
-    """Scan the corpus once and score the pattern with RlogF."""
-    candidates: set[tuple[str, str]] = set()
-    pool_hits: set[tuple[str, str]] = set()
-    for informal, formal, _, _ in _pattern_extractions(pattern, corpus):
-        key = (informal, formal)
-        candidates.add(key)
-        if key in pools.tuple_pool:
-            pool_hits.add(key)
-    return PatternStats(
-        pattern=pattern,
-        pool_matches=len(pool_hits),
-        candidate_count=len(candidates),
-        score=rlogf(len(pool_hits), len(candidates)),
-    )
+    """Score one pattern with RlogF over the distinct tuples it extracts."""
+    wanted = [(pattern.pattern_id, pattern)]
+    sites = _sweep(_lowered_rows(corpus), wanted)
+    return _pattern_stats(sites, wanted, pools.tuple_pool)[pattern.pattern_id]
 
 
 def match_tuples(pools: Pools, corpus: Corpus) -> list[TupleStats]:
@@ -253,34 +289,7 @@ def match_tuples(pools: Pools, corpus: Corpus) -> list[TupleStats]:
     """
     if not pools.pattern_pool:
         raise ValueError("empty pool")
-    stats: dict[tuple[str, str], TupleStats] = {}
-    sites: dict[tuple[str, str], set[tuple[str, int]]] = {}
-    for entry in corpus:
-        informal = entry.headword.casefold()
-        lowers = tuple(tok.lower for tok in entry.definition)
-        for v, formal in enumerate(lowers):
-            if formal == informal:
-                continue
-            key = (informal, formal)
-            if key in pools.tuple_pool:
-                continue
-            for pattern_id, pattern in pools.pattern_pool.items():
-                if not pattern.matches_at(lowers, v):
-                    continue
-                if key not in stats:
-                    stats[key] = TupleStats(
-                        informal=informal,
-                        formal=formal,
-                        matching_patterns=set(),
-                        occurrence_count=0,
-                        first_entry=entry.entry_id,
-                    )
-                    sites[key] = set()
-                stats[key].matching_patterns.add(pattern_id)
-                sites[key].add((entry.entry_id, v))
-    for key, st in stats.items():
-        st.occurrence_count = len(sites[key])
-    return list(stats.values())
+    return _candidates(_sweep(_lowered_rows(corpus), pools.pattern_pool.items()), pools)
 
 
 def apply_constraints(
@@ -329,14 +338,18 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
     pools = Pools(tuple_pool=set(seeds), pattern_pool={}, seeds=seeds)
     pairs: list[VariantPair] = []
     trace: list[dict] = []
+    rows = _lowered_rows(corpus)
 
     for iteration in range(1, config.max_iterations + 1):
         occurrences = label_occurrences(corpus, pools)
-        fresh = [
-            p for p in generate_patterns(corpus, occurrences, config.window)
-            if p.pattern_id not in pools.pattern_pool
-        ]
-        scored = [score_pattern(p, pools, corpus) for p in fresh]
+        fresh = [p for p in generate_patterns(corpus, occurrences, config.window)
+                 if p.pattern_id not in pools.pattern_pool]
+        # One sweep serves pattern scoring, pool-match counts and tuple
+        # matching: the tuple pool only changes at the end of the round.
+        wanted = [*((p.pattern_id, p) for p in fresh), *pools.pattern_pool.items()]
+        sites = list(_sweep(rows, wanted))
+        pattern_stats = _pattern_stats(sites, wanted, pools.tuple_pool)
+        scored = [pattern_stats[p.pattern_id] for p in fresh]
         max_pattern = max((st.score for st in scored), default=0.0)
         accepted_patterns: list[PatternStats] = []
         if max_pattern > 0.0:
@@ -348,14 +361,9 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
 
         accepted_tuples: list[TupleStats] = []
         if pools.pattern_pool:
-            pool_match_counts = {
-                pid: score_pattern(pattern, pools, corpus).pool_matches
-                for pid, pattern in pools.pattern_pool.items()
-            }
-            candidates = match_tuples(pools, corpus)
-            candidates = apply_constraints(
-                candidates, config.stopwords, config.levenshtein_tau, config.strict_constraint
-            )
+            pool_match_counts = {pid: pattern_stats[pid].pool_matches for pid in pools.pattern_pool}
+            candidates = apply_constraints(_candidates(sites, pools), config.stopwords,
+                                           config.levenshtein_tau, config.strict_constraint)
             for candidate in candidates:
                 score_tuple(candidate, pool_match_counts, config.use_tuple_count_variant)
             max_tuple = max((c.score for c in candidates), default=0.0)
@@ -366,12 +374,8 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
                 for c in accepted_tuples:
                     pools.tuple_pool.add((c.informal, c.formal))
                     pairs.append(VariantPair(
-                        informal=c.informal,
-                        formal=c.formal,
-                        score=c.score,
-                        method="bootstrap",
-                        iteration=iteration,
-                        source_entry=c.first_entry,
+                        informal=c.informal, formal=c.formal, score=c.score, method="bootstrap",
+                        iteration=iteration, source_entry=c.first_entry,
                     ))
 
         record = {
@@ -380,19 +384,14 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
             "new_tuples": len(accepted_tuples),
             "pattern_pool_size": len(pools.pattern_pool),
             "tuple_pool_size": len(pools.tuple_pool),
-            "accepted_patterns": [
-                {"pattern": st.pattern.pattern_id, "score": st.score}
-                for st in accepted_patterns
-            ],
-            "accepted_tuples": [
-                {"informal": c.informal, "formal": c.formal, "score": c.score}
-                for c in accepted_tuples
-            ],
+            "accepted_patterns": [{"pattern": st.pattern.pattern_id, "score": st.score}
+                                  for st in accepted_patterns],
+            "accepted_tuples": [{"informal": c.informal, "formal": c.formal, "score": c.score}
+                                for c in accepted_tuples],
         }
+        trace.append(record)
         if not accepted_patterns and not accepted_tuples:
             record["early_stop"] = True
-            trace.append(record)
             break
-        trace.append(record)
 
     return BootstrapResult(pools=pools, pairs=pairs, trace=trace)

@@ -479,7 +479,6 @@ def read_pairs_tsv(path: str | Path) -> list[VariantPair]:
             if len(parts) < 2:
                 raise CorpusFormatError(f"{path}: line {line_no}: expected tab-separated pair row")
             informal, formal = parts[0], parts[1]
-            score = float(parts[2]) if len(parts) > 2 else 1.0
             method = parts[3] if len(parts) > 3 else "baseline"
             origin = parts[4] if len(parts) > 4 else ""
             source = parts[5] if len(parts) > 5 else ""
@@ -487,7 +486,7 @@ def read_pairs_tsv(path: str | Path) -> list[VariantPair]:
                 pairs.append(VariantPair(
                     informal=informal,
                     formal=formal,
-                    score=score,
+                    score=float(parts[2]) if len(parts) > 2 else 1.0,
                     method=method,
                     iteration=int(origin) if origin.isdigit() else 0,
                     source_entry=source,

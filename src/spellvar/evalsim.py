@@ -59,7 +59,9 @@ class EmbeddingTable:
 def make_table(words: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
     vectors = np.asarray(vectors, dtype=float)
     norms = np.linalg.norm(vectors, axis=1)
-    for word, norm in zip(words, norms):
+    for word, norm, finite in zip(words, norms, np.isfinite(norms)):
+        if not finite:
+            raise EmbeddingFormatError(f"non-finite vector norm for word {word!r}")
         if norm == 0.0:
             raise EmbeddingFormatError(f"zero vector for word {word!r}")
     return EmbeddingTable(
@@ -223,4 +225,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     var_y = sum(d * d for d in dy)
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("zero variance input")
-    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
+    # Two square roots, not the root of the product: the product of two tiny
+    # variances underflows to 0 or loses the digits that keep |r| <= 1.
+    r = sum(a * b for a, b in zip(dx, dy)) / (math.sqrt(var_x) * math.sqrt(var_y))
+    return max(-1.0, min(1.0, r))

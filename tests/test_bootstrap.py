@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spellvar.bootstrap import (
     BootstrapConfig,
+    PatternStats,
     Pools,
     SurfacePattern,
     TupleStats,
@@ -25,6 +27,7 @@ from spellvar.bootstrap import (
     score_pattern,
     score_tuple,
 )
+from spellvar.corpus import VariantPair
 from spellvar.synthetic import BOOTSTRAP_TEMPLATES, bootstrap_fixture
 
 from conftest import make_corpus
@@ -471,3 +474,235 @@ class TestBootstrapRun:
         result = bootstrap_run(fixture.corpus, config)
         emitted = {(p.informal, p.formal) for p in result.pairs}
         assert emitted & set(fixture.traps)
+
+
+# --- Oracle: one corpus scan per pattern, built on SurfacePattern.matches_at ---
+
+
+def oracle_extractions(pattern, corpus):
+    """(informal, formal, entry_id, position) at every site the pattern
+    matches, skipping slots that would pair a headword with itself."""
+    for entry in corpus:
+        informal = entry.headword.casefold()
+        lowers = tuple(tok.lower for tok in entry.definition)
+        for v in range(len(lowers)):
+            if lowers[v] != informal and pattern.matches_at(lowers, v):
+                yield informal, lowers[v], entry.entry_id, v
+
+
+def oracle_score_pattern(pattern, pools, corpus):
+    candidates = {(i, f) for i, f, _, _ in oracle_extractions(pattern, corpus)}
+    hits = candidates & pools.tuple_pool
+    return PatternStats(pattern, len(hits), len(candidates), rlogf(len(hits), len(candidates)))
+
+
+def oracle_match_tuples(pools, corpus):
+    """Try every pooled pattern at every position, in corpus order."""
+    stats, sites = {}, {}
+    for entry in corpus:
+        informal = entry.headword.casefold()
+        lowers = tuple(tok.lower for tok in entry.definition)
+        for v, formal in enumerate(lowers):
+            key = (informal, formal)
+            if formal == informal or key in pools.tuple_pool:
+                continue
+            for pattern_id, pattern in pools.pattern_pool.items():
+                if pattern.matches_at(lowers, v):
+                    if key not in stats:
+                        stats[key] = TupleStats(informal, formal, set(), 0, entry.entry_id)
+                        sites[key] = set()
+                    stats[key].matching_patterns.add(pattern_id)
+                    sites[key].add((entry.entry_id, v))
+    for key, candidate in stats.items():
+        candidate.occurrence_count = len(sites[key])
+    return list(stats.values())
+
+
+def oracle_bootstrap_run(corpus, config):
+    """The bootstrap loop with every pattern scored by its own scan."""
+    seeds = frozenset((i.casefold(), f.casefold()) for i, f in config.seeds)
+    pools = Pools(tuple_pool=set(seeds), pattern_pool={}, seeds=seeds)
+    pairs, trace = [], []
+    for iteration in range(1, config.max_iterations + 1):
+        occurrences = label_occurrences(corpus, pools)
+        fresh = [p for p in generate_patterns(corpus, occurrences, config.window)
+                 if p.pattern_id not in pools.pattern_pool]
+        scored = [oracle_score_pattern(p, pools, corpus) for p in fresh]
+        top = max((s.score for s in scored), default=0.0)
+        accepted_patterns = []
+        if top > 0.0:
+            passing = [s for s in scored if s.score > config.pattern_threshold * top]
+            passing.sort(key=lambda s: (-s.score, s.pattern.pattern_id))
+            accepted_patterns = passing[: config.top_n_patterns]
+            for s in accepted_patterns:
+                pools.pattern_pool[s.pattern.pattern_id] = s.pattern
+        accepted_tuples = []
+        if pools.pattern_pool:
+            counts = {pid: oracle_score_pattern(p, pools, corpus).pool_matches
+                      for pid, p in pools.pattern_pool.items()}
+            candidates = apply_constraints(oracle_match_tuples(pools, corpus), config.stopwords,
+                                           config.levenshtein_tau, config.strict_constraint)
+            for c in candidates:
+                score_tuple(c, counts, config.use_tuple_count_variant)
+            top = max((c.score for c in candidates), default=0.0)
+            if top > 0.0:
+                passing = [c for c in candidates if c.score > config.tuple_threshold * top]
+                passing.sort(key=lambda c: (-c.score, c.informal, c.formal))
+                accepted_tuples = passing[: config.top_n_tuples]
+                for c in accepted_tuples:
+                    pools.tuple_pool.add((c.informal, c.formal))
+                    pairs.append(VariantPair(c.informal, c.formal, c.score, "bootstrap",
+                                             iteration, c.first_entry))
+        record = {
+            "iteration": iteration,
+            "new_patterns": len(accepted_patterns),
+            "new_tuples": len(accepted_tuples),
+            "pattern_pool_size": len(pools.pattern_pool),
+            "tuple_pool_size": len(pools.tuple_pool),
+            "accepted_patterns": [{"pattern": s.pattern.pattern_id, "score": s.score}
+                                  for s in accepted_patterns],
+            "accepted_tuples": [{"informal": c.informal, "formal": c.formal, "score": c.score}
+                                for c in accepted_tuples],
+        }
+        if not accepted_patterns and not accepted_tuples:
+            record["early_stop"] = True
+            trace.append(record)
+            break
+        trace.append(record)
+    return pools, pairs, trace
+
+
+# Few words, mixed case: contexts repeat, slots often equal the headword, and
+# patterns of up to five tokens per side reach past short definitions.
+WORDS = ("a", "b", "B", "c", "yes", "Yes")
+small_words = st.sampled_from(WORDS)
+contexts = st.lists(small_words.map(str.lower), max_size=5).map(tuple)
+small_patterns = st.tuples(contexts, contexts).filter(lambda lr: lr[0] or lr[1]).map(
+    lambda lr: SurfacePattern(left=lr[0], right=lr[1])
+)
+small_corpora = st.lists(
+    st.tuples(small_words, st.lists(small_words, max_size=8).map(" ".join)),
+    min_size=1,
+    max_size=6,
+).map(lambda rows: make_corpus(*rows))
+
+
+@st.composite
+def corpus_and_pools(draw):
+    corpus = draw(small_corpora)
+    sites = sorted({
+        (entry.headword.casefold(), tok.lower) for entry in corpus for tok in entry.definition
+    })
+    tuple_pool = set(draw(st.lists(st.sampled_from(sites), unique=True))) if sites else set()
+    pooled = draw(st.lists(small_patterns, max_size=6))
+    pools = Pools(
+        tuple_pool=tuple_pool,
+        pattern_pool={p.pattern_id: p for p in pooled},
+        seeds=frozenset(),
+    )
+    return corpus, pools
+
+
+class TestSweepAgainstOracle:
+    @settings(max_examples=200)
+    @given(corpus_and_pools(), small_patterns)
+    def test_score_pattern(self, corpus_pools, pattern):
+        corpus, pools = corpus_pools
+        assert score_pattern(pattern, pools, corpus) == oracle_score_pattern(pattern, pools, corpus)
+
+    @settings(max_examples=200)
+    @given(corpus_and_pools())
+    def test_match_tuples(self, corpus_pools):
+        corpus, pools = corpus_pools
+        assume(pools.pattern_pool)
+        assert match_tuples(pools, corpus) == oracle_match_tuples(pools, corpus)
+
+    @settings(max_examples=100)
+    @given(
+        small_corpora,
+        st.lists(st.tuples(small_words, small_words), min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_bootstrap_run(self, corpus, seeds, window):
+        seeds = [(i, f) for i, f in seeds if i.casefold() != f.casefold()]
+        assume(seeds)
+        config = BootstrapConfig(seeds=tuple(seeds), max_iterations=3, window=window,
+                                 top_n_tuples=2, top_n_patterns=3)
+        result = bootstrap_run(corpus, config)
+        pools, pairs, trace = oracle_bootstrap_run(corpus, config)
+        assert (result.pairs, result.trace) == (pairs, trace)
+        assert result.pools == pools
+
+    def test_pattern_at_definition_edges(self):
+        corpus = make_corpus(("x", "yes a"), ("x", "a yes"), ("x", "a"))
+        pools = Pools(tuple_pool={("x", "yes")}, pattern_pool={}, seeds=frozenset())
+        for pattern in (SurfacePattern(left=(), right=("a",)),
+                        SurfacePattern(left=("a",), right=()),
+                        SurfacePattern(left=("a",), right=("a",))):
+            expected = oracle_score_pattern(pattern, pools, corpus)
+            assert score_pattern(pattern, pools, corpus) == expected
+
+    def test_pattern_longer_than_every_definition(self):
+        corpus = make_corpus(("x", "a b c"), ("y", "a b c d"))
+        pattern = SurfacePattern(left=("a", "b", "c", "d"), right=("e",))
+        pools = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
+                      seeds=frozenset())
+        assert score_pattern(pattern, pools, corpus).candidate_count == 0
+        assert match_tuples(pools, corpus) == []
+
+
+def varied_corpus(seed: int, n_pairs: int = 30, n_filler: int = 80):
+    """Planted pairs under three idioms, each slot inside random filler drawn
+    from a small vocabulary, so filler contexts repeat and compete."""
+    rng = random.Random(seed)
+    seen: set[str] = set()
+
+    def word() -> str:
+        while True:
+            w = "".join(rng.choice("bdgkmt") + rng.choice("aiou") for _ in range(rng.randint(2, 3)))
+            if w not in seen:
+                seen.add(w)
+                return w
+
+    vocab = [word() for _ in range(40)]
+    idioms = (("a", "way", "of", "saying"), ("another", "word", "for"), ("short", "for"))
+    pairs, rows = [], []
+    for _ in range(n_pairs):
+        formal = word()
+        informal = formal[0] + "".join(c for c in formal[1:-1] if c not in "aiou") + formal[-1]
+        pairs.append((informal, formal))
+        for idiom in rng.sample(idioms, rng.randint(1, 3)):
+            before = rng.choices(vocab, k=rng.randint(0, 3))
+            after = rng.choices(vocab, k=rng.randint(0, 3))
+            rows.append((informal, " ".join([*before, *idiom, formal, *after])))
+    for stopword in ("the", "something", "with"):
+        rows.append((word(), f"another word for {stopword} {rng.choice(vocab)}"))
+    for _ in range(n_filler):
+        rows.append((word(), " ".join(rng.choices(vocab, k=rng.randint(3, 9)))))
+    rng.shuffle(rows)
+    return make_corpus(*rows), tuple(pairs[:4])
+
+
+class TestBootstrapRunAgainstOracle:
+    def _check(self, corpus, config):
+        result = bootstrap_run(corpus, config)
+        pools, pairs, trace = oracle_bootstrap_run(corpus, config)
+        assert result.pairs == pairs
+        assert result.trace == trace
+        assert result.pools == pools
+        return result
+
+    def test_stock_fixture(self, fixture):
+        result = self._check(fixture.corpus, _fixture_config(fixture))
+        assert result.pairs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_varied_contexts(self, seed):
+        corpus, seeds = varied_corpus(seed)
+        config = BootstrapConfig(
+            seeds=seeds, max_iterations=4, window=3,
+            stopwords=frozenset({"the", "something", "with", "a", "of", "for"}),
+        )
+        result = self._check(corpus, config)
+        assert len(result.trace) >= 2
+        assert len(result.pools.pattern_pool) > 3

@@ -227,6 +227,30 @@ class TestEval:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_numeric_pair_score_names_file_and_line(self, tmp_path, eval_inputs, capsys):
+        _, embeddings, vocab = eval_inputs
+        pairs = write_lines(tmp_path / "bad_pairs.tsv", [
+            "informal\tformal\tscore\tmethod\torigin\tentry_id",
+            "inf0\tfrm0\t1.0\tbaseline\tr\te1",
+            "inf1\tfrm1\tx\tbaseline\tr\te2",
+        ])
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(pairs) in err
+        assert "line 3" in err
+
+    def test_nan_vector_is_a_data_error(self, tmp_path, eval_inputs, capsys):
+        pairs, embeddings, vocab = eval_inputs
+        lines = embeddings.read_text(encoding="utf-8").splitlines()
+        lines[0] = "inf0 nan 0 0"
+        broken = write_lines(tmp_path / "nan.txt", lines)
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(broken),
+                     "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'inf0'" in capsys.readouterr().err
+
     def test_unmatched_vocab_is_a_data_error(self, tmp_path, eval_inputs, capsys):
         pairs, embeddings, _ = eval_inputs
         empty_vocab = write_lines(tmp_path / "empty.txt", ["unrelated"])

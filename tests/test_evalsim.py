@@ -71,6 +71,12 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="line 1"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_vector_names_word(self, tmp_path, component):
+        path = write_embeddings(tmp_path, f"a 1 0\nbroken {component} 1\n")
+        with pytest.raises(EmbeddingFormatError, match="non-finite.*broken"):
+            load_embeddings(path)
+
 
 def rank_oracle(table, informal, formal):
     """Full sort with optimistic tie handling."""
@@ -286,6 +292,17 @@ class TestPearson:
             return
         assert -1.0 - 1e-9 <= r <= 1.0 + 1e-9
         assert pearson(ys, xs) == pytest.approx(r, abs=1e-12)
+
+    def test_tiny_variance_stays_bounded(self):
+        r = pearson([0.0, 0.0, 0.0625], [0.0, 0.0, 4.8751452963321565e-157])
+        assert r <= 1.0
+        assert r == pytest.approx(1.0, abs=1e-12)
+
+    def test_underflowing_variance_product(self):
+        tiny = [0.0, 0.0, 4.8751452963321565e-157]
+        r = pearson(tiny, tiny)
+        assert r <= 1.0
+        assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_invariance(self):
         xs = [1.0, 4.0, 2.0, 8.0]
