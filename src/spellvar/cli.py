@@ -303,7 +303,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
                 max_iterations=knobs["iterations"],
                 confidence_tau=knobs["confidence"],
                 window=knobs["window"],
-                train=TrainConfig(l1=knobs["l1"], l2=knobs["l2"], window=knobs["window"]),
+                train=TrainConfig(l1=knobs["l1"], l2=knobs["l2"]),
             )
         except ValueError as exc:
             raise UsageError(f"extract: {exc}") from None

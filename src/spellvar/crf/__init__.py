@@ -11,9 +11,8 @@ from spellvar.crf.model import (
     save_model,
     viterbi_decode,
 )
-from spellvar.crf.objective import encode_dataset, log_likelihood_and_gradient
 from spellvar.crf.optimizer import OptimResult, minimize
-from spellvar.crf.train import TrainConfig, train
+from spellvar.crf.train import TrainConfig, encode_dataset, log_likelihood_and_gradient, train
 
 __all__ = [
     "LABELS",

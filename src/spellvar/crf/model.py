@@ -10,6 +10,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from spellvar.crf.kernel import encode, forward_backward, viterbi
+
 LABELS = ("I", "O")
 FORMAT_NAME = "spellvar-crf"
 FORMAT_VERSION = 1
@@ -23,9 +25,11 @@ class ModelFormatError(ValueError):
 class CrfModel:
     """Trained tagger weights.
 
-    Unknown features simply contribute nothing at decode time.  ``degenerate``
-    flags models trained on single-label data; ``final_objective`` is the
-    penalized objective value reached by training (NaN for hand-built models).
+    Unknown features simply contribute nothing at decode time.  ``window`` is
+    the context window the features were extracted with.  ``degenerate``
+    flags models trained on single-label data; ``final_objective``,
+    ``converged`` and ``iterations`` report the optimizer's end state (NaN or
+    None for hand-built models).
     """
 
     feature_index: dict[str, int]
@@ -35,14 +39,14 @@ class CrfModel:
     labels: tuple[str, ...] = LABELS
     degenerate: bool = False
     final_objective: float = float("nan")
-    version: int = FORMAT_VERSION
+    converged: bool | None = None
+    iterations: int | None = None
 
     @classmethod
     def from_weights(
         cls,
         state_weights: Mapping[tuple[str, str], float],
         transition_weights: Mapping[tuple[str, str], float] | None = None,
-        window: int = 1,
     ) -> "CrfModel":
         """Build a model from sparse (feature, label) -> weight mappings."""
         feature_index: dict[str, int] = {}
@@ -54,102 +58,52 @@ class CrfModel:
         transitions = np.zeros((len(LABELS), len(LABELS)))
         for (prev, cur), weight in (transition_weights or {}).items():
             transitions[LABELS.index(prev), LABELS.index(cur)] = weight
-        return cls(feature_index=feature_index, state=state, transitions=transitions,
-                   window=window)
-
-    @property
-    def state_weights(self) -> dict[tuple[str, str], float]:
-        return {
-            (feature, label): float(self.state[row, col])
-            for feature, row in self.feature_index.items()
-            for col, label in enumerate(self.labels)
-        }
-
-    @property
-    def transition_weights(self) -> dict[tuple[str, str], float]:
-        return {
-            (prev, cur): float(self.transitions[i, j])
-            for i, prev in enumerate(self.labels)
-            for j, cur in enumerate(self.labels)
-        }
+        return cls(feature_index=feature_index, state=state, transitions=transitions)
 
     def emission_scores(self, features: Sequence[Sequence[str]]) -> np.ndarray:
         """Sum state weights of the known features at each position."""
-        scores = np.zeros((len(features), len(self.labels)))
-        for t, feats in enumerate(features):
-            for feature in feats:
-                row = self.feature_index.get(feature)
-                if row is not None:
-                    scores[t] += self.state[row]
-        return scores
+        return encode([features], self.feature_index).emissions(self.state)[0, :len(features)]
 
 
-def _argmax_last(values: np.ndarray, axis: int = 0) -> np.ndarray | int:
-    """Argmax that resolves ties toward the highest index (the O label)."""
-    flipped = np.flip(values, axis=axis)
-    return values.shape[axis] - 1 - np.argmax(flipped, axis=axis)
+def decode_batch(
+    model: CrfModel, sequences: Sequence[Sequence[Sequence[str]]]
+) -> list[tuple[list[str], float, list[dict[str, float]]]]:
+    """Best label path, its unnormalized score and the per-position posterior
+    label probabilities of every sequence, all from one kernel pass."""
+    batch = encode(sequences, model.feature_index)
+    emissions = batch.emissions(model.state)
+    paths, scores = viterbi(emissions, batch.mask, model.transitions)
+    _, probs, _ = forward_backward(emissions, batch.mask, model.transitions)
+    return [
+        ([model.labels[i] for i in path[:n]], score,
+         [dict(zip(model.labels, row)) for row in rows[:n]])
+        for path, score, rows, n in zip(paths.tolist(), scores.tolist(), probs.tolist(),
+                                        batch.lengths.tolist())
+    ]
 
 
 def viterbi_decode(model: CrfModel, features: Sequence[Sequence[str]]) -> tuple[list[str], float]:
     """Best label path and its unnormalized score; ties resolve toward O."""
-    n = len(features)
-    if n == 0:
-        return [], 0.0
-    emissions = model.emission_scores(features)
-    n_labels = len(model.labels)
-    delta = emissions[0].copy()
-    back = np.zeros((n, n_labels), dtype=int)
-    for t in range(1, n):
-        step = delta[:, None] + model.transitions
-        best_prev = _argmax_last(step, axis=0)
-        back[t] = best_prev
-        delta = step[best_prev, np.arange(n_labels)] + emissions[t]
-    last = int(_argmax_last(delta))
-    path = [last]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return [model.labels[i] for i in path], float(delta[last])
-
-
-def _forward_backward(
-    emissions: np.ndarray, transitions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    from scipy.special import logsumexp
-
-    n = emissions.shape[0]
-    alpha = np.empty_like(emissions)
-    beta = np.zeros_like(emissions)
-    alpha[0] = emissions[0]
-    for t in range(1, n):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + transitions, axis=0) + emissions[t]
-    for t in range(n - 2, -1, -1):
-        beta[t] = logsumexp(transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    return alpha, beta, float(logsumexp(alpha[-1]))
+    labels, score, _ = decode_batch(model, [features])[0]
+    return labels, score
 
 
 def marginals(model: CrfModel, features: Sequence[Sequence[str]]) -> list[dict[str, float]]:
     """Per-position posterior label probabilities via forward-backward."""
-    if len(features) == 0:
-        return []
-    emissions = model.emission_scores(features)
-    alpha, beta, log_z = _forward_backward(emissions, model.transitions)
-    probs = np.exp(alpha + beta - log_z)
-    return [
-        {label: float(row[j]) for j, label in enumerate(model.labels)}
-        for row in probs
-    ]
+    return decode_batch(model, [features])[0][2]
 
 
 def save_model(model: CrfModel, path: str | Path) -> None:
     """Write the model as versioned JSON; floats round-trip exactly."""
     payload = {
         "format": FORMAT_NAME,
-        "version": model.version,
+        "version": FORMAT_VERSION,
         "labels": list(model.labels),
         "window": model.window,
         "degenerate": model.degenerate,
         "final_objective": None if math.isnan(model.final_objective) else model.final_objective,
+        "converged": model.converged,
+        "iterations": model.iterations,
         "transitions": [[float(w) for w in row] for row in model.transitions],
         "states": {
             feature: [float(w) for w in model.state[row]]
@@ -175,11 +129,18 @@ def load_model(path: str | Path) -> CrfModel:
         labels = tuple(payload["labels"])
         states: dict[str, list[float]] = payload["states"]
         feature_index = {feature: row for row, feature in enumerate(states)}
-        state = np.array([states[f] for f in feature_index], dtype=float)
-        if not states:
-            state = np.zeros((0, len(labels)))
+        state = np.array(list(states.values()) or np.empty((0, len(labels))), dtype=float)
         transitions = np.array(payload["transitions"], dtype=float)
+        if state.shape[1:] != (len(labels),) or transitions.shape != (len(labels), len(labels)):
+            raise ValueError(f"weights do not have one entry per label of {list(labels)}")
+        if not (np.isfinite(state).all() and np.isfinite(transitions).all()):
+            raise ValueError("non-finite weight")
         objective = payload.get("final_objective")
+        # Optional keys: files written before they existed load as unknown.
+        converged, iterations = payload.get("converged"), payload.get("iterations")
+        if type(converged) not in (bool, type(None)) or not (
+                iterations is None or type(iterations) is int and iterations >= 0):
+            raise ValueError(f"converged {converged!r} or iterations {iterations!r} invalid")
         return CrfModel(
             feature_index=feature_index,
             state=state,
@@ -188,6 +149,8 @@ def load_model(path: str | Path) -> CrfModel:
             labels=labels,
             degenerate=bool(payload.get("degenerate", False)),
             final_objective=float("nan") if objective is None else float(objective),
+            converged=converged,
+            iterations=iterations,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model payload: {exc}") from exc

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from spellvar.corpus import SENTINEL, Corpus, DictEntry, VariantPair, annotate
 from spellvar.crf.features import FeatureSet, extract_features
-from spellvar.crf.model import CrfModel, marginals, viterbi_decode
-from spellvar.crf.train import TrainConfig, train
+# ``marginals`` and ``viterbi_decode`` are unused here but stay importable
+# under these names, which perfbench/tracer.py wraps.
+from spellvar.crf.model import CrfModel, decode_batch, marginals, viterbi_decode  # noqa: F401
+from spellvar.crf.train import TrainConfig, encode_dataset, train
 
 LabeledEntry = tuple[DictEntry, tuple[str, ...]]
 
@@ -127,26 +129,25 @@ def random_search(
         folds.append(order[start:start + size])
         start += size
 
+    # Every trial trains on the same splits, so each is encoded once.
+    splits = []
+    for held_out in folds:
+        held_set = set(held_out)
+        splits.append((encode_dataset([data[i] for i in order if i not in held_set]), held_out))
+
     best: tuple[float, float, float] | None = None  # (mean, l1, l2)
     best_scores: tuple[float, ...] = ()
     history: list[tuple[float, float, float]] = []
     for _ in range(space.trials):
         l1 = _log_uniform(rng, *space.l1_range)
         l2 = _log_uniform(rng, *space.l2_range)
-        config = TrainConfig(
-            l1=l1,
-            l2=l2,
-            max_optimizer_iterations=base.max_optimizer_iterations,
-            gradient_tolerance=base.gradient_tolerance,
-            window=base.window,
-        )
+        config = replace(base, l1=l1, l2=l2)
         scores: list[float] = []
-        for held_out in folds:
-            held_set = set(held_out)
-            train_split = [data[i] for i in order if i not in held_set]
+        for train_split, held_out in splits:
             model = train(train_split, config)
             gold_tags = [tuple(data[i][1]) for i in held_out]
-            pred_tags = [viterbi_decode(model, data[i][0])[0] for i in held_out]
+            tagged = decode_batch(model, [data[i][0] for i in held_out])
+            pred_tags = [labels for labels, _, _ in tagged]
             scores.append(token_f1(gold_tags, pred_tags))
         mean = sum(scores) / len(scores)
         history.append((l1, l2, mean))
@@ -230,43 +231,45 @@ def self_train(
     labeled: list[tuple[FeatureSet, tuple[str, ...]]] = [
         (extract_features(entry, config.window), tags) for entry, tags in gold_entries
     ]
-    remaining = list(unlabeled.entries)
+    remaining = [(entry, extract_features(entry, config.window)) for entry in unlabeled.entries]
     pairs: list[VariantPair] = []
     trace: list[dict] = []
     model: CrfModel | None = None
 
     for iteration in range(1, config.max_iterations + 1):
         model = train(labeled, config.train)
-        promotions: list[tuple[DictEntry, tuple[str, ...], list[dict[str, float]]]] = []
-        for entry in remaining:
-            features = extract_features(entry, config.window)
-            path, _ = viterbi_decode(model, features)
-            margs = marginals(model, features)
+        tagged = decode_batch(model, [features for _, features in remaining])
+        promotions: list[
+            tuple[DictEntry, FeatureSet, tuple[str, ...], list[dict[str, float]]]
+        ] = []
+        for (entry, features), (path, _, margs) in zip(remaining, tagged):
             silver = tuple(
                 "I" if tag == "I" and marg["I"] > config.confidence_tau else "O"
                 for tag, marg in zip(path, margs)
             )
             if "I" in silver:
-                promotions.append((entry, silver, margs))
+                promotions.append((entry, features, silver, margs))
 
         record: dict = {
             "iteration": iteration,
             "promoted": len(promotions),
-            "promoted_ids": [entry.entry_id for entry, _, _ in promotions],
+            "promoted_ids": [entry.entry_id for entry, _, _, _ in promotions],
             "remaining_unlabeled": len(remaining) - len(promotions),
             "labeled_size": len(labeled) + len(promotions),
             "objective": model.final_objective,
+            "converged": model.converged,
+            "iterations": model.iterations,
         }
         if not promotions:
             record["early_stop"] = True
             trace.append(record)
             break
 
-        promoted_ids = {entry.entry_id for entry, _, _ in promotions}
-        remaining = [entry for entry in remaining if entry.entry_id not in promoted_ids]
+        promoted_ids = {entry.entry_id for entry, _, _, _ in promotions}
+        remaining = [item for item in remaining if item[0].entry_id not in promoted_ids]
         min_marginal = 1.0
-        for entry, silver, margs in promotions:
-            labeled.append((extract_features(entry, config.window), silver))
+        for entry, features, silver, margs in promotions:
+            labeled.append((features, silver))
             pairs.extend(pairs_from_tagging(entry, silver, margs, iteration=iteration))
             min_marginal = min(
                 min_marginal,
@@ -278,4 +281,6 @@ def self_train(
 
     if model is None:
         model = train(labeled, config.train)
+    # Training sees only feature lists; the window they were extracted with is ours.
+    model = replace(model, window=config.window)
     return SelfTrainResult(model=model, pairs=pairs, trace=trace)

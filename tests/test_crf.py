@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from spellvar.corpus import DictEntry, Token
 from spellvar.crf import (
@@ -26,7 +30,8 @@ from spellvar.crf import (
     viterbi_decode,
     write_labeled_file,
 )
-from spellvar.crf.model import FORMAT_VERSION
+from spellvar.crf.kernel import encode, forward_backward, viterbi
+from spellvar.crf.model import FORMAT_VERSION, decode_batch
 
 from conftest import make_entry
 
@@ -294,6 +299,177 @@ class TestMarginals:
         assert marginals(model, []) == []
 
 
+# --- per-sequence oracles -------------------------------------------------
+#
+# The tagger's inference as it was before the batched kernel: a dict loop for
+# emissions, one sequence at a time for Viterbi and forward-backward.  The
+# kernel must agree with them on every sequence of a padded batch.
+
+
+def oracle_emission_scores(model: CrfModel, features) -> np.ndarray:
+    scores = np.zeros((len(features), len(model.labels)))
+    for t, feats in enumerate(features):
+        for feature in feats:
+            row = model.feature_index.get(feature)
+            if row is not None:
+                scores[t] += model.state[row]
+    return scores
+
+
+def _argmax_last(values: np.ndarray, axis: int = 0):
+    flipped = np.flip(values, axis=axis)
+    return values.shape[axis] - 1 - np.argmax(flipped, axis=axis)
+
+
+def oracle_viterbi(model: CrfModel, features) -> tuple[list[str], float]:
+    n = len(features)
+    if n == 0:
+        return [], 0.0
+    emissions = oracle_emission_scores(model, features)
+    n_labels = len(model.labels)
+    delta = emissions[0].copy()
+    back = np.zeros((n, n_labels), dtype=int)
+    for t in range(1, n):
+        step = delta[:, None] + model.transitions
+        best_prev = _argmax_last(step, axis=0)
+        back[t] = best_prev
+        delta = step[best_prev, np.arange(n_labels)] + emissions[t]
+    last = int(_argmax_last(delta))
+    path = [last]
+    for t in range(n - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return [model.labels[i] for i in path], float(delta[last])
+
+
+def oracle_forward_backward(emissions: np.ndarray, transitions: np.ndarray):
+    n = emissions.shape[0]
+    alpha = np.empty_like(emissions)
+    beta = np.zeros_like(emissions)
+    alpha[0] = emissions[0]
+    for t in range(1, n):
+        alpha[t] = logsumexp(alpha[t - 1][:, None] + transitions, axis=0) + emissions[t]
+    for t in range(n - 2, -1, -1):
+        beta[t] = logsumexp(transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+    return alpha, beta, float(logsumexp(alpha[-1]))
+
+
+KNOWN = [f"f{i}" for i in range(6)]
+_position = st.lists(st.sampled_from(KNOWN + ["unseen0", "unseen1"]), max_size=4, unique=True)
+_batches = st.lists(st.lists(_position, min_size=1, max_size=9), min_size=1, max_size=6)
+
+
+@st.composite
+def _models(draw) -> CrfModel:
+    if draw(st.booleans()):
+        # Every path ties, so Viterbi must answer all O.
+        return CrfModel.from_weights({(f, label): 0.0 for f in KNOWN for label in LABELS})
+    return random_model(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+class TestKernelAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_models(), _batches)
+    def test_emissions(self, model, batch):
+        emissions = encode(batch, model.feature_index).emissions(model.state)
+        for k, features in enumerate(batch):
+            want = oracle_emission_scores(model, features)
+            np.testing.assert_allclose(emissions[k, :len(features)], want, rtol=0, atol=1e-12)
+            assert not emissions[k, len(features):].any()
+            np.testing.assert_allclose(model.emission_scores(features), want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_models(), _batches)
+    def test_viterbi(self, model, batch):
+        encoded = encode(batch, model.feature_index)
+        paths, scores = viterbi(encoded.emissions(model.state), encoded.mask, model.transitions)
+        tagged = decode_batch(model, batch)
+        for k, features in enumerate(batch):
+            want_labels, want_score = oracle_viterbi(model, features)
+            assert [model.labels[i] for i in paths[k, :len(features)]] == want_labels
+            assert scores[k] == pytest.approx(want_score, abs=1e-12)
+            assert tagged[k][0] == want_labels
+            assert tagged[k][1] == pytest.approx(want_score, abs=1e-12)
+            labels, score = viterbi_decode(model, features)
+            assert labels == want_labels
+            assert score == pytest.approx(want_score, abs=1e-12)
+            if not model.state.any():
+                assert want_labels == ["O"] * len(features)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_models(), _batches)
+    def test_marginals(self, model, batch):
+        encoded = encode(batch, model.feature_index)
+        log_z, probs, _ = forward_backward(
+            encoded.emissions(model.state), encoded.mask, model.transitions
+        )
+        tagged = decode_batch(model, batch)
+        for k, features in enumerate(batch):
+            alpha, beta, want_log_z = oracle_forward_backward(
+                oracle_emission_scores(model, features), model.transitions
+            )
+            want = np.exp(alpha + beta - want_log_z)
+            assert log_z[k] == pytest.approx(want_log_z, abs=1e-12)
+            np.testing.assert_allclose(probs[k, :len(features)], want, rtol=0, atol=1e-12)
+            for rows in (tagged[k][2], marginals(model, features)):
+                got = np.array([[row[label] for label in LABELS] for row in rows])
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_batches, st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_objective(self, batch, seed, l2):
+        rng = np.random.default_rng(seed)
+        data = [(features, tuple(rng.choice(LABELS, size=len(features)))) for features in batch]
+        dataset = encode_dataset(data)
+        weights = rng.normal(size=dataset.n_parameters)
+        value, gradient = log_likelihood_and_gradient(weights, dataset, l2=l2)
+
+        n_state = dataset.n_features * len(LABELS)
+        model = CrfModel(feature_index=dataset.feature_index,
+                         state=weights[:n_state].reshape(-1, len(LABELS)),
+                         transitions=weights[n_state:].reshape(len(LABELS), len(LABELS)))
+        want_value = -0.5 * l2 * float(weights @ weights)
+        want_state = -l2 * model.state
+        want_transitions = -l2 * model.transitions
+        for features, tags in data:
+            gold = [LABELS.index(tag) for tag in tags]
+            emissions = oracle_emission_scores(model, features)
+            alpha, beta, log_z = oracle_forward_backward(emissions, model.transitions)
+            want_value += sum(emissions[t, y] for t, y in enumerate(gold)) - log_z
+            want_value += sum(model.transitions[a, b] for a, b in zip(gold, gold[1:]))
+            probs = np.exp(alpha + beta - log_z)
+            for t, feats in enumerate(features):
+                for feature in set(feats):
+                    want_state[dataset.feature_index[feature]] -= probs[t]
+                    want_state[dataset.feature_index[feature], gold[t]] += 1
+            for t in range(1, len(features)):
+                want_transitions[gold[t - 1], gold[t]] += 1
+                want_transitions -= np.exp(alpha[t - 1][:, None] + model.transitions
+                                           + (emissions[t] + beta[t])[None, :] - log_z)
+        assert value == pytest.approx(want_value, abs=1e-9)
+        np.testing.assert_allclose(gradient[:n_state], want_state.ravel(), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gradient[n_state:], want_transitions.ravel(), rtol=0, atol=1e-9)
+
+
+class TestDecodeBatch:
+    def test_empty_sequences_mixed_in(self):
+        model = random_model(np.random.default_rng(41))
+        batch = [[], [["f0"], ["f1", "f2"]], [], [["f3"]]]
+        tagged = decode_batch(model, batch)
+        assert tagged[0] == ([], 0.0, []) and tagged[2] == ([], 0.0, [])
+        for features, (labels, score, rows) in zip(batch, tagged):
+            assert (labels, score) == viterbi_decode(model, features)
+            assert rows == marginals(model, features)
+
+    def test_empty_batch(self):
+        model = random_model(np.random.default_rng(43))
+        assert decode_batch(model, []) == []
+
+    def test_repeated_feature_counts_once(self):
+        model = CrfModel.from_weights({("f0", "I"): 1.5})
+        np.testing.assert_array_equal(model.emission_scores([["f0", "f0"]]), [[1.5, 0.0]])
+
+
 def separable_data(n: int = 50):
     """Sequences where the target feature alone decides the label."""
     rng = np.random.default_rng(23)
@@ -355,6 +531,23 @@ class TestTrain:
             for l2 in (0.01, 0.1, 1.0)
         ]
         assert norms[0] >= norms[1] >= norms[2]
+
+    def test_model_reports_optimizer_end_state(self):
+        data = separable_data(20)
+        model = train(data, TrainConfig(l1=0.5, l2=0.1))
+        assert model.converged is True
+        assert model.iterations >= 1
+        capped = train(data, TrainConfig(l1=0.5, l2=0.1, max_optimizer_iterations=1))
+        assert (capped.converged, capped.iterations) == (False, 1)
+
+    def test_pre_encoded_dataset_trains_identically(self):
+        data = separable_data(20)
+        config = TrainConfig(l1=0.5, l2=0.1)
+        direct = train(data, config)
+        shared = train(encode_dataset(data), config)
+        np.testing.assert_array_equal(direct.state, shared.state)
+        np.testing.assert_array_equal(direct.transitions, shared.transitions)
+        assert direct.feature_index == shared.feature_index
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -426,6 +619,47 @@ class TestModelIo:
         np.testing.assert_array_equal(loaded.state, model.state)
         assert loaded.window == model.window
         assert loaded.final_objective == pytest.approx(model.final_objective)
+
+    def test_optimizer_state_round_trips(self, tmp_path):
+        model = train(separable_data(20), TrainConfig(l1=0.5, l2=0.1))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.converged, loaded.iterations) == (model.converged, model.iterations)
+        assert model.iterations >= 1
+
+    def test_file_without_optimizer_keys_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(CrfModel.from_weights({("f0", "I"): 1.0}), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["converged"], payload["iterations"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_model(path)
+        assert (loaded.converged, loaded.iterations) == (None, None)
+        assert viterbi_decode(loaded, [["f0"]]) == (["I"], 1.0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["states"]["f0"].__setitem__(0, float("nan")),
+        lambda p: p["states"]["f0"].__setitem__(1, float("inf")),
+        lambda p: p["transitions"][1].__setitem__(0, float("-inf")),
+        lambda p: p["states"]["f0"].append(0.5),
+        lambda p: p["states"].__setitem__("f1", 2.0),
+        lambda p: p["transitions"].append([0.0, 0.0]),
+        lambda p: p["transitions"][0].pop(),
+        lambda p: p.__setitem__("converged", "yes"),
+        lambda p: p.__setitem__("iterations", -1),
+        lambda p: p.__setitem__("iterations", 2.5),
+    ], ids=["nan-state", "inf-state", "inf-transition", "long-state-row", "scalar-state-row",
+            "extra-transition-row", "short-transition-row", "converged-string",
+            "negative-iterations", "fractional-iterations"])
+    def test_malformed_weights_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(CrfModel.from_weights({("f0", "I"): 1.0}), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="corrupt"):
+            load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = CrfModel.from_weights({("f0", "I"): 1.0})

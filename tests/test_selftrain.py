@@ -201,6 +201,28 @@ class TestSelfTrain:
         assert cascade.trace[-1]["early_stop"] is True
         assert len(cascade.trace) < CASCADE_CONFIG.max_iterations
 
+    def test_model_records_feature_window(self, staircase, cascade):
+        assert cascade.model.window == CASCADE_CONFIG.window == 3
+        assert any(f.startswith("+3:") for f in cascade.model.feature_index)
+        untrained = SelfTrainConfig(max_iterations=0, window=2, train=CASCADE_TRAIN)
+        assert self_train(staircase.gold, staircase.unlabeled, untrained).model.window == 2
+
+    def test_trace_records_optimizer_end_state(self, cascade):
+        for record in cascade.trace:
+            assert record["converged"] is True
+            assert isinstance(record["iterations"], int) and record["iterations"] >= 1
+        last = cascade.trace[-1]
+        assert (last["converged"], last["iterations"]) == (
+            cascade.model.converged, cascade.model.iterations)
+
+    def test_empty_definitions_are_never_promoted(self, staircase, cascade):
+        blank = make_entry("blank", "", entry_id="blank1")
+        unlabeled = Corpus(entries=(blank, *staircase.unlabeled.entries))
+        result = self_train(staircase.gold, unlabeled, CASCADE_CONFIG)
+        assert result.pairs == cascade.pairs
+        assert [r["promoted_ids"] for r in result.trace] == [
+            r["promoted_ids"] for r in cascade.trace]
+
     def test_deterministic(self, staircase, cascade):
         again = self_train(staircase.gold, staircase.unlabeled, CASCADE_CONFIG)
         assert again.trace == cascade.trace
