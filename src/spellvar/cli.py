@@ -379,6 +379,8 @@ def _cmd_eval(args: argparse.Namespace) -> None:
         outputs.extend([report_path.name, summary_path.name])
         bits = " ".join(f"accuracy@{k}={report.accuracy[k]:.4f}" for k in sorted(report.accuracy))
         print(f"{name}: matched={report.matched_pairs} {bits}")
+        misses = " ".join(f"{reason}={n}" for reason, n in report.miss_counts().items())
+        print(f"{name}: misses {misses}")
 
     options = {
         "pairs": str(pairs_path),

@@ -179,7 +179,8 @@ def load_jsonl(path: str | Path) -> Corpus:
 
     Every line is one object with required ``word`` and ``definition`` keys
     and optional ``example``, ``author``, ``upvotes``, ``downvotes`` and
-    ``entry_id``.  Missing ids are synthesized as ``e<line number>``.
+    ``entry_id``.  Missing or null ids are synthesized as ``e<line number>``;
+    any other id is kept as its string, and an empty one is rejected.
     """
     entries: list[DictEntry] = []
     with open(path, encoding="utf-8") as handle:
@@ -187,36 +188,41 @@ def load_jsonl(path: str | Path) -> Corpus:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"line {line_no}: record is not an object")
-            for field in ("word", "definition"):
-                if field not in record:
-                    raise CorpusFormatError(f"line {line_no}: missing field {field!r}")
-            text = record["definition"]
-            if not isinstance(record["word"], str) or not isinstance(text, str):
-                raise CorpusFormatError(f"line {line_no}: 'word' and 'definition' must be strings")
-            try:
-                entries.append(
-                    DictEntry(
-                        headword=record["word"],
-                        definition=tokenize(text),
-                        definition_text=text,
-                        entry_id=str(record.get("entry_id") or f"e{line_no}"),
-                        example=record.get("example"),
-                        author=record.get("author"),
-                        upvotes=record.get("upvotes"),
-                        downvotes=record.get("downvotes"),
-                    )
-                )
+                entries.append(_entry_from_json(line, f"e{line_no}"))
             except CorpusFormatError as exc:
-                raise CorpusFormatError(f"line {line_no}: {exc}") from exc
+                raise CorpusFormatError(f"{path}: line {line_no}: {exc}") from exc
     try:
         return Corpus(entries=tuple(entries), annotated=False)
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
+
+
+def _entry_from_json(line: str, default_id: str) -> DictEntry:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise CorpusFormatError("record is not an object")
+    for field in ("word", "definition"):
+        if field not in record:
+            raise CorpusFormatError(f"missing field {field!r}")
+    text = record["definition"]
+    if not isinstance(record["word"], str) or not isinstance(text, str):
+        raise CorpusFormatError("'word' and 'definition' must be strings")
+    entry_id = record.get("entry_id")
+    if entry_id == "":
+        raise CorpusFormatError("empty entry_id")
+    return DictEntry(
+        headword=record["word"],
+        definition=tokenize(text),
+        definition_text=text,
+        entry_id=default_id if entry_id is None else str(entry_id),
+        example=record.get("example"),
+        author=record.get("author"),
+        upvotes=record.get("upvotes"),
+        downvotes=record.get("downvotes"),
+    )
 
 
 # Closed-class lexicon for the dependency-free fallback annotator.  Coverage

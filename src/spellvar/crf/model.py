@@ -126,13 +126,18 @@ def load_model(path: str | Path) -> CrfModel:
             f"expected {FORMAT_VERSION}"
         )
     try:
-        labels = tuple(payload["labels"])
+        if payload["labels"] != list(LABELS):
+            raise ValueError(f"labels {payload['labels']!r} are not {list(LABELS)}")
+        window = payload["window"]
+        if type(window) is not int or window < 1:
+            raise ValueError(f"window {window!r} is not a positive integer")
         states: dict[str, list[float]] = payload["states"]
         feature_index = {feature: row for row, feature in enumerate(states)}
-        state = np.array(list(states.values()) or np.empty((0, len(labels))), dtype=float)
+        n_labels = len(LABELS)
+        state = np.array(list(states.values()) or np.empty((0, n_labels)), dtype=float)
         transitions = np.array(payload["transitions"], dtype=float)
-        if state.shape[1:] != (len(labels),) or transitions.shape != (len(labels), len(labels)):
-            raise ValueError(f"weights do not have one entry per label of {list(labels)}")
+        if state.shape[1:] != (n_labels,) or transitions.shape != (n_labels, n_labels):
+            raise ValueError(f"weights do not have one entry per label of {list(LABELS)}")
         if not (np.isfinite(state).all() and np.isfinite(transitions).all()):
             raise ValueError("non-finite weight")
         objective = payload.get("final_objective")
@@ -145,8 +150,7 @@ def load_model(path: str | Path) -> CrfModel:
             feature_index=feature_index,
             state=state,
             transitions=transitions,
-            window=int(payload["window"]),
-            labels=labels,
+            window=window,
             degenerate=bool(payload.get("degenerate", False)),
             final_objective=float("nan") if objective is None else float(objective),
             converged=converged,

@@ -8,7 +8,9 @@ the fraction of evaluable pairs whose formal word ranks within the top k.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -55,15 +57,25 @@ class EmbeddingTable:
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self.index[word]]
 
+    @cached_property
+    def copy_groups(self) -> np.ndarray:
+        """Per row, an id shared by exactly the rows whose vectors are equal
+        (``-0.0`` equal to ``0.0``)."""
+        ids: dict[bytes, int] = {}
+        return np.array(
+            [ids.setdefault(row.tobytes(), len(ids)) for row in self.vectors + 0.0], dtype=np.intp
+        )
+
 
 def make_table(words: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
     vectors = np.asarray(vectors, dtype=float)
     norms = np.linalg.norm(vectors, axis=1)
-    for word, norm, finite in zip(words, norms, np.isfinite(norms)):
-        if not finite:
-            raise EmbeddingFormatError(f"non-finite vector norm for word {word!r}")
-        if norm == 0.0:
-            raise EmbeddingFormatError(f"zero vector for word {word!r}")
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        row = int(bad[0])
+        if not np.isfinite(norms[row]):
+            raise EmbeddingFormatError(f"non-finite vector norm for word {words[row]!r}")
+        raise EmbeddingFormatError(f"zero vector for word {words[row]!r}")
     return EmbeddingTable(
         words=tuple(words),
         vectors=vectors,
@@ -72,45 +84,78 @@ def make_table(words: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
     )
 
 
+def _parse_components(
+    path: str | Path, line_no: int, components: list[str], dimension: int | None
+) -> np.ndarray:
+    """One line's components, one ``float()`` each; raises naming the line."""
+    if not components:
+        raise EmbeddingFormatError(f"{path}: line {line_no}: no vector components")
+    if dimension is not None and len(components) != dimension:
+        raise EmbeddingFormatError(
+            f"{path}: line {line_no}: expected {dimension} components, "
+            f"got {len(components)}"
+        )
+    try:
+        return np.array([float(c) for c in components])
+    except ValueError as exc:
+        raise EmbeddingFormatError(
+            f"{path}: line {line_no}: non-numeric component: {exc}"
+        ) from exc
+
+
+def _parse_fast(text: str, dimension: int) -> np.ndarray | None:
+    """``text`` parsed in one NumPy call, or None when it does not give
+    exactly ``dimension`` values or NumPy stops at a token it cannot read.
+
+    NumPy rejects some spellings ``float()`` accepts (``1_000``, non-ASCII
+    digits and spaces), so None means "ask ``_parse_components``", not "bad
+    line".  The one spelling NumPy reads and ``float()`` rejects is C's
+    ``nan(...)``, so text holding a parenthesis is never parsed here.
+    """
+    if "(" in text:
+        return None
+    try:
+        values = np.fromstring(text, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    return values if len(values) == dimension else None
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read whitespace-separated text embeddings.
 
     A first line of exactly two integer tokens is treated as a
     ``count dimension`` header.  Duplicate words keep their first vector.
+    Each line's components are parsed in one NumPy call; a line that call
+    cannot parse to the expected dimension goes through ``float()`` token by
+    token, which accepts what Python accepts and names the line otherwise.
     """
     words: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     seen: set[str] = set()
     dimension: int | None = None
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+        # Older NumPy warns instead of raising when it stops at unread text.
+        warnings.simplefilter("error", DeprecationWarning)
         for line_no, line in enumerate(handle, start=1):
-            parts = line.split()
+            parts = line.split(maxsplit=1)
             if not parts:
                 continue
-            if line_no == 1 and len(parts) == 2:
+            if line_no == 1 and len(header := line.split()) == 2:
                 try:
-                    int(parts[0]), int(parts[1])
+                    int(header[0]), int(header[1])
                 except ValueError:
                     pass
                 else:
-                    dimension = int(parts[1])
+                    dimension = int(header[1])
                     continue
-            word, components = parts[0], parts[1:]
-            if not components:
-                raise EmbeddingFormatError(f"{path}: line {line_no}: no vector components")
-            if dimension is None:
-                dimension = len(components)
-            elif len(components) != dimension:
-                raise EmbeddingFormatError(
-                    f"{path}: line {line_no}: expected {dimension} components, "
-                    f"got {len(components)}"
-                )
-            try:
-                vector = [float(c) for c in components]
-            except ValueError as exc:
-                raise EmbeddingFormatError(
-                    f"{path}: line {line_no}: non-numeric component: {exc}"
-                ) from exc
+            word = parts[0]
+            vector = None
+            if dimension is not None and len(parts) == 2:
+                vector = _parse_fast(parts[1], dimension)
+            if vector is None:
+                vector = _parse_components(path, line_no, line.split()[1:], dimension)
+                dimension = len(vector)
             if word in seen:
                 continue
             seen.add(word)
@@ -124,23 +169,59 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         raise EmbeddingFormatError(f"{path}: {exc}") from exc
 
 
-def rank_of_formal(table: EmbeddingTable, informal: str, formal: str) -> int:
-    """1-based cosine rank of ``formal`` among all words except ``informal``.
+#: Queries ranked per matrix product.  The product and its norm divisor are
+#: RANK_CHUNK x table rows each (10 MiB apiece at 64 x 20,000), so memory
+#: stays bounded whatever the number of pairs.
+RANK_CHUNK = 64
 
-    Words tying with the formal word do not push it down (the optimistic
-    reading).  Raises :class:`MissingWordError` when either word is absent.
+
+def _rank_rows(table: EmbeddingTable, queries: np.ndarray, formals: np.ndarray) -> np.ndarray:
+    """1-based cosine rank of each ``formals[i]`` row for ``queries[i]``.
+
+    A word ranks above the formal word only when its cosine is strictly
+    greater (the optimistic reading of ties).  The query's own row never
+    counts, and neither does a row whose vector equals the formal's exactly:
+    BLAS may round bitwise-equal rows differently by where they sit in the
+    table, and such a copy must tie however the product was blocked.
     """
+    vectors, norms, groups = table.vectors, table.norms, table.copy_groups
+    has_copy = np.bincount(groups)[groups] > 1
+    ranks = np.empty(len(queries), dtype=np.int64)
+    for start in range(0, len(queries), RANK_CHUNK):
+        q = queries[start:start + RANK_CHUNK]
+        f = formals[start:start + RANK_CHUNK]
+        at = np.arange(len(q))
+        cosines = vectors[q] @ vectors.T
+        cosines /= np.multiply.outer(norms[q], norms)
+        better = cosines > cosines[at, f][:, None]
+        better[at, q] = False
+        copied = np.flatnonzero(has_copy[f])
+        better[copied] &= groups != groups[f[copied]][:, None]
+        ranks[start:start + len(q)] = 1 + better.sum(axis=1)
+    return ranks
+
+
+def _pair_rows(table: EmbeddingTable, informal: str, formal: str) -> tuple[int, int]:
     if informal not in table:
         raise MissingWordError(informal, "informal")
     if formal not in table:
         raise MissingWordError(formal, "formal")
-    query_row = table.index[informal]
-    query = table.vectors[query_row]
-    cosines = (table.vectors @ query) / (table.norms * table.norms[query_row])
-    formal_cosine = cosines[table.index[formal]]
-    better = cosines > formal_cosine
-    better[query_row] = False
-    return 1 + int(better.sum())
+    return table.index[informal], table.index[formal]
+
+
+def rank_of_formal(table: EmbeddingTable, informal: str, formal: str) -> int:
+    """1-based cosine rank of ``formal`` among all words except ``informal``.
+
+    Words tying with the formal word, and exact copies of its vector, do not
+    push it down (the optimistic reading).  Raises :class:`MissingWordError`
+    when either word is absent.
+    """
+    query, target = _pair_rows(table, informal, formal)
+    return int(_rank_rows(table, np.array([query]), np.array([target]))[0])
+
+
+#: Why a pair was left out of the accuracy denominator, in report order.
+MISS_REASONS = ("formal-not-in-vocab", "informal-not-in-table", "formal-not-in-table")
 
 
 @dataclass
@@ -158,6 +239,14 @@ class EvalReport:
     accuracy: dict[int, float]
     per_pair: list[PairOutcome]
 
+    def miss_counts(self) -> dict[str, int]:
+        """Pairs left out, per reason of :data:`MISS_REASONS`, zeros included."""
+        counts = dict.fromkeys(MISS_REASONS, 0)
+        for outcome in self.per_pair:
+            if outcome.miss is not None:
+                counts[outcome.miss] += 1
+        return counts
+
 
 def evaluate_pairs(
     table: EmbeddingTable,
@@ -169,14 +258,15 @@ def evaluate_pairs(
 
     Both pair sides are lowercased before lookup.  Pairs whose formal side is
     outside ``formal_vocab`` or whose words are missing from the table are
-    recorded as misses and excluded from the accuracy denominator.
+    recorded as misses and excluded from the accuracy denominator.  The
+    evaluable pairs are ranked together, :data:`RANK_CHUNK` at a time.
     """
     ks = sorted(set(ks))
     if any(k < 1 for k in ks):
         raise ValueError("cutoffs must be >= 1")
     outcomes: list[PairOutcome] = []
-    hits = {k: 0 for k in ks}
-    matched = 0
+    scored: list[PairOutcome] = []
+    rows: list[tuple[int, int]] = []
     for pair in pairs:
         informal = pair.informal.casefold()
         formal = pair.formal.casefold()
@@ -184,17 +274,22 @@ def evaluate_pairs(
             outcomes.append(PairOutcome(informal, formal, None, "formal-not-in-vocab"))
             continue
         try:
-            rank = rank_of_formal(table, informal, formal)
+            rows.append(_pair_rows(table, informal, formal))
         except MissingWordError as exc:
             outcomes.append(PairOutcome(informal, formal, None, f"{exc.role}-not-in-table"))
             continue
-        matched += 1
-        outcomes.append(PairOutcome(informal, formal, rank))
+        scored.append(PairOutcome(informal, formal, None))
+        outcomes.append(scored[-1])
+    if not scored:
+        raise ValueError("no evaluable pairs")
+    queries, targets = np.array(rows).T
+    hits = {k: 0 for k in ks}
+    for outcome, rank in zip(scored, _rank_rows(table, queries, targets).tolist()):
+        outcome.rank = rank
         for k in ks:
             if rank <= k:
                 hits[k] += 1
-    if matched == 0:
-        raise ValueError("no evaluable pairs")
+    matched = len(scored)
     accuracy = {k: hits[k] / matched for k in ks}
     return EvalReport(matched_pairs=matched, hits=hits, accuracy=accuracy, per_pair=outcomes)
 

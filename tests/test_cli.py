@@ -203,7 +203,29 @@ class TestEval:
         report_lines = (out / "00_vectors.report.tsv").read_text(encoding="utf-8").splitlines()
         assert report_lines[0] == "informal\tformal\trank\tnote"
         assert report_lines[1].split("\t")[2] == "1"
-        assert "accuracy@1=1.0000" in capsys.readouterr().out
+        out_text = capsys.readouterr().out
+        assert "accuracy@1=1.0000" in out_text
+        assert (f"{embeddings}: misses formal-not-in-vocab=0 informal-not-in-table=0 "
+                "formal-not-in-table=0") in out_text
+
+    def test_misses_printed_by_reason(self, tmp_path, eval_inputs, capsys):
+        _, embeddings, vocab = eval_inputs
+        pairs = write_lines(tmp_path / "pairs.tsv", [
+            "informal\tformal\tscore\tmethod\torigin\tentry_id",
+            "inf0\tfrm0\t1.0\tbaseline\tr\te1",
+            "ghost\tfrm1\t1.0\tbaseline\tr\te2",
+            "inf1\tbg0\t1.0\tbaseline\tr\te3",
+            "inf1\tunseen\t1.0\tbaseline\tr\te4",
+        ])
+        vocab = write_lines(tmp_path / "vocab.txt", ["frm0", "frm1", "unseen"])
+        out = tmp_path / "out"
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--out", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{embeddings}: matched=1 ")
+        assert lines[1] == (f"{embeddings}: misses formal-not-in-vocab=1 "
+                            "informal-not-in-table=1 formal-not-in-table=1")
 
     def test_two_embedding_files_two_reports(self, tmp_path, eval_inputs):
         pairs, embeddings, vocab = eval_inputs

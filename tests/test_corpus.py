@@ -134,6 +134,27 @@ class TestLoadJsonl:
         with pytest.raises(CorpusFormatError, match=missing):
             load_jsonl(path)
 
+    def test_falsy_entry_ids_kept(self, tmp_path):
+        path = self._write(tmp_path, [
+            json.dumps({"word": "a", "definition": "x", "entry_id": 0}),
+            json.dumps({"word": "b", "definition": "y", "entry_id": None}),
+            json.dumps({"word": "c", "definition": "z", "entry_id": "e1"}),
+        ])
+        assert [e.entry_id for e in load_jsonl(path)] == ["0", "e2", "e1"]
+
+    def test_empty_entry_id_names_file_and_line(self, tmp_path):
+        path = self._write(tmp_path, [
+            json.dumps({"word": "a", "definition": "x"}),
+            json.dumps({"word": "b", "definition": "y", "entry_id": ""}),
+        ])
+        with pytest.raises(CorpusFormatError, match=f"^{path}: line 2: empty entry_id"):
+            load_jsonl(path)
+
+    def test_line_errors_name_the_file(self, tmp_path):
+        path = self._write(tmp_path, [json.dumps({"word": 3, "definition": "x"})])
+        with pytest.raises(CorpusFormatError, match=f"^{path}: line 1: "):
+            load_jsonl(path)
+
     def test_duplicate_entry_id_rejected(self, tmp_path):
         path = self._write(tmp_path, [
             json.dumps({"word": "a", "definition": "x", "entry_id": "dup"}),

@@ -649,9 +649,18 @@ class TestModelIo:
         lambda p: p.__setitem__("converged", "yes"),
         lambda p: p.__setitem__("iterations", -1),
         lambda p: p.__setitem__("iterations", 2.5),
+        lambda p: p.__setitem__("labels", ["O", "I"]),
+        lambda p: p.__setitem__("labels", "IO"),
+        lambda p: p.__setitem__("labels", ["I", "O", "B"]),
+        lambda p: p.__setitem__("window", 2.7),
+        lambda p: p.__setitem__("window", 0),
+        lambda p: p.__setitem__("window", True),
+        lambda p: p.__setitem__("window", "3"),
     ], ids=["nan-state", "inf-state", "inf-transition", "long-state-row", "scalar-state-row",
             "extra-transition-row", "short-transition-row", "converged-string",
-            "negative-iterations", "fractional-iterations"])
+            "negative-iterations", "fractional-iterations", "swapped-labels", "label-string",
+            "extra-label", "fractional-window", "zero-window", "boolean-window",
+            "string-window"])
     def test_malformed_weights_rejected(self, tmp_path, edit):
         path = tmp_path / "model.json"
         save_model(CrfModel.from_weights({("f0", "I"): 1.0}), path)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spellvar.corpus import VariantPair
 from spellvar.evalsim import (
+    MISS_REASONS,
+    RANK_CHUNK,
     EmbeddingFormatError,
     MissingWordError,
     evaluate_pairs,
@@ -77,18 +81,71 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="non-finite.*broken"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("text, line", [
+        # A long row right after a short one: together they hold the
+        # expected count, and each must still be rejected on its own line.
+        ("a 1 0 0\nb 1 0\nc 1 0 0 0\n", 2),
+        ("a 1 0 0\nb 1 0 0 0\nc 1 0\n", 2),
+        ("2 3\na 1 0 0\nb 1 0\n", 3),
+    ])
+    def test_wrong_count_names_line(self, tmp_path, text, line):
+        path = write_embeddings(tmp_path, text)
+        with pytest.raises(EmbeddingFormatError, match=f"{path}: line {line}: expected"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("token", ["0x1A", "1,5", "1.5.3", "nan(1)", "1e", "--1"])
+    def test_unreadable_token_names_line(self, tmp_path, token):
+        path = write_embeddings(tmp_path, f"a 1 0 0\nb 0 {token} 1\n")
+        with pytest.raises(EmbeddingFormatError, match=f"{path}: line 2: non-numeric"):
+            load_embeddings(path)
+
+    def test_bad_component_on_duplicate_word(self, tmp_path):
+        path = write_embeddings(tmp_path, "a 1 0\nb 0 1\na 1 x\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3: non-numeric"):
+            load_embeddings(path)
+
+    def test_python_float_spellings_load(self, tmp_path):
+        # NumPy's parser rejects these; float() accepts them, as before.
+        path = write_embeddings(tmp_path, "a 1_000 0.5\nb \uff12 1\nc 1\u00a02\n")
+        table = load_embeddings(path)
+        np.testing.assert_array_equal(table.vectors, [[1000.0, 0.5], [2.0, 1.0], [1.0, 2.0]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.floats(min_value=1e-3, max_value=1e6) | st.floats(min_value=-1e6, max_value=-1e-3),
+        st.sampled_from(["repr", "fixed", "exp", "int", "int_", "upper"]),
+        st.sampled_from([" ", "\t", "  ", " \t "]),
+    ), min_size=3, max_size=3), min_size=1, max_size=6))
+    def test_values_match_float_per_token(self, tmp_path_factory, rows):
+        spell = {
+            "repr": repr, "fixed": lambda x: f"{x:.3f}", "exp": lambda x: f"{x:.6e}",
+            "int": lambda x: f"{int(x) or 1}", "int_": lambda x: f"{int(x) or 1:_}",
+            "upper": lambda x: f"{x:.4E}",
+        }
+        lines = ["w%d%s" % (i, "".join(sep + spell[kind](x) for x, kind, sep in row))
+                 for i, row in enumerate(rows)]
+        path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = [[float(token) for token in line.split()[1:]] for line in lines]
+        got = load_embeddings(path).vectors
+        assert got.tobytes() == np.array(expected).tobytes()
+
 
 def rank_oracle(table, informal, formal):
-    """Full sort with optimistic tie handling."""
-    query = table.vector(informal)
-    cosines = {
-        word: float(
-            np.dot(table.vector(word), query)
-            / (np.linalg.norm(table.vector(word)) * np.linalg.norm(query))
-        )
-        for word in table.words
-        if word != informal
-    }
+    """Full sort with optimistic tie handling.
+
+    Each cosine is summed exactly with ``math.fsum``, so equal vectors get
+    equal cosines wherever they sit in the table and always tie.
+    """
+    query = table.vector(informal).tolist()
+
+    def cosine(word):
+        vector = table.vector(word).tolist()
+        dot = math.fsum(a * b for a, b in zip(vector, query))
+        norm = math.sqrt(math.fsum(a * a for a in vector))
+        return dot / (norm * math.sqrt(math.fsum(b * b for b in query)))
+
+    cosines = {word: cosine(word) for word in table.words if word != informal}
     target = cosines[formal]
     return 1 + sum(1 for value in cosines.values() if value > target)
 
@@ -138,6 +195,80 @@ class TestRankOfFormal:
         table = make_table(["inf", "frm", "tie"], [[1, 0], [0, 1], [0, 2]])
         assert rank_of_formal(table, "inf", "frm") == 1
         assert rank_of_formal(table, "inf", "tie") == 1
+
+    def test_exact_copies_tie_wherever_they_sit(self):
+        # OpenBLAS's matrix-vector product gave w0 and w4 different cosines
+        # here (w0 rank 5, w4 rank 6 for query w2), by their places in the
+        # table alone.
+        rows = np.round(np.random.default_rng(0).normal(size=(7, 24)), 3)
+        rows[4] = rows[0]
+        table = make_table([f"w{i}" for i in range(7)], rows)
+        for query in ("w1", "w2", "w3", "w5", "w6"):
+            expected = rank_oracle(table, query, "w0")
+            assert rank_of_formal(table, query, "w0") == expected
+            assert rank_of_formal(table, query, "w4") == expected
+
+    def test_negative_zero_copy_ties(self):
+        table = make_table(["a", "b", "q"], [[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
+        assert table.copy_groups[0] == table.copy_groups[1] != table.copy_groups[2]
+        assert rank_of_formal(table, "q", "a") == rank_of_formal(table, "q", "b") == 1
+
+
+@st.composite
+def tables_with_copies(draw):
+    """A random table in which one row's vector is copied to several rows,
+    and pairs that mostly ask for one of those copies."""
+    n_rows = draw(st.integers(9, 40))
+    dim = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.round(rng.normal(size=(n_rows, dim)), 3)
+    source = draw(st.integers(0, n_rows - 1))
+    # Every offset mod 8 and the last rows, which BLAS kernels handle apart
+    # from full blocks.
+    offset = draw(st.integers(0, 7))
+    copies = sorted({*range(offset, n_rows, 8), n_rows - 1, n_rows - 2} - {source})
+    if draw(st.booleans()):
+        rows[source, 0] = 0.0
+    rows[copies] = rows[source]
+    if rows[source, 0] == 0.0:
+        rows[copies[-1], 0] = -0.0
+    words = [f"w{i}" for i in range(n_rows)]
+    # Pair counts around the chunk size, so chunks end mid-list and copies
+    # fall on either side of a chunk edge.
+    n_pairs = draw(st.sampled_from([1, RANK_CHUNK - 1, RANK_CHUNK + 1, 2 * RANK_CHUNK + 3]))
+    group = [source, *copies]
+    pairs = []
+    for _ in range(n_pairs):
+        formal = rng.choice(group) if rng.random() < 0.6 else rng.integers(n_rows)
+        informal = (formal + rng.integers(1, n_rows)) % n_rows
+        pairs.append(VariantPair(informal=words[informal], formal=words[formal],
+                                 score=1.0, method="baseline"))
+    return make_table(words, rows), pairs
+
+
+class TestBatchedRanking:
+    @settings(max_examples=50, deadline=None)
+    @given(tables_with_copies())
+    def test_matches_oracle_with_exact_copies(self, case):
+        table, pairs = case
+        report = evaluate_pairs(table, pairs, frozenset(table.words), ks=(1,))
+        for pair, outcome in zip(pairs, report.per_pair):
+            expected = rank_oracle(table, pair.informal, pair.formal)
+            assert outcome.rank == expected
+            assert rank_of_formal(table, pair.informal, pair.formal) == expected
+
+    def test_matches_per_pair_ranks_across_chunks(self):
+        rng = np.random.default_rng(61)
+        table = random_table(rng, n_words=50, dimension=6)
+        pairs = [
+            VariantPair(informal=f"w{a}", formal=f"w{b}", score=1.0, method="baseline")
+            for a, b in rng.integers(50, size=(3 * RANK_CHUNK + 7, 2))
+            if a != b
+        ]
+        report = evaluate_pairs(table, pairs, frozenset(table.words), ks=(1,))
+        assert [o.rank for o in report.per_pair] == [
+            rank_of_formal(table, p.informal, p.formal) for p in pairs
+        ]
 
 
 def planted_pairs(n=20):
@@ -227,6 +358,19 @@ class TestEvaluatePairs:
         table = planted_table(n=2, n_background=2)
         with pytest.raises(ValueError, match="cutoffs"):
             evaluate_pairs(table, planted_pairs(2), frozenset({"frm0"}), ks=(0,))
+
+    def test_miss_counts_by_reason(self):
+        table = make_table(["inf0", "frm0"], [[1, 0], [1, 0]])
+        pairs = [
+            VariantPair(informal=i, formal=f, score=1.0, method="baseline")
+            for i, f in [("inf0", "frm0"), ("ghost", "frm0"), ("inf0", "phantom"),
+                         ("inf0", "other"), ("ghost", "phantom")]
+        ]
+        report = evaluate_pairs(table, pairs, frozenset({"frm0", "phantom"}), ks=(1,))
+        assert report.miss_counts() == {
+            "formal-not-in-vocab": 1, "informal-not-in-table": 2, "formal-not-in-table": 1,
+        }
+        assert list(report.miss_counts()) == list(MISS_REASONS)
 
     def test_hits_match_ranks(self):
         rng = np.random.default_rng(59)
