@@ -309,6 +309,10 @@ def _cmd_extract(args: argparse.Namespace) -> None:
             raise UsageError(f"extract: {exc}") from None
         result = self_train(gold, corpus, config)
         pairs = result.pairs
+        if not pairs:
+            print(f"warning: extract: self-training found no pairs with --l1 {knobs['l1']} "
+                  f"--l2 {knobs['l2']}; smaller penalties let the tagger mark more tokens I",
+                  file=sys.stderr)
         trace = result.trace
         model = result.model
         options.update(knobs)

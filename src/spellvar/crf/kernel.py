@@ -1,7 +1,8 @@
 """Batched linear-chain CRF inference, shared by training and decoding.
 
-Emission scores of a whole batch are one sparse product; forward-backward and
-Viterbi run over all sequences at once, padded to the longest one.
+Emission scores of a whole batch are one gather of weight rows and one
+ordered sum; forward-backward and Viterbi run over all sequences at once,
+padded to the longest one.
 """
 
 from __future__ import annotations
@@ -10,51 +11,55 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 # Pairwise max-shifted log-sums: on a handful of labels a fraction of the cost
-# of ``scipy.special.logsumexp``, most of which is array-API dispatch.
+# of a general-purpose logsumexp, most of which is array-API dispatch.
 logsumexp = np.logaddexp.reduce
 
 
 @dataclass
 class Batch:
-    """Sequences compiled to a positions x features indicator matrix, with
-    rows in sequence order; ``mask`` marks the real positions of the padded
-    (sequences x max length) layout."""
+    """Sequences compiled to a (max features per position x positions) table
+    of feature columns, positions in sequence order; a position's slots past
+    its last feature hold the feature count, the row :meth:`emissions` adds
+    as zeros.  ``mask`` marks the real positions of the padded (sequences x
+    max length) layout."""
 
-    matrix: sparse.csr_matrix
+    slots: np.ndarray
     lengths: np.ndarray
     mask: np.ndarray
 
     def emissions(self, state: np.ndarray) -> np.ndarray:
         """Per-position label scores, shaped (sequences, max length, labels)
         and zero at padded positions."""
+        rows = np.take(np.concatenate([state, np.zeros((1, state.shape[1]))]), self.slots, axis=0)
         padded = np.zeros(self.mask.shape + (state.shape[1],))
-        padded[self.mask] = self.matrix @ state
+        # Slots are the outermost axis of the contiguous ``rows``, so the
+        # reduction adds one slot after another, starting from 0.0 (a reduce
+        # along a contiguous axis would sum pairwise): each score adds its
+        # weights in listed order, to the last bit like a per-feature loop, so
+        # near-tied Viterbi paths break the same way however a batch is formed.
+        padded[self.mask] = np.add.reduce(rows, axis=0, initial=0.0)
         return padded
 
 
 def encode(sequences: Sequence[Sequence[Sequence[str]]], feature_index: dict[str, int]) -> Batch:
     """Map each position's features to columns of ``feature_index``; unknown
     features are dropped and a feature repeated within a position counts once."""
-    indices: list[int] = []
-    indptr = [0]
+    columns: list[int] = []
+    counts: list[int] = []
     for features in sequences:
         for feats in features:
-            columns = dict.fromkeys(map(feature_index.get, feats))
-            indices.extend(column for column in columns if column is not None)
-            indptr.append(len(indices))
-    # Columns stay in listed order (unsorted): each emission score then adds the
-    # weights in the order a per-feature loop would, to the last bit, so
-    # near-tied Viterbi paths break the same way however a batch is formed.
-    matrix = sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(len(indptr) - 1, len(feature_index))
-    )
+            known = [c for c in dict.fromkeys(map(feature_index.get, feats)) if c is not None]
+            columns.extend(known)
+            counts.append(len(known))
+    per_position = np.array(counts, dtype=np.intp)
+    table = np.full((len(counts), per_position.max(initial=0)), len(feature_index), dtype=np.intp)
+    table[np.arange(table.shape[1]) < per_position[:, None]] = columns
     lengths = np.array([len(features) for features in sequences], dtype=int)
     # At least one column, so empty sequences and empty batches need no branch.
     mask = np.arange(max(1, lengths.max(initial=0)))[None, :] < lengths[:, None]
-    return Batch(matrix=matrix, lengths=lengths, mask=mask)
+    return Batch(slots=np.ascontiguousarray(table.T), lengths=lengths, mask=mask)
 
 
 def forward_backward(

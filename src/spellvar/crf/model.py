@@ -23,7 +23,7 @@ class ModelFormatError(ValueError):
 
 @dataclass
 class CrfModel:
-    """Trained tagger weights.
+    """Trained tagger weights, with one column per label of ``LABELS``.
 
     Unknown features simply contribute nothing at decode time.  ``window`` is
     the context window the features were extracted with.  ``degenerate``
@@ -36,7 +36,6 @@ class CrfModel:
     state: np.ndarray
     transitions: np.ndarray
     window: int = 1
-    labels: tuple[str, ...] = LABELS
     degenerate: bool = False
     final_objective: float = float("nan")
     converged: bool | None = None
@@ -75,8 +74,7 @@ def decode_batch(
     paths, scores = viterbi(emissions, batch.mask, model.transitions)
     _, probs, _ = forward_backward(emissions, batch.mask, model.transitions)
     return [
-        ([model.labels[i] for i in path[:n]], score,
-         [dict(zip(model.labels, row)) for row in rows[:n]])
+        ([LABELS[i] for i in path[:n]], score, [dict(zip(LABELS, row)) for row in rows[:n]])
         for path, score, rows, n in zip(paths.tolist(), scores.tolist(), probs.tolist(),
                                         batch.lengths.tolist())
     ]
@@ -98,7 +96,7 @@ def save_model(model: CrfModel, path: str | Path) -> None:
     payload = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "labels": list(model.labels),
+        "labels": list(LABELS),
         "window": model.window,
         "degenerate": model.degenerate,
         "final_objective": None if math.isnan(model.final_objective) else model.final_objective,

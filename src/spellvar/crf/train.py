@@ -1,9 +1,9 @@
 """Penalized maximum-likelihood training for the tagger.
 
-Training sequences are encoded into one sparse indicator matrix (positions x
-features), so emission scores and expected feature counts are two sparse
-matrix products, and the penalized log-likelihood's forward-backward runs
-over all sequences at once in :mod:`spellvar.crf.kernel`.
+Training sequences are encoded once into one table of feature columns per
+position, so emission scores are one gather-and-sum and expected feature
+counts one scatter-add, and the penalized log-likelihood's forward-backward
+runs over all sequences at once in :mod:`spellvar.crf.kernel`.
 """
 
 from __future__ import annotations
@@ -20,11 +20,16 @@ from spellvar.crf.optimizer import minimize
 
 @dataclass
 class EncodedDataset(Batch):
-    """A batch of training sequences with their gold labels, one per row."""
+    """A batch of training sequences with their gold labels, one per position.
+    ``column_ids`` and ``row_ids`` are the flat (column, label) and
+    (position, label) ids of every listed feature, in position order and
+    listed order within a position."""
 
     feature_index: dict[str, int]
     gold: np.ndarray
     transition_counts: np.ndarray
+    column_ids: np.ndarray
+    row_ids: np.ndarray
     n_labels: int = len(LABELS)
 
     @property
@@ -34,6 +39,16 @@ class EncodedDataset(Batch):
     @property
     def n_parameters(self) -> int:
         return self.n_features * self.n_labels + self.n_labels * self.n_labels
+
+    def feature_totals(self, values: np.ndarray) -> np.ndarray:
+        """Sum of the rows of ``values`` (positions x labels) over the
+        positions that list each feature, shaped (features, labels).
+        ``np.bincount`` adds in id order, so each total adds its rows in
+        position order, like a sequential scatter-add."""
+        totals = np.bincount(self.column_ids, weights=np.take(values.ravel(), self.row_ids),
+                             minlength=self.n_features * self.n_labels)
+        # Without any listed feature ``np.bincount`` returns integers.
+        return totals.astype(float, copy=False).reshape(self.n_features, self.n_labels)
 
 
 def encode_dataset(
@@ -62,11 +77,17 @@ def encode_dataset(
     sequences = [features for features, _ in data]
     seen = dict.fromkeys(f for features in sequences for feats in features for f in feats)
     feature_index = {feature: column for column, feature in enumerate(seen)}
+    batch = encode(sequences, feature_index)
+    table = batch.slots.T
+    listed = table < len(feature_index)
+    labels = np.arange(len(LABELS))
     return EncodedDataset(
-        **vars(encode(sequences, feature_index)),
+        **vars(batch),
         feature_index=feature_index,
         gold=np.array(gold, dtype=int),
         transition_counts=transition_counts,
+        column_ids=(table[listed][:, None] * len(LABELS) + labels).ravel(),
+        row_ids=(np.nonzero(listed)[0][:, None] * len(LABELS) + labels).ravel(),
     )
 
 
@@ -96,8 +117,7 @@ def log_likelihood_and_gradient(
     value -= 0.5 * l2 * (float((state * state).sum()) + float((transitions * transitions).sum()))
 
     gold_onehot = np.eye(dataset.n_labels)[dataset.gold]
-    grad_state = np.asarray(dataset.matrix.T @ (gold_onehot - posteriors[dataset.mask]))
-    grad_state -= l2 * state
+    grad_state = dataset.feature_totals(gold_onehot - posteriors[dataset.mask]) - l2 * state
     grad_transitions = dataset.transition_counts - expected_transitions - l2 * transitions
     gradient = np.concatenate([grad_state.ravel(), grad_transitions.ravel()])
     return value, gradient

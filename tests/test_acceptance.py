@@ -161,10 +161,10 @@ def _random_model_and_features(rng, length, n_features=6):
 def _enumerate_scores(model, features):
     emissions = model.emission_scores(features)
     scores = {}
-    for path in itertools.product(range(len(model.labels)), repeat=len(features)):
+    for path in itertools.product(range(len(LABELS)), repeat=len(features)):
         total = sum(emissions[t, y] for t, y in enumerate(path))
         total += sum(model.transitions[path[t - 1], path[t]] for t in range(1, len(path)))
-        scores[tuple(model.labels[y] for y in path)] = float(total)
+        scores[tuple(LABELS[y] for y in path)] = float(total)
     return scores
 
 

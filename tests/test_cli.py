@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from spellvar.cli import main
 from spellvar.corpus import read_pairs_tsv
 from spellvar.crf import load_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_lines(path, lines):
@@ -141,7 +147,7 @@ def staged(tmp_path_factory):
 
 
 class TestExtractSelftrain:
-    def test_end_to_end(self, tmp_path, staged):
+    def test_end_to_end(self, tmp_path, staged, capsys):
         out = tmp_path / "out"
         code = main(["extract", "--method", "selftrain",
                      "--corpus", str(staged / "unlabeled.jsonl"),
@@ -149,6 +155,7 @@ class TestExtractSelftrain:
                      "--gold-tags", str(staged / "gold.tags"),
                      "--l1", "0.02", "--l2", "0.03", "--out", str(out)])
         assert code == 0
+        assert "warning" not in capsys.readouterr().err
         truth = read_truth(staged / "truth.tsv")
         pairs = read_pairs_tsv(out / "pairs.tsv")
         assert pairs
@@ -158,6 +165,18 @@ class TestExtractSelftrain:
             assert pair.score > 0.9
         model = load_model(out / "model.json")
         assert model.window == 3
+
+    def test_no_pairs_warns_with_the_penalties(self, tmp_path, staged, capsys):
+        # The default penalties zero every state weight on this fixture.
+        out = tmp_path / "out"
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"),
+                     "--gold-tags", str(staged / "gold.tags"), "--out", str(out)])
+        assert code == 0
+        assert read_pairs_tsv(out / "pairs.tsv") == []
+        err = capsys.readouterr().err
+        assert "warning" in err and "--l1 2.35" in err and "--l2 0.08" in err
 
     def test_gold_tag_mismatch_is_a_data_error(self, tmp_path, staged, capsys):
         truncated = tmp_path / "gold.tags"
@@ -414,3 +433,72 @@ class TestTopLevel:
     def test_gen_synthetic_needs_valid_kind(self, tmp_path):
         code = main(["gen-synthetic", "--kind", "nonsense", "--out", str(tmp_path)])
         assert code == 1
+
+
+# Runs CLI commands in a fresh interpreter and prints, as JSON, the scipy
+# modules loaded after importing the CLI and after each command.
+_LOADED_MODULES_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spellvar.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[2]):
+    assert spellvar.cli.main(argv) == 0, argv
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+class TestStartup:
+    def test_no_command_loads_scipy(self, tmp_path, correlate_inputs):
+        st, bs = tmp_path / "st", tmp_path / "bs"
+        selftrain = ["extract", "--method", "selftrain", "--corpus", str(st / "unlabeled.jsonl"),
+                     "--gold-corpus", str(st / "gold.jsonl"), "--gold-tags", str(st / "gold.tags")]
+        pairs = write_lines(tmp_path / "pairs.tsv", [
+            "informal\tformal\tscore\tmethod\torigin\tentry_id", "inf0\tfrm0\t1.0\tbaseline\tr\te1",
+        ])
+        vectors = write_lines(tmp_path / "vectors.txt", ["inf0 1 0", "frm0 1 0", "bg0 0 1"])
+        vocab = write_lines(tmp_path / "vocab.txt", ["frm0"])
+        intrinsic, extrinsic = correlate_inputs
+        commands = [
+            ["gen-synthetic", "--kind", "selftrain", "--out", str(st), "--seed", "0"],
+            [*selftrain, "--l1", "0.02", "--l2", "0.03", "--out", str(tmp_path / "o1")],
+            [*selftrain, "--search-trials", "1", "--search-folds", "2",
+             "--out", str(tmp_path / "o2")],
+            ["gen-synthetic", "--kind", "bootstrap", "--out", str(bs), "--seed", "0"],
+            ["extract", "--method", "bootstrap", "--corpus", str(bs / "corpus.jsonl"),
+             "--seeds", str(bs / "seeds.tsv"), "--out", str(tmp_path / "o3")],
+            ["extract", "--method", "baseline", "--corpus", str(bs / "corpus.jsonl"),
+             "--out", str(tmp_path / "o4")],
+            ["eval", "--pairs", str(pairs), "--embeddings", str(vectors),
+             "--formal-vocab", str(vocab), "--ks", "1", "--out", str(tmp_path / "o5")],
+            ["correlate", "--intrinsic", str(intrinsic), "--extrinsic", str(extrinsic),
+             "--keys", "name", "--out", str(tmp_path / "o6")],
+            ["annotate", "--corpus", str(bs / "corpus.jsonl"), "--out", str(tmp_path / "o7")],
+        ]
+        child = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES_CHILD, str(SRC), json.dumps(commands)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        loaded = json.loads(child.stdout.splitlines()[-1])
+        # One entry for the import, then one per command.
+        assert loaded == [[]] * (1 + len(commands))
+
+    def test_no_source_file_imports_scipy(self):
+        sources = sorted(SRC.rglob("*.py"))
+        assert sources
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert all(name.split(".")[0] != "scipy" for name in names), (
+                    f"{path}:{node.lineno}")

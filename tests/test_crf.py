@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -128,7 +128,7 @@ class TestEncodeDataset:
 
     def test_duplicate_features_counted_once(self):
         dataset = encode_dataset([((["f", "f"],), ("I",))])
-        assert dataset.matrix.toarray().tolist() == [[1.0]]
+        assert dataset.slots.tolist() == [[0]]
 
     def test_transition_counts(self):
         dataset = encode_dataset(_simple_data())
@@ -199,12 +199,12 @@ def enumerate_scores(model: CrfModel, features) -> dict[tuple[str, ...], float]:
     """Score every label path by brute force."""
     emissions = model.emission_scores(features)
     scores: dict[tuple[str, ...], float] = {}
-    for path in itertools.product(range(len(model.labels)), repeat=len(features)):
+    for path in itertools.product(range(len(LABELS)), repeat=len(features)):
         total = sum(emissions[t, y] for t, y in enumerate(path))
         total += sum(
             model.transitions[path[t - 1], path[t]] for t in range(1, len(path))
         )
-        scores[tuple(model.labels[y] for y in path)] = float(total)
+        scores[tuple(LABELS[y] for y in path)] = float(total)
     return scores
 
 
@@ -307,7 +307,7 @@ class TestMarginals:
 
 
 def oracle_emission_scores(model: CrfModel, features) -> np.ndarray:
-    scores = np.zeros((len(features), len(model.labels)))
+    scores = np.zeros((len(features), len(LABELS)))
     for t, feats in enumerate(features):
         for feature in feats:
             row = model.feature_index.get(feature)
@@ -326,7 +326,7 @@ def oracle_viterbi(model: CrfModel, features) -> tuple[list[str], float]:
     if n == 0:
         return [], 0.0
     emissions = oracle_emission_scores(model, features)
-    n_labels = len(model.labels)
+    n_labels = len(LABELS)
     delta = emissions[0].copy()
     back = np.zeros((n, n_labels), dtype=int)
     for t in range(1, n):
@@ -339,7 +339,7 @@ def oracle_viterbi(model: CrfModel, features) -> tuple[list[str], float]:
     for t in range(n - 1, 0, -1):
         path.append(int(back[t, path[-1]]))
     path.reverse()
-    return [model.labels[i] for i in path], float(delta[last])
+    return [LABELS[i] for i in path], float(delta[last])
 
 
 def oracle_forward_backward(emissions: np.ndarray, transitions: np.ndarray):
@@ -386,7 +386,7 @@ class TestKernelAgainstOracle:
         tagged = decode_batch(model, batch)
         for k, features in enumerate(batch):
             want_labels, want_score = oracle_viterbi(model, features)
-            assert [model.labels[i] for i in paths[k, :len(features)]] == want_labels
+            assert [LABELS[i] for i in paths[k, :len(features)]] == want_labels
             assert scores[k] == pytest.approx(want_score, abs=1e-12)
             assert tagged[k][0] == want_labels
             assert tagged[k][1] == pytest.approx(want_score, abs=1e-12)
@@ -449,6 +449,101 @@ class TestKernelAgainstOracle:
         assert value == pytest.approx(want_value, abs=1e-9)
         np.testing.assert_allclose(gradient[:n_state], want_state.ravel(), rtol=0, atol=1e-9)
         np.testing.assert_allclose(gradient[n_state:], want_transitions.ravel(), rtol=0, atol=1e-9)
+
+
+# --- exact sums ------------------------------------------------------------
+#
+# Emission scores and the gradient's feature totals add floats in a fixed
+# order: each position's known features in listed order, and each feature's
+# positions in batch order.  The kernel must reproduce these sequential loops
+# to the last bit, so a score or a trained weight cannot depend on how the
+# arrays are laid out.
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
+
+
+def loop_emissions(state: np.ndarray, feature_index, features) -> list[list[float]]:
+    scores = []
+    for feats in features:
+        row = [0.0] * state.shape[1]
+        for feature in dict.fromkeys(feats):
+            column = feature_index.get(feature)
+            if column is not None:
+                for k in range(state.shape[1]):
+                    row[k] += float(state[column, k])
+        scores.append(row)
+    return scores
+
+
+_weights = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# Up to 12 known features per position, enough for a sum in another order
+# (NumPy's pairwise sums unroll blocks of 8) to round differently; repeats are
+# allowed within a position, and ``unseen*`` never has a column.
+_listed = st.lists(st.sampled_from([f"f{i}" for i in range(12)] + ["unseen0", "unseen1"]),
+                   max_size=16)
+
+
+def _weight_rows(n_rows: int):
+    return st.lists(_weights, min_size=2 * n_rows, max_size=2 * n_rows).map(
+        lambda flat: np.array(flat, dtype=float).reshape(n_rows, 2))
+
+
+@st.composite
+def _emission_cases(draw):
+    """A state of 0-12 features and a batch of 0-5 sequences of 0-7 positions."""
+    state = draw(st.integers(0, 12).flatmap(_weight_rows))
+    return state, draw(st.lists(st.lists(_listed, max_size=7), max_size=5))
+
+
+@st.composite
+def _training_cases(draw):
+    """Training sequences of known features, and one value row per position."""
+    known = _listed.map(lambda feats: [f for f in feats if not f.startswith("unseen")])
+    batch = draw(st.lists(st.lists(known, min_size=1, max_size=7), min_size=1, max_size=5))
+    return batch, draw(_weight_rows(sum(map(len, batch))))
+
+
+class TestExactSums:
+    @settings(max_examples=200, deadline=None)
+    @given(_emission_cases())
+    @example((np.zeros((0, 2)), [[["f0"], []], []]))
+    @example((np.array([[-0.0, 1e6], [0.1, -0.0]]), []))
+    @example((np.array([[-0.0, -0.0], [1e-9, 0.7]]),
+              [[["unseen0", "unseen1"], ["f0", "f0"], ["f1", "unseen0", "f0", "f1"]], []]))
+    @example((np.random.default_rng(3).normal(size=(12, 2)) * 10.0 ** np.arange(-6, 6)[:, None],
+              [[[f"f{i}" for i in range(12)], [f"f{i}" for i in range(11, -1, -1)]]]))
+    def test_emissions_equal_a_per_feature_loop(self, case):
+        state, batch = case
+        feature_index = {f"f{i}": i for i in range(len(state))}
+        emissions = encode(batch, feature_index).emissions(state)
+        assert emissions.shape[0] == len(batch)
+        for k, features in enumerate(batch):
+            want = np.array(loop_emissions(state, feature_index, features)).reshape(-1, 2)
+            assert bits(emissions[k, :len(features)]) == bits(want)
+            assert bits(emissions[k, len(features):]) == bits(
+                np.zeros_like(emissions[k, len(features):]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_training_cases())
+    @example(([[[], []], [[]]], np.ones((3, 2))))
+    @example(([[["f0", "f1", "f0"], ["f1"]], [["f1", "f1"]]],
+              np.array([[1e6, -0.0], [0.1, -0.0], [-1e6, 0.3]])))
+    def test_feature_totals_equal_a_scatter_add(self, case):
+        batch, values = case
+        dataset = encode_dataset([(features, ("O",) * len(features)) for features in batch])
+        want = [[0.0, 0.0] for _ in dataset.feature_index]
+        rows = iter(values.tolist())
+        for features in batch:
+            for feats in features:
+                row = next(rows)
+                for feature in dict.fromkeys(feats):
+                    for k in range(2):
+                        want[dataset.feature_index[feature]][k] += row[k]
+        totals = dataset.feature_totals(values)
+        assert totals.shape == (dataset.n_features, 2) and totals.dtype == float
+        assert bits(totals) == bits(np.array(want).reshape(-1, 2))
 
 
 class TestDecodeBatch:
