@@ -435,6 +435,92 @@ class TestTopLevel:
         assert code == 1
 
 
+_PINNED_OPTIONS = {
+    "gen-selftrain": {"kind": "selftrain", "seed": 0},
+    "gen-bootstrap": {"entries": 200, "kind": "bootstrap", "n_pairs": 40, "n_seeds": 5,
+                      "n_traps": 6, "seed": 0},
+    "baseline": {"corpus": "bs/corpus.jsonl", "method": "baseline", "rules": "packaged",
+                 "seed": 0},
+    "bootstrap": {"alpha": 0.7, "beta": 0.7, "corpus": "bs/corpus.jsonl", "iterations": 8,
+                  "method": "bootstrap", "seed": 0, "seeds": "bs/seeds.tsv",
+                  "stopwords": "packaged", "strict": False, "tau": 0.5, "top_n": 10,
+                  "top_n_patterns": 10, "variant": False, "window": 3},
+    "bootstrap-ini": {"alpha": 0.7, "beta": 0.7, "corpus": "bs/corpus.jsonl", "iterations": 8,
+                      "method": "bootstrap", "seed": 0, "seeds": "bs/seeds.tsv",
+                      "stopwords": "packaged", "strict": True, "tau": 0.5, "top_n": 10,
+                      "top_n_patterns": 10, "variant": False, "window": 3},
+    "selftrain": {"confidence": 0.9, "corpus": "st/unlabeled.jsonl",
+                  "gold_corpus": "st/gold.jsonl", "gold_tags": "st/gold.tags",
+                  "iterations": 5, "l1": 0.02, "l2": 0.03, "method": "selftrain",
+                  "search_folds": 3, "search_trials": 0, "seed": 0, "window": 3},
+    "selftrain-search": {"confidence": 0.9, "corpus": "st/unlabeled.jsonl",
+                         "gold_corpus": "st/gold.jsonl", "gold_tags": "st/gold.tags",
+                         "iterations": 5, "l1": 0.015375836918315651,
+                         "l2": 5.693701397342675, "method": "selftrain", "search_folds": 3,
+                         "search_trials": 2, "seed": 0, "window": 3},
+    "eval": {"embeddings": ["vectors.txt"], "formal_vocab": "vocab.txt", "ks": [1, 20, 50, 100],
+             "pairs": "pairs.tsv"},
+    "correlate": {"extrinsic": "extrinsic.tsv", "intrinsic": "intrinsic.tsv", "joined_rows": 3,
+                  "keys": ["name"]},
+    "annotate": {"corpus": "bs/corpus.jsonl"},
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_manifests(tmp_path_factory):
+    """Options recorded by one default run of every command, with the run
+    directory stripped from paths."""
+    root = tmp_path_factory.mktemp("pinned")
+    st, bs = root / "st", root / "bs"
+    write_lines(root / "pairs.tsv", [
+        "informal\tformal\tscore\tmethod\torigin\tentry_id", "inf0\tfrm0\t1.0\tbaseline\tr\te1",
+    ])
+    write_lines(root / "vectors.txt", ["inf0 1 0", "frm0 1 0", "bg0 0 1"])
+    write_lines(root / "vocab.txt", ["frm0"])
+    write_lines(root / "intrinsic.tsv", ["name\ttop1", "a\t0.1", "b\t0.2", "c\t0.4"])
+    write_lines(root / "extrinsic.tsv", ["name\tval_acc", "a\t0.1", "b\t0.2", "c\t0.4"])
+    write_lines(root / "run.ini", [
+        "[extract]", "method = bootstrap", f"corpus = {bs / 'corpus.jsonl'}",
+        f"seeds = {bs / 'seeds.tsv'}", "strict = yes", "window = 2",
+    ])
+    selftrain = ["extract", "--method", "selftrain", "--corpus", str(st / "unlabeled.jsonl"),
+                 "--gold-corpus", str(st / "gold.jsonl"), "--gold-tags", str(st / "gold.tags")]
+    commands = {
+        "gen-selftrain": ["gen-synthetic", "--kind", "selftrain", "--out", str(st)],
+        "gen-bootstrap": ["gen-synthetic", "--kind", "bootstrap", "--out", str(bs)],
+        "baseline": ["extract", "--method", "baseline", "--corpus", str(bs / "corpus.jsonl")],
+        "bootstrap": ["extract", "--method", "bootstrap", "--corpus", str(bs / "corpus.jsonl"),
+                      "--seeds", str(bs / "seeds.tsv")],
+        "bootstrap-ini": ["extract", "--config", str(root / "run.ini"), "--window", "3"],
+        "selftrain": [*selftrain, "--l1", "0.02", "--l2", "0.03"],
+        "selftrain-search": [*selftrain, "--search-trials", "2"],
+        "eval": ["eval", "--pairs", str(root / "pairs.tsv"),
+                 "--embeddings", str(root / "vectors.txt"),
+                 "--formal-vocab", str(root / "vocab.txt")],
+        "correlate": ["correlate", "--intrinsic", str(root / "intrinsic.tsv"),
+                      "--extrinsic", str(root / "extrinsic.tsv"), "--keys", "name"],
+        "annotate": ["annotate", "--corpus", str(bs / "corpus.jsonl")],
+    }
+    manifests = {}
+    for name, argv in commands.items():
+        out = {"gen-selftrain": st, "gen-bootstrap": bs}.get(name, root / name)
+        if "--out" not in argv:
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 0, name
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        manifests[name] = json.loads(text.replace(f"{root}/", ""))["options"]
+    return manifests
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_OPTIONS))
+def test_manifest_options_are_pinned(pinned_manifests, name):
+    # Keys, values and JSON types of every command's recorded options.
+    options = pinned_manifests[name]
+    assert options == _PINNED_OPTIONS[name]
+    assert {k: type(v) for k, v in options.items()} == {
+        k: type(v) for k, v in _PINNED_OPTIONS[name].items()}
+
+
 # Runs CLI commands in a fresh interpreter and prints, as JSON, the scipy
 # modules loaded after importing the CLI and after each command.
 _LOADED_MODULES_CHILD = """
