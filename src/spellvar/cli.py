@@ -16,8 +16,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
+import inspect
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
@@ -57,8 +60,28 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 _METHODS = ("baseline", "bootstrap", "selftrain")
+_KINDS = ("bootstrap", "selftrain")
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
+
+# Options whose default lives in a config class or function: each table maps
+# CLI names to that target's parameters.  The option's type is its default's.
+_BOOTSTRAP = (BootstrapConfig, {
+    "iterations": "max_iterations", "alpha": "pattern_threshold", "beta": "tuple_threshold",
+    "window": "window", "top_n": "top_n_tuples", "top_n_patterns": "top_n_patterns",
+    "tau": "levenshtein_tau", "variant": "use_tuple_count_variant",
+    "strict": "strict_constraint",
+})
+_SELFTRAIN = (SelfTrainConfig, {
+    "iterations": "max_iterations", "confidence": "confidence_tau", "window": "window",
+})
+_TRAIN = (TrainConfig, {"l1": "l1", "l2": "l2"})
+_SEARCH = (SearchSpace, {"search_folds": "folds"})
+_FIXTURE = (bootstrap_fixture, {
+    "entries": "n_entries", "n_pairs": "n_pairs", "n_seeds": "n_seeds", "n_traps": "n_traps",
+})
+_EVAL = (evaluate_pairs, {"ks": "ks"})
+_SOURCES = (_BOOTSTRAP, _SELFTRAIN, _TRAIN, _SEARCH, _FIXTURE, _EVAL)
 
 
 class UsageError(Exception):
@@ -70,6 +93,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@functools.cache
+def _defaults(target) -> dict:
+    """Parameter name -> default of a config class or function."""
+    return {name: p.default for name, p in inspect.signature(target).parameters.items()}
 
 
 def _load_config_section(config_path: str | None, section: str) -> dict[str, str]:
@@ -88,52 +121,64 @@ def _load_config_section(config_path: str | None, section: str) -> dict[str, str
     return dict(parser.items(section))
 
 
-def _resolve(args: argparse.Namespace, section: dict[str, str], name: str, default, cast):
-    """Pick an option value: flag beats config beats default.
+class _Options:
+    """One command's options: its INI section with the given flags laid over it.
 
-    The config key is consumed either way so an overridden option does not
-    later read as unknown."""
-    value = getattr(args, name, None)
-    raw = section.pop(name, None)
-    if value is not None:
-        return value
-    if raw is not None:
-        raw = raw.strip()
+    Each option is taken once, cast to the type of its default.  Whatever is
+    left when the command has taken its options is an error (:meth:`done`),
+    whether it came from a flag or from the INI file."""
+
+    def __init__(self, command: str, flags: dict) -> None:
+        self.command = command
+        self.values = _load_config_section(flags.pop("config", None), command)
+        self.values.update(flags)
+
+    def take(self, name: str, default=None, required: bool = False):
+        if name not in self.values:
+            if required:
+                raise UsageError(f"missing required option {_flag(name)}")
+            return default
+        value = self.values.pop(name)
+        # Without a default, and for switches and lists, the value stays as given.
+        if default is None or not isinstance(value, str):
+            return value
         try:
-            if cast is bool:
-                if raw.lower() in _TRUE_WORDS:
-                    return True
-                if raw.lower() in _FALSE_WORDS:
-                    return False
-                raise ValueError(raw)
-            return cast(raw)
+            if isinstance(default, bool):
+                if value.lower() not in _TRUE_WORDS | _FALSE_WORDS:
+                    raise ValueError(value)
+                return value.lower() in _TRUE_WORDS
+            if isinstance(default, tuple):
+                return tuple(int(part) for part in value.split(","))
+            return type(default)(value)
         except ValueError:
-            raise UsageError(f"config option {name!r}: cannot parse {raw!r}") from None
-    return default
+            raise UsageError(f"{_flag(name)}: cannot parse {value!r}") from None
 
+    def path(self, name: str, required: bool = False, must_exist: bool = True) -> Path | None:
+        value = self.take(name, required=required)
+        if value is None:
+            return None
+        path = Path(value)
+        if must_exist and not path.exists():
+            raise UsageError(f"{_flag(name)}: path does not exist: {path}")
+        return path
 
-def _resolve_path(
-    args: argparse.Namespace,
-    section: dict[str, str],
-    name: str,
-    required: bool = False,
-    must_exist: bool = True,
-) -> Path | None:
-    value = _resolve(args, section, name, None, str)
-    if value is None:
-        if required:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
-        return None
-    path = Path(value)
-    if must_exist and not path.exists():
-        raise UsageError(f"--{name.replace('_', '-')}: path does not exist: {path}")
-    return path
+    def knobs(self, source) -> dict:
+        """Take every option of ``source``, a (target, aliases) table, by CLI name."""
+        target, aliases = source
+        return {name: self.take(name, _defaults(target)[field]) for name, field in aliases.items()}
 
+    def build(self, source, knobs: dict, **fixed):
+        """Call ``source``'s target with ``knobs``; its ValueError is a usage error."""
+        target, aliases = source
+        try:
+            return target(**{aliases[name]: value for name, value in knobs.items()}, **fixed)
+        except ValueError as exc:
+            raise UsageError(f"{self.command}: {exc}") from None
 
-def _reject_unknown(section: dict[str, str], command: str) -> None:
-    if section:
-        names = ", ".join(sorted(section))
-        raise UsageError(f"unknown config option(s) in [{command}]: {names}")
+    def done(self, context: str) -> None:
+        if self.values:
+            names = ", ".join(_flag(name) for name in sorted(self.values))
+            raise UsageError(f"{context}: unknown or unused option(s): {names}")
 
 
 def _packaged_stopwords() -> frozenset[str]:
@@ -191,72 +236,42 @@ def _read_gold(gold_corpus_path: Path, gold_tags_path: Path):
     return gold
 
 
-def _cmd_extract(args: argparse.Namespace) -> None:
-    section = _load_config_section(args.config, "extract")
-    method = _resolve(args, section, "method", None, str)
-    if method is None:
-        raise UsageError("extract: --method is required")
+def _cmd_extract(opts: _Options) -> None:
+    method = opts.take("method", required=True)
     if method not in _METHODS:
         raise UsageError(f"extract: unknown method {method!r} (choose from {_METHODS})")
-    corpus_path = _resolve_path(args, section, "corpus", required=True)
-    out_dir = _resolve_path(args, section, "out", required=True, must_exist=False)
-    annotations = _resolve_path(args, section, "annotations")
-    seed = _resolve(args, section, "seed", 0, int)
-    iterations = _resolve(args, section, "iterations", None, int)
-
-    corpus = _load_extract_corpus(corpus_path, annotations)
+    context = f"extract --method {method}"
+    corpus_path = opts.path("corpus", required=True)
+    out_dir = opts.path("out", required=True, must_exist=False)
+    annotations = opts.path("annotations")
+    seed = opts.take("seed", 0)
     options: dict = {"method": method, "corpus": str(corpus_path), "seed": seed}
     if annotations is not None:
         options["annotations"] = str(annotations)
 
     model = None
     if method == "baseline":
-        rules_path = _resolve_path(args, section, "rules")
-        _reject_unknown(section, "extract")
+        rules_path = opts.path("rules")
+        opts.done(context)
         rules = load_rules(rules_path)
-        pairs = extract_baseline(corpus, rules)
+        pairs = extract_baseline(_load_extract_corpus(corpus_path, annotations), rules)
         counts = {rule.rule_id: 0 for rule in rules}
         for pair in pairs:
             counts[pair.rule_id] += 1
         trace = [{"matches": n, "rule_id": rule_id} for rule_id, n in counts.items()]
         options["rules"] = str(rules_path) if rules_path is not None else "packaged"
     elif method == "bootstrap":
-        seeds_path = _resolve_path(args, section, "seeds", required=True)
-        stopwords_path = _resolve_path(args, section, "stopwords")
-        knobs = {
-            "iterations": 8 if iterations is None else iterations,
-            "alpha": _resolve(args, section, "alpha", 0.7, float),
-            "beta": _resolve(args, section, "beta", 0.7, float),
-            "window": _resolve(args, section, "window", 3, int),
-            "top_n": _resolve(args, section, "top_n", 10, int),
-            "top_n_patterns": _resolve(args, section, "top_n_patterns", 10, int),
-            "tau": _resolve(args, section, "tau", 0.5, float),
-            "variant": _resolve(args, section, "variant", False, bool),
-            "strict": _resolve(args, section, "strict", False, bool),
-        }
-        _reject_unknown(section, "extract")
+        seeds_path = opts.path("seeds", required=True)
+        stopwords_path = opts.path("stopwords")
+        knobs = opts.knobs(_BOOTSTRAP)
+        opts.done(context)
         seeds = read_seed_pairs(seeds_path)
         if stopwords_path is not None:
             stopwords = load_stopwords(stopwords_path)
         else:
             stopwords = _packaged_stopwords()
-        try:
-            config = BootstrapConfig(
-                seeds=tuple(seeds),
-                max_iterations=knobs["iterations"],
-                pattern_threshold=knobs["alpha"],
-                tuple_threshold=knobs["beta"],
-                window=knobs["window"],
-                top_n_tuples=knobs["top_n"],
-                top_n_patterns=knobs["top_n_patterns"],
-                levenshtein_tau=knobs["tau"],
-                use_tuple_count_variant=knobs["variant"],
-                stopwords=stopwords,
-                strict_constraint=knobs["strict"],
-            )
-        except ValueError as exc:
-            raise UsageError(f"extract: {exc}") from None
-        result = bootstrap_run(corpus, config)
+        config = opts.build(_BOOTSTRAP, knobs, seeds=tuple(seeds), stopwords=stopwords)
+        result = bootstrap_run(_load_extract_corpus(corpus_path, annotations), config)
         pairs = result.pairs
         trace = result.trace
         options.update(knobs)
@@ -265,57 +280,37 @@ def _cmd_extract(args: argparse.Namespace) -> None:
             str(stopwords_path) if stopwords_path is not None else "packaged"
         )
     else:
-        gold_corpus_path = _resolve_path(args, section, "gold_corpus", required=True)
-        gold_tags_path = _resolve_path(args, section, "gold_tags", required=True)
-        knobs = {
-            "iterations": 5 if iterations is None else iterations,
-            "confidence": _resolve(args, section, "confidence", 0.9, float),
-            "window": _resolve(args, section, "window", 3, int),
-            "l1": _resolve(args, section, "l1", 2.35, float),
-            "l2": _resolve(args, section, "l2", 0.08, float),
-            "search_trials": _resolve(args, section, "search_trials", 0, int),
-            "search_folds": _resolve(args, section, "search_folds", 3, int),
-        }
-        _reject_unknown(section, "extract")
+        gold_corpus_path = opts.path("gold_corpus", required=True)
+        gold_tags_path = opts.path("gold_tags", required=True)
+        knobs = opts.knobs(_SELFTRAIN)
+        penalties = opts.knobs(_TRAIN)
+        search = opts.knobs(_SEARCH)
+        trials = opts.take("search_trials", 0)
+        opts.done(context)
+        config = opts.build(_SELFTRAIN, knobs, train=opts.build(_TRAIN, penalties))
+        if trials < 0:
+            raise UsageError("extract: --search-trials must be >= 0 (0 disables the search)")
+        space = opts.build(_SEARCH, search, trials=trials, seed=seed) if trials else None
         gold = _read_gold(gold_corpus_path, gold_tags_path)
-        if knobs["search_trials"] > 0:
-            gold_annotated = [
-                (entry, tags)
-                for entry, tags in zip(
-                    annotate(Corpus(entries=tuple(e for e, _ in gold))).entries,
-                    [tags for _, tags in gold],
-                )
-            ]
+        corpus = _load_extract_corpus(corpus_path, annotations)
+        if space is not None:
+            gold_annotated = annotate(Corpus(entries=tuple(e for e, _ in gold))).entries
             data = [
-                (extract_features(entry, knobs["window"]), tags)
-                for entry, tags in gold_annotated
+                (extract_features(entry, config.window), tags)
+                for entry, (_, tags) in zip(gold_annotated, gold)
             ]
-            try:
-                space = SearchSpace(
-                    trials=knobs["search_trials"], folds=knobs["search_folds"], seed=seed
-                )
-            except ValueError as exc:
-                raise UsageError(f"extract: {exc}") from None
-            search = random_search(data, space)
-            knobs["l1"], knobs["l2"] = search.l1, search.l2
-        try:
-            config = SelfTrainConfig(
-                max_iterations=knobs["iterations"],
-                confidence_tau=knobs["confidence"],
-                window=knobs["window"],
-                train=TrainConfig(l1=knobs["l1"], l2=knobs["l2"]),
-            )
-        except ValueError as exc:
-            raise UsageError(f"extract: {exc}") from None
+            searched = random_search(data, space)
+            penalties = {"l1": searched.l1, "l2": searched.l2}
+            config = replace(config, train=opts.build(_TRAIN, penalties))
         result = self_train(gold, corpus, config)
         pairs = result.pairs
         if not pairs:
-            print(f"warning: extract: self-training found no pairs with --l1 {knobs['l1']} "
-                  f"--l2 {knobs['l2']}; smaller penalties let the tagger mark more tokens I",
+            print(f"warning: extract: self-training found no pairs with --l1 {penalties['l1']} "
+                  f"--l2 {penalties['l2']}; smaller penalties let the tagger mark more tokens I",
                   file=sys.stderr)
         trace = result.trace
         model = result.model
-        options.update(knobs)
+        options.update(knobs, **penalties, **search, search_trials=trials)
         options["gold_corpus"] = str(gold_corpus_path)
         options["gold_tags"] = str(gold_tags_path)
 
@@ -330,25 +325,17 @@ def _cmd_extract(args: argparse.Namespace) -> None:
     print(f"extract: wrote {len(pairs)} pairs to {out_dir / 'pairs.tsv'}")
 
 
-def _cmd_eval(args: argparse.Namespace) -> None:
-    section = _load_config_section(args.config, "eval")
-    pairs_path = _resolve_path(args, section, "pairs", required=True)
-    vocab_path = _resolve_path(args, section, "formal_vocab", required=True)
-    out_dir = _resolve_path(args, section, "out", required=True, must_exist=False)
-    ks_raw = _resolve(args, section, "ks", "1,20,50,100", str)
-    embeddings = args.embeddings
-    if embeddings is None:
-        raw = section.pop("embeddings", None)
-        if raw is None:
-            raise UsageError("missing required option --embeddings")
-        embeddings = raw.split()
-    _reject_unknown(section, "eval")
-
-    try:
-        ks = tuple(int(part) for part in ks_raw.split(","))
-    except ValueError:
-        raise UsageError(f"--ks: cannot parse {ks_raw!r}") from None
-
+def _cmd_eval(opts: _Options) -> None:
+    pairs_path = opts.path("pairs", required=True)
+    vocab_path = opts.path("formal_vocab", required=True)
+    out_dir = opts.path("out", required=True, must_exist=False)
+    ks = sorted(set(opts.knobs(_EVAL)["ks"]))
+    embeddings = opts.take("embeddings", required=True)
+    if isinstance(embeddings, str):  # an INI value lists the tables on one line
+        embeddings = embeddings.split()
+    opts.done("eval")
+    if ks[0] < 1:
+        raise UsageError("--ks: cutoffs must be >= 1")
     for name in embeddings:
         if not Path(name).exists():
             raise UsageError(f"--embeddings: path does not exist: {name}")
@@ -390,7 +377,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
         "pairs": str(pairs_path),
         "embeddings": [str(name) for name in embeddings],
         "formal_vocab": str(vocab_path),
-        "ks": list(ks),
+        "ks": ks,
     }
     _write_manifest(out_dir, "eval", options, outputs)
 
@@ -421,15 +408,12 @@ def _numeric_columns(
     return columns
 
 
-def _cmd_correlate(args: argparse.Namespace) -> None:
-    section = _load_config_section(args.config, "correlate")
-    intrinsic_path = _resolve_path(args, section, "intrinsic", required=True)
-    extrinsic_path = _resolve_path(args, section, "extrinsic", required=True)
-    out_dir = _resolve_path(args, section, "out", required=True, must_exist=False)
-    keys_raw = _resolve(args, section, "keys", None, str)
-    _reject_unknown(section, "correlate")
-    if keys_raw is None:
-        raise UsageError("missing required option --keys")
+def _cmd_correlate(opts: _Options) -> None:
+    intrinsic_path = opts.path("intrinsic", required=True)
+    extrinsic_path = opts.path("extrinsic", required=True)
+    out_dir = opts.path("out", required=True, must_exist=False)
+    keys_raw = opts.take("keys", required=True)
+    opts.done("correlate")
     keys = [part.strip() for part in keys_raw.split(",") if part.strip()]
     if not keys:
         raise UsageError("--keys: need at least one join column")
@@ -496,12 +480,11 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
     _write_manifest(out_dir, "correlate", options, ["correlations.tsv"])
 
 
-def _cmd_annotate(args: argparse.Namespace) -> None:
-    section = _load_config_section(args.config, "annotate")
-    corpus_path = _resolve_path(args, section, "corpus", required=True)
-    annotations = _resolve_path(args, section, "annotations")
-    out_dir = _resolve_path(args, section, "out", required=True, must_exist=False)
-    _reject_unknown(section, "annotate")
+def _cmd_annotate(opts: _Options) -> None:
+    corpus_path = opts.path("corpus", required=True)
+    annotations = opts.path("annotations")
+    out_dir = opts.path("out", required=True, must_exist=False)
+    opts.done("annotate")
 
     if annotations is not None:
         corpus = load_conllu(corpus_path, annotations)
@@ -516,41 +499,26 @@ def _cmd_annotate(args: argparse.Namespace) -> None:
     print(f"annotate: wrote {len(corpus)} entries to {out_dir / 'annotated.conllu'}")
 
 
-def _cmd_gen_synthetic(args: argparse.Namespace) -> None:
-    section = _load_config_section(args.config, "gen-synthetic")
-    kind = _resolve(args, section, "kind", None, str)
-    if kind not in ("bootstrap", "selftrain"):
+def _cmd_gen_synthetic(opts: _Options) -> None:
+    kind = opts.take("kind")
+    if kind not in _KINDS:
         raise UsageError("gen-synthetic: --kind must be bootstrap or selftrain")
-    out_dir = _resolve_path(args, section, "out", required=True, must_exist=False)
-    seed = _resolve(args, section, "seed", 0, int)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = opts.path("out", required=True, must_exist=False)
+    seed = opts.take("seed", 0)
+    knobs = opts.knobs(_FIXTURE) if kind == "bootstrap" else {}
+    opts.done(f"gen-synthetic --kind {kind}")
 
     if kind == "bootstrap":
-        knobs = {
-            "entries": _resolve(args, section, "entries", 200, int),
-            "n_pairs": _resolve(args, section, "n_pairs", 40, int),
-            "n_seeds": _resolve(args, section, "n_seeds", 5, int),
-            "n_traps": _resolve(args, section, "n_traps", 6, int),
-        }
-        _reject_unknown(section, "gen-synthetic")
-        try:
-            planted = bootstrap_fixture(
-                n_entries=knobs["entries"],
-                n_pairs=knobs["n_pairs"],
-                n_seeds=knobs["n_seeds"],
-                n_traps=knobs["n_traps"],
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise UsageError(f"gen-synthetic: {exc}") from None
+        planted = opts.build(_FIXTURE, knobs, seed=seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_jsonl(planted.corpus, out_dir / "corpus.jsonl")
         _write_word_pairs(out_dir / "seeds.tsv", planted.seeds)
         _write_word_pairs(out_dir / "truth.tsv", planted.truth)
         _write_word_pairs(out_dir / "traps.tsv", planted.traps)
         outputs = ["corpus.jsonl", "seeds.tsv", "truth.tsv", "traps.tsv"]
     else:
-        _reject_unknown(section, "gen-synthetic")
         fixture = selftrain_fixture(seed=seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_jsonl(fixture.unlabeled, out_dir / "unlabeled.jsonl")
         gold_corpus = Corpus(entries=tuple(entry for entry, _ in fixture.gold))
         write_jsonl(gold_corpus, out_dir / "gold.jsonl")
@@ -561,12 +529,69 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> None:
         write_labeled_file(blocks, out_dir / "gold.tags")
         _write_word_pairs(out_dir / "truth.tsv", fixture.truth)
         outputs = ["unlabeled.jsonl", "gold.jsonl", "gold.tags", "truth.tsv"]
-        knobs = {}
 
     options: dict = {"kind": kind, "seed": seed}
     options.update(knobs)
     _write_manifest(out_dir, "gen-synthetic", options, outputs)
     print(f"gen-synthetic: wrote {kind} fixture to {out_dir}")
+
+
+# Each subcommand's handler, summary, and (option, help) pairs in --help order.
+_COMMANDS = {
+    "extract": (_cmd_extract, "mine variant pairs from a corpus", (
+        ("method", " | ".join(_METHODS)),
+        ("corpus", "dictionary corpus (JSONL)"),
+        ("out", "output directory"),
+        ("annotations", "CoNLL-U annotations for --corpus"),
+        ("rules", "surface rule TSV (default: packaged rules)"),
+        ("seeds", "seed pair TSV (bootstrap)"),
+        ("stopwords", "stopword list (default: packaged list)"),
+        ("gold_corpus", "gold corpus JSONL (selftrain)"),
+        ("gold_tags", "gold tag file (selftrain)"),
+        ("iterations", "iteration cap"),
+        ("alpha", "pattern promotion fraction"),
+        ("beta", "tuple promotion fraction"),
+        ("window", "context window size"),
+        ("top_n", "tuple promotion cap"),
+        ("top_n_patterns", "pattern promotion cap"),
+        ("tau", "normalized edit distance threshold"),
+        ("variant", "scale tuple scores by occurrence count"),
+        ("strict", "apply the edit distance constraint to every candidate"),
+        ("confidence", "promotion confidence threshold"),
+        ("l1", "L1 penalty weight"),
+        ("l2", "L2 penalty weight"),
+        ("search_trials", "random search trials for (l1, l2); 0 disables"),
+        ("search_folds", "cross-validation folds"),
+        ("seed", "global random seed"),
+    )),
+    "eval": (_cmd_eval, "rank pairs against embedding tables", (
+        ("pairs", "pairs TSV from extract"),
+        ("embeddings", "word2vec text file(s)"),
+        ("formal_vocab", "formal word list"),
+        ("ks", "comma-separated accuracy cutoffs"),
+        ("out", "output directory"),
+    )),
+    "correlate": (_cmd_correlate, "Pearson correlation between two result tables", (
+        ("intrinsic", "intrinsic results TSV"),
+        ("extrinsic", "extrinsic results TSV"),
+        ("keys", "comma-separated join columns"),
+        ("out", "output directory"),
+    )),
+    "annotate": (_cmd_annotate, "emit CoNLL-U for a corpus", (
+        ("corpus", "dictionary corpus (JSONL)"),
+        ("annotations", "existing CoNLL-U to merge and re-emit"),
+        ("out", "output directory"),
+    )),
+    "gen-synthetic": (_cmd_gen_synthetic, "generate a planted evaluation corpus", (
+        ("kind", " | ".join(_KINDS)),
+        ("out", "output directory"),
+        ("seed", "generator seed"),
+        ("entries", "total corpus entries (bootstrap)"),
+        ("n_pairs", "planted pairs (bootstrap)"),
+        ("n_seeds", "seed pairs (bootstrap)"),
+        ("n_traps", "stopword traps (bootstrap)"),
+    )),
+}
 
 
 def _build_parser() -> _Parser:
@@ -575,93 +600,31 @@ def _build_parser() -> _Parser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    extract = sub.add_parser("extract", help="mine variant pairs from a corpus")
-    extract.add_argument("--config", help="INI file; flags override its [extract] section")
-    extract.add_argument("--method", choices=_METHODS)
-    extract.add_argument("--corpus", help="dictionary corpus (JSONL)")
-    extract.add_argument("--out", help="output directory")
-    extract.add_argument("--annotations", help="CoNLL-U annotations for --corpus")
-    extract.add_argument("--rules", help="surface rule TSV (default: packaged rules)")
-    extract.add_argument("--seeds", help="seed pair TSV (bootstrap)")
-    extract.add_argument("--stopwords", help="stopword list (default: packaged list)")
-    extract.add_argument("--gold-corpus", dest="gold_corpus", help="gold corpus JSONL (selftrain)")
-    extract.add_argument("--gold-tags", dest="gold_tags", help="gold tag file (selftrain)")
-    extract.add_argument("--iterations", type=int, help="iteration cap")
-    extract.add_argument("--alpha", type=float, help="pattern promotion fraction")
-    extract.add_argument("--beta", type=float, help="tuple promotion fraction")
-    extract.add_argument("--window", type=int, help="context window size")
-    extract.add_argument("--top-n", dest="top_n", type=int, help="tuple promotion cap")
-    extract.add_argument(
-        "--top-n-patterns", dest="top_n_patterns", type=int, help="pattern promotion cap"
-    )
-    extract.add_argument("--tau", type=float, help="normalized edit distance threshold")
-    extract.add_argument(
-        "--variant", action="store_true", default=None,
-        help="scale tuple scores by occurrence count",
-    )
-    extract.add_argument(
-        "--strict", action="store_true", default=None,
-        help="apply the edit distance constraint to every candidate",
-    )
-    extract.add_argument("--confidence", type=float, help="promotion confidence threshold")
-    extract.add_argument("--l1", type=float, help="L1 penalty weight")
-    extract.add_argument("--l2", type=float, help="L2 penalty weight")
-    extract.add_argument(
-        "--search-trials", dest="search_trials", type=int,
-        help="random search trials for (l1, l2); 0 disables",
-    )
-    extract.add_argument(
-        "--search-folds", dest="search_folds", type=int, help="cross-validation folds"
-    )
-    extract.add_argument("--seed", type=int, help="global random seed")
-    extract.set_defaults(handler=_cmd_extract)
-
-    evaluate = sub.add_parser("eval", help="rank pairs against embedding tables")
-    evaluate.add_argument("--config", help="INI file; flags override its [eval] section")
-    evaluate.add_argument("--pairs", help="pairs TSV from extract")
-    evaluate.add_argument("--embeddings", nargs="+", help="word2vec text file(s)")
-    evaluate.add_argument("--formal-vocab", dest="formal_vocab", help="formal word list")
-    evaluate.add_argument("--ks", help="comma-separated accuracy cutoffs")
-    evaluate.add_argument("--out", help="output directory")
-    evaluate.set_defaults(handler=_cmd_eval)
-
-    correlate = sub.add_parser(
-        "correlate", help="Pearson correlation between two result tables"
-    )
-    correlate.add_argument("--config", help="INI file; flags override its [correlate] section")
-    correlate.add_argument("--intrinsic", help="intrinsic results TSV")
-    correlate.add_argument("--extrinsic", help="extrinsic results TSV")
-    correlate.add_argument("--keys", help="comma-separated join columns")
-    correlate.add_argument("--out", help="output directory")
-    correlate.set_defaults(handler=_cmd_correlate)
-
-    annotate_cmd = sub.add_parser("annotate", help="emit CoNLL-U for a corpus")
-    annotate_cmd.add_argument("--config", help="INI file; flags override its [annotate] section")
-    annotate_cmd.add_argument("--corpus", help="dictionary corpus (JSONL)")
-    annotate_cmd.add_argument("--annotations", help="existing CoNLL-U to merge and re-emit")
-    annotate_cmd.add_argument("--out", help="output directory")
-    annotate_cmd.set_defaults(handler=_cmd_annotate)
-
-    synth = sub.add_parser("gen-synthetic", help="generate a planted evaluation corpus")
-    synth.add_argument("--config", help="INI file; flags override its [gen-synthetic] section")
-    synth.add_argument("--kind", choices=("bootstrap", "selftrain"))
-    synth.add_argument("--out", help="output directory")
-    synth.add_argument("--seed", type=int, help="generator seed")
-    synth.add_argument("--entries", type=int, help="total corpus entries (bootstrap)")
-    synth.add_argument("--n-pairs", dest="n_pairs", type=int, help="planted pairs (bootstrap)")
-    synth.add_argument("--n-seeds", dest="n_seeds", type=int, help="seed pairs (bootstrap)")
-    synth.add_argument("--n-traps", dest="n_traps", type=int, help="stopword traps (bootstrap)")
-    synth.set_defaults(handler=_cmd_gen_synthetic)
-
+    for command, (handler, summary, flags) in _COMMANDS.items():
+        # Flags not given stay out of the namespace, so INI values show through.
+        cmd = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--config", help=f"INI file; flags override its [{command}] section")
+        for name, text in flags:
+            defaults = {
+                f"{target.__name__}.{aliases[name]}": _defaults(target)[aliases[name]]
+                for target, aliases in _SOURCES if name in aliases
+            }
+            kwargs = {"nargs": "+"} if name == "embeddings" else {}
+            if any(isinstance(value, bool) for value in defaults.values()):
+                kwargs["action"] = "store_true"
+            if defaults:
+                text += " (default: " + ", ".join(f"{k}={v!r}" for k, v in defaults.items()) + ")"
+            cmd.add_argument(_flag(name), help=text, **kwargs)
+        cmd.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.handler(args)
+        flags = vars(parser.parse_args(argv))
+        handler = flags.pop("handler")
+        handler(_Options(flags.pop("command"), flags))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from spellvar.cli import main
+from spellvar.cli import _build_parser, main
 from spellvar.corpus import read_pairs_tsv
 from spellvar.crf import load_model
 
@@ -136,6 +137,55 @@ class TestExtractBootstrap:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "0.7" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def no_input_read(monkeypatch):
+    """Make reading a corpus or running the penalty search fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before every option was checked")
+    monkeypatch.setattr("spellvar.cli.load_jsonl", forbidden)
+    monkeypatch.setattr("spellvar.cli.random_search", forbidden)
+
+
+class TestOptionsCheckedFirst:
+    @pytest.mark.parametrize("with_seeds, extra", [
+        (False, []), (True, ["--alpha", "0.2"]), (True, ["--l1", "0.1"]),
+    ])
+    def test_bootstrap(self, tmp_path, planted, no_input_read, with_seeds, extra):
+        seeds = ["--seeds", str(planted / "seeds.tsv")] if with_seeds else []
+        code = main(["extract", "--method", "bootstrap", "--corpus",
+                     str(planted / "corpus.jsonl"), *seeds, *extra,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--window", "0"], "window must be >= 1"),
+        (["--confidence", "0.5"], "confidence_tau must lie in"),
+        (["--l1", "-1"], "penalties must be non-negative"),
+        (["--search-folds", "1"], "folds must be >= 2"),
+        (["--alpha", "0.99", "--tau", "3"], "unused option(s): --alpha, --tau"),
+    ])
+    def test_selftrain(self, tmp_path, staged, no_input_read, extra, message, capsys):
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"),
+                     "--gold-tags", str(staged / "gold.tags"),
+                     "--search-trials", "10", *extra, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
+    def test_negative_search_trials(self, tmp_path, staged, capsys):
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"),
+                     "--gold-tags", str(staged / "gold.tags"),
+                     "--search-trials", "-1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "--search-trials" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +365,26 @@ class TestEval:
         assert "--ks" in capsys.readouterr().err
 
 
+    def test_zero_cutoff_is_a_usage_error(self, tmp_path, eval_inputs, capsys):
+        pairs, embeddings, vocab = eval_inputs
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--ks=0", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "--ks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_records_the_cutoffs_used(self, tmp_path, eval_inputs):
+        pairs, embeddings, vocab = eval_inputs
+        out = tmp_path / "out"
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--ks", "3,1,1", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        summary = json.loads((out / "00_vectors.summary.json").read_text(encoding="utf-8"))
+        assert manifest["options"]["ks"] == [1, 3]
+        assert list(summary["accuracy"]) == ["1", "3"]
+
+
 @pytest.fixture()
 def correlate_inputs(tmp_path):
     intrinsic = write_lines(tmp_path / "intrinsic.tsv", [
@@ -415,6 +485,35 @@ class TestConfigFile:
         assert main(["extract", "--config", str(config)]) == 1
         assert "shenanigans" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_option_the_method_does_not_use(self, tmp_path, baseline_corpus, source, capsys):
+        lines = ["[extract]", "method = baseline", f"corpus = {baseline_corpus}"]
+        extra = ["--window", "2"] if source == "flag" else []
+        if source == "ini":
+            lines.append("window = 2")
+        config = write_lines(tmp_path / "run.ini", lines)
+        code = main(["extract", "--config", str(config), *extra,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "--window" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, extra, name", [
+        ("strict = maybe", [], "--strict"),
+        ("", ["--alpha", "high"], "--alpha"),
+        ("window = 2.5", [], "--window"),
+    ])
+    def test_unparseable_value_names_the_option(self, tmp_path, planted, line, extra, name,
+                                                capsys):
+        config = write_lines(tmp_path / "run.ini", [
+            "[extract]", "method = bootstrap", f"corpus = {planted / 'corpus.jsonl'}",
+            f"seeds = {planted / 'seeds.tsv'}", line,
+        ])
+        code = main(["extract", "--config", str(config), *extra,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{name}: cannot parse" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         code = main(["extract", "--config", str(tmp_path / "ghost.ini")])
         assert code == 1
@@ -433,6 +532,30 @@ class TestTopLevel:
     def test_gen_synthetic_needs_valid_kind(self, tmp_path):
         code = main(["gen-synthetic", "--kind", "nonsense", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_gen_synthetic_rejects_options_the_kind_does_not_use(self, tmp_path, capsys):
+        code = main(["gen-synthetic", "--kind", "selftrain", "--entries", "5",
+                     "--n-pairs", "999", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--entries" in err and "--n-pairs" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_names_every_flag(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        parsers = [_build_parser()]
+        flags = set()
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                flags.update(action.option_strings)
+                if action.choices and isinstance(action.choices, dict):
+                    parsers.extend(action.choices.values())
+        flags -= {"-h", "--help"}
+        assert len(flags) > 30
+        missing = sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", section))
+        assert not missing
 
 
 _PINNED_OPTIONS = {
@@ -486,8 +609,8 @@ def pinned_manifests(tmp_path_factory):
     selftrain = ["extract", "--method", "selftrain", "--corpus", str(st / "unlabeled.jsonl"),
                  "--gold-corpus", str(st / "gold.jsonl"), "--gold-tags", str(st / "gold.tags")]
     commands = {
-        "gen-selftrain": ["gen-synthetic", "--kind", "selftrain", "--out", str(st)],
-        "gen-bootstrap": ["gen-synthetic", "--kind", "bootstrap", "--out", str(bs)],
+        "gen-selftrain": ["gen-synthetic", "--kind", "selftrain"],
+        "gen-bootstrap": ["gen-synthetic", "--kind", "bootstrap"],
         "baseline": ["extract", "--method", "baseline", "--corpus", str(bs / "corpus.jsonl")],
         "bootstrap": ["extract", "--method", "bootstrap", "--corpus", str(bs / "corpus.jsonl"),
                       "--seeds", str(bs / "seeds.tsv")],
@@ -504,9 +627,7 @@ def pinned_manifests(tmp_path_factory):
     manifests = {}
     for name, argv in commands.items():
         out = {"gen-selftrain": st, "gen-bootstrap": bs}.get(name, root / name)
-        if "--out" not in argv:
-            argv = [*argv, "--out", str(out)]
-        assert main(argv) == 0, name
+        assert main([*argv, "--out", str(out)]) == 0, name
         text = (out / "manifest.json").read_text(encoding="utf-8")
         manifests[name] = json.loads(text.replace(f"{root}/", ""))["options"]
     return manifests
