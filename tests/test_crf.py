@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from spellvar.crf import (
 )
 from spellvar.crf.kernel import encode, forward_backward, viterbi
 from spellvar.crf.model import FORMAT_VERSION, decode_batch
+from spellvar.crf.optimizer import _pseudo_gradient
 
 from conftest import make_entry
 
@@ -544,6 +546,291 @@ class TestExactSums:
         totals = dataset.feature_totals(values)
         assert totals.shape == (dataset.n_features, 2) and totals.dtype == float
         assert bits(totals) == bits(np.array(want).reshape(-1, 2))
+
+
+# --- bit-for-bit oracles ---------------------------------------------------
+#
+# The general-label batched kernel, objective and pseudo-gradient as they were
+# before the two-label kernel, kept verbatim.  Every output of the current
+# code must equal theirs to the last bit, padding and signed zeros included,
+# so training trajectories, models and decoded pairs cannot move.
+
+
+def oracle_batched_forward_backward(emissions, mask, transitions):
+    logsumexp_ = np.logaddexp.reduce
+    alpha = np.empty_like(emissions)
+    alpha[:, 0] = emissions[:, 0]
+    for t in range(1, emissions.shape[1]):
+        step = logsumexp_(alpha[:, t - 1, :, None] + transitions, axis=1) + emissions[:, t]
+        alpha[:, t] = np.where(mask[:, t, None], step, alpha[:, t - 1])
+    log_z = logsumexp_(alpha[:, -1], axis=-1)
+
+    beta = np.zeros_like(emissions)
+    for t in range(emissions.shape[1] - 2, -1, -1):
+        step = logsumexp_(transitions + (emissions[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
+        beta[:, t] = np.where(mask[:, t + 1, None], step, beta[:, t + 1])
+
+    joint = (
+        alpha[:, :-1, :, None]
+        + transitions
+        + (emissions[:, 1:] + beta[:, 1:])[:, :, None, :]
+        - log_z[:, None, None, None]
+    )
+    expected_transitions = np.exp(joint[mask[:, 1:]]).sum(axis=0)
+    return log_z, np.exp(alpha + beta - log_z[:, None, None]), expected_transitions
+
+
+def oracle_batched_viterbi(emissions, mask, transitions):
+    n_seqs, width, n_labels = emissions.shape
+    seqs = np.arange(n_seqs)
+    labels = np.arange(n_labels)
+    delta = emissions[:, 0]
+    back = np.broadcast_to(labels, emissions.shape).copy()
+    for t in range(1, width):
+        step = delta[:, :, None] + transitions
+        best_prev = _argmax_last(step, axis=1)
+        live = mask[:, t]
+        back[live, t] = best_prev[live]
+        delta = np.where(live[:, None], step[seqs[:, None], best_prev, labels] + emissions[:, t],
+                         delta)
+    paths = np.empty((n_seqs, width), dtype=int)
+    paths[:, -1] = _argmax_last(delta, axis=1)
+    for t in range(width - 1, 0, -1):
+        paths[:, t - 1] = back[seqs, t, paths[:, t]]
+    return paths, delta[seqs, paths[:, -1]]
+
+
+def oracle_objective(weights, dataset, l2=0.0):
+    n_state = dataset.n_features * dataset.n_labels
+    state = weights[:n_state].reshape(dataset.n_features, dataset.n_labels)
+    transitions = weights[n_state:].reshape(dataset.n_labels, dataset.n_labels)
+    emissions = dataset.emissions(state)
+    log_z, posteriors, expected_transitions = oracle_batched_forward_backward(
+        emissions, dataset.mask, transitions
+    )
+    flat_rows = np.arange(dataset.gold.shape[0])
+    gold_score = float(emissions[dataset.mask][flat_rows, dataset.gold].sum())
+    gold_score += float((dataset.transition_counts * transitions).sum())
+
+    value = gold_score - float(log_z.sum())
+    value -= 0.5 * l2 * (float((state * state).sum()) + float((transitions * transitions).sum()))
+
+    gold_onehot = np.eye(dataset.n_labels)[dataset.gold]
+    grad_state = dataset.feature_totals(gold_onehot - posteriors[dataset.mask]) - l2 * state
+    grad_transitions = dataset.transition_counts - expected_transitions - l2 * transitions
+    gradient = np.concatenate([grad_state.ravel(), grad_transitions.ravel()])
+    return value, gradient
+
+
+def oracle_pseudo_gradient(x, grad, l1):
+    if l1 == 0.0:
+        return grad
+    pseudo = np.where(x > 0, grad + l1, np.where(x < 0, grad - l1, 0.0))
+    at_zero = x == 0
+    up = grad + l1
+    down = grad - l1
+    pseudo = np.where(at_zero & (down > 0), down, pseudo)
+    pseudo = np.where(at_zero & (up < 0), up, pseudo)
+    return pseudo
+
+
+def oracle_two_loop(pseudo, s_list, y_list, rho_list):
+    q = pseudo.copy()
+    alphas = []
+    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    if s_list:
+        s, y = s_list[-1], y_list[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+        b = rho * float(y @ q)
+        q += (a - b) * s
+    return -q
+
+
+def oracle_minimize(fun_grad, x0, l1=0.0, max_iterations=200, tolerance=1e-5, memory=10):
+    """The optimizer's accepted iterates, penalized values and end state."""
+    x = np.array(x0, dtype=float)
+    f, grad = fun_grad(x)
+    penalized = f + l1 * float(np.abs(x).sum())
+    history = [penalized]
+    s_list, y_list, rho_list = deque(maxlen=memory), deque(maxlen=memory), deque(maxlen=memory)
+    converged = False
+    iteration = 0
+    for iteration in range(1, max_iterations + 1):
+        pseudo = oracle_pseudo_gradient(x, grad, l1)
+        if float(np.abs(pseudo).max(initial=0.0)) < tolerance:
+            converged = True
+            iteration -= 1
+            break
+        direction = oracle_two_loop(pseudo, s_list, y_list, rho_list)
+        if l1 > 0.0:
+            direction = np.where(direction * pseudo < 0, direction, 0.0)
+        if float(direction @ pseudo) >= 0.0:
+            direction = -pseudo
+        orthant = np.where(x != 0, np.sign(x), -np.sign(pseudo))
+        if not s_list:
+            norm = float(np.linalg.norm(direction))
+            alpha = 1.0 / norm if norm > 1.0 else 1.0
+        else:
+            alpha = 1.0
+        accepted = False
+        for _ in range(60):
+            x_new = x + alpha * direction
+            if l1 > 0.0:
+                x_new = np.where(x_new * orthant < 0, 0.0, x_new)
+            f_new, grad_new = fun_grad(x_new)
+            penalized_new = f_new + l1 * float(np.abs(x_new).sum())
+            step = float(pseudo @ (x_new - x))
+            if (np.isfinite(penalized_new) and penalized_new <= penalized + 1e-4 * step
+                    and penalized_new <= penalized):
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+        s = x_new - x
+        y = grad_new - grad
+        sy = float(s @ y)
+        if sy > 1e-10:
+            s_list.append(s)
+            y_list.append(y)
+            rho_list.append(1.0 / sy)
+        x, f, grad, penalized = x_new, f_new, grad_new, penalized_new
+        history.append(penalized)
+    return x, penalized, iteration, converged, history
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and (
+        got.tobytes() == want.tobytes())
+
+
+# Weights from Hypothesis (zeros, signed zeros, extremes) or from a seeded
+# normal of a drawn scale, always within +-1e6.
+_big = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _weight_array(draw, shape):
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(_big, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e6]))
+    return np.clip(rng.normal(scale=scale, size=shape), -1e6, 1e6)
+
+
+@st.composite
+def _padded_batches(draw):
+    """Emissions of 1-8 sequences of 1-9 positions padded to the longest, the
+    padding filled with arbitrary values, its mask and a transition matrix."""
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    emissions = draw(_weight_array((len(lengths), max(lengths), 2)))
+    mask = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
+    return emissions, mask, draw(_weight_array((2, 2)))
+
+
+_ONE_POSITION = (np.array([[[0.5, -0.25]]]), np.ones((1, 1), dtype=bool),
+                 np.array([[1.0, -2.0], [0.0, 3.0]]))
+_MIXED_LENGTHS = (np.random.default_rng(5).normal(size=(4, 9, 2)),
+                  np.arange(9)[None, :] < np.array([[1], [9], [4], [1]]),
+                  np.random.default_rng(6).normal(size=(2, 2)))
+_TIED = (np.zeros((3, 5, 2)), np.arange(5)[None, :] < np.array([[5], [1], [3]]),
+         np.array([[-0.0, 0.0], [0.0, -0.0]]))
+
+
+@st.composite
+def _objective_cases(draw):
+    """Training sequences of 1-8 entries of 1-9 positions, one a single
+    position, gold tags, weights and an L2 penalty (zero included)."""
+    lengths = draw(st.lists(st.integers(1, 9), min_size=0, max_size=7)) + [1]
+    order = draw(st.permutations(range(len(lengths))))
+    features = [[draw(_position) for _ in range(lengths[k])] for k in order]
+    tags = [tuple(draw(st.lists(st.sampled_from(LABELS), min_size=len(seq), max_size=len(seq))))
+            for seq in features]
+    dataset = encode_dataset(list(zip(features, tags)))
+    weights = draw(_weight_array((dataset.n_parameters,)))
+    return dataset, weights, draw(st.sampled_from([0.0, 0.03, 1.0]) | st.floats(0.0, 10.0))
+
+
+@st.composite
+def _optimizer_cases(draw):
+    """Iterates with exact and signed zeros, gradients tied with ``+-l1``."""
+    l1 = draw(st.sampled_from([0.0, 0.02, 1.0, 2.35]) | st.floats(0.0, 1e3))
+    n = draw(st.integers(0, 24))
+    x = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5]) | _big, min_size=n, max_size=n))
+    grad = draw(st.lists(st.sampled_from([l1, -l1, 0.0, -0.0, l1 / 2, -l1 / 2]) | _big,
+                         min_size=n, max_size=n))
+    return np.array(x, dtype=float), np.array(grad, dtype=float), l1
+
+
+class TestBitForBitOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_padded_batches())
+    @example(_ONE_POSITION)
+    @example(_MIXED_LENGTHS)
+    @example(_TIED)
+    def test_forward_backward(self, case):
+        emissions, mask, transitions = case
+        log_z, posteriors, expected = forward_backward(emissions, mask, transitions)
+        want_log_z, want_posteriors, want_expected = oracle_batched_forward_backward(
+            emissions, mask, transitions)
+        assert same_bytes(log_z, want_log_z)
+        assert same_bytes(posteriors[mask], want_posteriors[mask])
+        assert same_bytes(expected, want_expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_padded_batches())
+    @example(_ONE_POSITION)
+    @example(_MIXED_LENGTHS)
+    @example(_TIED)
+    def test_viterbi(self, case):
+        emissions, mask, transitions = case
+        paths, scores = viterbi(emissions, mask, transitions)
+        want_paths, want_scores = oracle_batched_viterbi(emissions, mask, transitions)
+        assert np.array_equal(paths, want_paths)
+        assert same_bytes(scores, want_scores)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_objective_cases())
+    def test_objective(self, case):
+        dataset, weights, l2 = case
+        value, gradient = log_likelihood_and_gradient(weights, dataset, l2)
+        want_value, want_gradient = oracle_objective(weights, dataset, l2)
+        assert type(value) is float
+        assert same_bytes(value, want_value)
+        assert same_bytes(gradient, want_gradient)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_optimizer_cases())
+    @example((np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]),
+              np.array([0.5, -0.5, -0.5, 0.5, -0.5, 0.5]), 0.5))
+    @example((np.array([0.0, -0.0, 2.0]), np.array([-0.0, 0.0, -0.0]), 0.0))
+    def test_pseudo_gradient(self, case):
+        x, grad, l1 = case
+        assert same_bytes(_pseudo_gradient(x, grad, l1), oracle_pseudo_gradient(x, grad, l1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_objective_cases(), st.sampled_from([0.0, 0.02, 0.5, 2.35]))
+    def test_minimize_follows_the_same_iterates(self, case, l1):
+        dataset, _, l2 = case
+
+        def fun_grad(weights):
+            value, gradient = oracle_objective(weights, dataset, l2)
+            return -value, -gradient
+
+        x0 = np.zeros(dataset.n_parameters)
+        result = minimize(fun_grad, x0, l1=l1, max_iterations=40)
+        x, fun, iterations, converged, history = oracle_minimize(
+            fun_grad, x0, l1=l1, max_iterations=40)
+        assert same_bytes(result.x, x)
+        assert same_bytes(result.fun, fun) and same_bytes(result.history, history)
+        assert (result.iterations, result.converged) == (iterations, converged)
 
 
 class TestDecodeBatch:
