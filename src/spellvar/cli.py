@@ -282,6 +282,7 @@ def _cmd_extract(opts: _Options) -> None:
     else:
         gold_corpus_path = opts.path("gold_corpus", required=True)
         gold_tags_path = opts.path("gold_tags", required=True)
+        given = set(opts.values)
         knobs = opts.knobs(_SELFTRAIN)
         penalties = opts.knobs(_TRAIN)
         search = opts.knobs(_SEARCH)
@@ -290,6 +291,12 @@ def _cmd_extract(opts: _Options) -> None:
         config = opts.build(_SELFTRAIN, knobs, train=opts.build(_TRAIN, penalties))
         if trials < 0:
             raise UsageError("extract: --search-trials must be >= 0 (0 disables the search)")
+        # A search picks the penalties, and its folds mean nothing without one.
+        moot = given & ({"l1", "l2"} if trials else {"search_folds"})
+        if moot:
+            names = ", ".join(_flag(name) for name in sorted(moot))
+            raise UsageError(f"{context}: {names} cannot be used "
+                             f"{'with' if trials else 'without'} --search-trials > 0")
         space = opts.build(_SEARCH, search, trials=trials, seed=seed) if trials else None
         gold = _read_gold(gold_corpus_path, gold_tags_path)
         corpus = _load_extract_corpus(corpus_path, annotations)

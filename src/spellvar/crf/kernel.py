@@ -1,46 +1,119 @@
-"""Batched linear-chain CRF inference, shared by training and decoding.
+"""Batched two-label linear-chain CRF inference, shared by training and decoding.
+
+The tagger has exactly two labels, I and O (``LABELS`` in
+:mod:`spellvar.crf.model`; ``load_model`` rejects any other set), and the
+kernel is written for them.
+
+Sequences are padded to the longest one and laid out time-major and
+label-major: arrays are (positions, labels, sequences), so that each step of
+a recursion reads and writes rows as long as the batch.  Callers see
+batch-major views (sequences, positions, labels) of those arrays.
 
 Emission scores of a whole batch are one gather of weight rows and one
-ordered sum; forward-backward and Viterbi run over all sequences at once,
-padded to the longest one.
+ordered sum, put into the padded layout.
+
+Forward and backward recursions run in one loop, step t of the one beside
+step width-1-t of the other, since both are one binary
+``np.logaddexp(x0 + m0, x1 + m1)`` over the two labels of the neighbouring
+position.  That equals, bit for bit, the ``np.logaddexp.reduce`` over a
+length-2 axis that a general-label kernel uses: a reduce without an initial
+value starts from the first element and applies the binary ufunc once, to
+the first and the second.  The Viterbi step is one comparison that breaks
+ties toward O, the higher label index, as an argmax over the flipped label
+axis does.
+
+Padding costs no step of its own.  The forward recursion runs through it
+unmasked, and each sequence's log partition and final Viterbi score are read
+at its last real position; only the backward messages and the Viterbi
+back-pointers are masked, with masks and index arrays built once per batch
+in :class:`Padding`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-# Pairwise max-shifted log-sums: on a handful of labels a fraction of the cost
-# of a general-purpose logsumexp, most of which is array-API dispatch.
-logsumexp = np.logaddexp.reduce
+# Offsets of the two labels in the ids of a label-major array, as a column.
+_LABEL_ROWS = np.arange(2)[:, None]
+# Back-pointer of a padded position: each label points at itself, so the
+# backtrace repeats a sequence's last label through its padding.
+_SELF = np.array([[False], [True]])
 
 
-@dataclass
-class Batch:
+def time_major(values: np.ndarray) -> np.ndarray:
+    """The contiguous (positions, labels, sequences) array behind a
+    batch-major view; a copy only for arrays that were not built here."""
+    return np.ascontiguousarray(values.transpose(1, 2, 0))
+
+
+class Padding:
+    """The padded layout of sequences of the given lengths: at least one
+    position wide, so that empty sequences and empty batches need no branch.
+
+    ``mask`` marks the real positions of the batch-major (sequences x width)
+    view, and ``live`` the same positions time-major, shaped to broadcast over
+    labels.  The id arrays address flat time-major arrays: ``cells`` each
+    real position, in sequence order, of a (positions, sequences) array;
+    ``real_ids`` its two labels in a (positions, labels, sequences) array;
+    ``last_ids`` the two labels of each sequence's last position (its first
+    when empty).  The ``chain_*`` ids address the (positions, 2, labels,
+    sequences) buffer of :func:`forward_backward`.
+    """
+
+    def __init__(self, lengths: np.ndarray) -> None:
+        self.lengths = lengths
+        n_seqs = len(lengths)
+        width = max(1, lengths.max(initial=0))
+        live = np.arange(width)[:, None] < lengths
+        self.live = live[:, None, :]
+        self.dead = ~self.live
+        self.mask = live.T
+        seqs, positions = np.nonzero(self.mask)
+        self.cells = positions * n_seqs + seqs
+        self.real_ids = (2 * n_seqs * positions + seqs)[:, None] + n_seqs * _LABEL_ROWS.T
+        last = np.maximum(lengths, 1) - 1
+        every = np.arange(n_seqs)
+        self.last_ids = 2 * n_seqs * last + every + n_seqs * _LABEL_ROWS
+        later = positions > 0
+        steps, self.step_seqs = positions[later], seqs[later]
+        self.chain_last = 4 * n_seqs * last + every + n_seqs * _LABEL_ROWS
+        self.chain_prev = 4 * n_seqs * (steps - 1) + self.step_seqs + n_seqs * _LABEL_ROWS
+        self.chain_ahead = (4 * n_seqs * (width - 1 - steps) + 2 * n_seqs + self.step_seqs
+                            + n_seqs * _LABEL_ROWS)
+
+    def real(self, values: np.ndarray) -> np.ndarray:
+        """Rows of batch-major (sequences, positions, labels) ``values`` at the
+        real positions, in sequence order."""
+        return time_major(values).take(self.real_ids)
+
+
+class Batch(Padding):
     """Sequences compiled to a (max features per position x positions) table
     of feature columns, positions in sequence order; a position's slots past
     its last feature hold the feature count, the row :meth:`emissions` adds
-    as zeros.  ``mask`` marks the real positions of the padded (sequences x
-    max length) layout."""
+    as zeros."""
 
-    slots: np.ndarray
-    lengths: np.ndarray
-    mask: np.ndarray
+    def __init__(self, slots: np.ndarray, lengths: np.ndarray) -> None:
+        super().__init__(lengths)
+        self.slots = slots
 
     def emissions(self, state: np.ndarray) -> np.ndarray:
         """Per-position label scores, shaped (sequences, max length, labels)
         and zero at padded positions."""
-        rows = np.take(np.concatenate([state, np.zeros((1, state.shape[1]))]), self.slots, axis=0)
-        padded = np.zeros(self.mask.shape + (state.shape[1],))
+        rows = np.concatenate([state, np.zeros((1, 2))]).take(self.slots, axis=0)
+        width, _, n_seqs = self.live.shape
+        scores = np.zeros((width, 2, n_seqs))
         # Slots are the outermost axis of the contiguous ``rows``, so the
         # reduction adds one slot after another, starting from 0.0 (a reduce
         # along a contiguous axis would sum pairwise): each score adds its
         # weights in listed order, to the last bit like a per-feature loop, so
         # near-tied Viterbi paths break the same way however a batch is formed.
-        padded[self.mask] = np.add.reduce(rows, axis=0, initial=0.0)
-        return padded
+        # A running sum from +0.0 is never -0.0, so the trailing zero slots
+        # that a longer feature list elsewhere in the batch adds change no bit.
+        scores.put(self.real_ids, np.add.reduce(rows, axis=0, initial=0.0))
+        return scores.transpose(2, 0, 1)
 
 
 def encode(sequences: Sequence[Sequence[Sequence[str]]], feature_index: dict[str, int]) -> Batch:
@@ -57,64 +130,70 @@ def encode(sequences: Sequence[Sequence[Sequence[str]]], feature_index: dict[str
     table = np.full((len(counts), per_position.max(initial=0)), len(feature_index), dtype=np.intp)
     table[np.arange(table.shape[1]) < per_position[:, None]] = columns
     lengths = np.array([len(features) for features in sequences], dtype=int)
-    # At least one column, so empty sequences and empty batches need no branch.
-    mask = np.arange(max(1, lengths.max(initial=0)))[None, :] < lengths[:, None]
-    return Batch(slots=np.ascontiguousarray(table.T), lengths=lengths, mask=mask)
+    return Batch(np.ascontiguousarray(table.T), lengths)
 
 
 def forward_backward(
-    emissions: np.ndarray, mask: np.ndarray, transitions: np.ndarray
+    emissions: np.ndarray, padding: Padding, transitions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each sequence's log partition, the posterior label probabilities at
-    every position (meaningless where padded), and the expected count of each
+    every position (zero where padded), and the expected count of each
     label transition summed over the batch."""
-    alpha = np.empty_like(emissions)
-    alpha[:, 0] = emissions[:, 0]
-    for t in range(1, emissions.shape[1]):
-        step = logsumexp(alpha[:, t - 1, :, None] + transitions, axis=1) + emissions[:, t]
-        alpha[:, t] = np.where(mask[:, t, None], step, alpha[:, t - 1])
-    log_z = logsumexp(alpha[:, -1], axis=-1)
+    scores = time_major(emissions)
+    width, _, n_seqs = scores.shape
+    # chain[k, 0] is the forward message at k, chain[k, 1] the backward one
+    # into width-2-k plus the scores at width-1-k (scores + beta).
+    chain = np.empty((width, 2, 2, n_seqs))
+    beta = np.zeros(scores.shape)
+    chain[0, 0] = scores[0]
+    np.add(scores[-1], beta[-1], out=chain[0, 1])
+    # Per direction, the transition weights from (forward) or into (backward)
+    # label I and label O, one row per label of the position stepped to.
+    from_i, from_o = np.array((transitions, transitions.T)).transpose(1, 0, 2)[:, :, :, None]
+    lae, add, copyto = np.logaddexp, np.add, np.copyto
+    for prev, cur, score_k, score_s, beta_s, live_next in zip(
+            chain, chain[1:], scores[1:], scores[-2::-1], beta[-2::-1], padding.live[:0:-1]):
+        step = lae(prev[:, :1] + from_i, prev[:, 1:] + from_o)
+        add(step[0], score_k, out=cur[0])
+        copyto(beta_s, step[1], where=live_next)
+        add(score_s, beta_s, out=cur[1])
+    final = chain.take(padding.chain_last)
+    log_z = lae(final[0], final[1])
 
-    beta = np.zeros_like(emissions)
-    for t in range(emissions.shape[1] - 2, -1, -1):
-        step = logsumexp(transitions + (emissions[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
-        beta[:, t] = np.where(mask[:, t + 1, None], step, beta[:, t + 1])
-
-    # Pairwise posteriors of every (t-1, t) step, summed in one masked pass.
-    joint = (
-        alpha[:, :-1, :, None]
-        + transitions
-        + (emissions[:, 1:] + beta[:, 1:])[:, :, None, :]
-        - log_z[:, None, None, None]
-    )
-    expected_transitions = np.exp(joint[mask[:, 1:]]).sum(axis=0)
-    return log_z, np.exp(alpha + beta - log_z[:, None, None]), expected_transitions
-
-
-def _argmax_last(values: np.ndarray, axis: int) -> np.ndarray:
-    """Argmax that resolves ties toward the highest index (the O label)."""
-    return values.shape[axis] - 1 - np.argmax(np.flip(values, axis=axis), axis=axis)
+    # Pairwise posteriors of every real (t-1, t) step, shaped (label at t-1,
+    # label at t, step) and copied step-major, so that the sum adds one step
+    # after another in sequence order.
+    joint = chain.take(padding.chain_prev)[:, None, :] + transitions[:, :, None]
+    joint += chain.take(padding.chain_ahead)[None, :, :]
+    joint -= log_z.take(padding.step_seqs)
+    np.exp(joint, out=joint)
+    expected_transitions = joint.reshape(4, -1).T.copy().sum(axis=0).reshape(2, 2)
+    posteriors = np.exp(chain[:, 0] + beta - log_z, out=np.zeros(beta.shape),
+                        where=padding.live)
+    return log_z, posteriors.transpose(2, 0, 1), expected_transitions
 
 
 def viterbi(
-    emissions: np.ndarray, mask: np.ndarray, transitions: np.ndarray
+    emissions: np.ndarray, padding: Padding, transitions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best label path of every sequence and its unnormalized score; ties
-    resolve toward the highest label index.  Padding repeats the last label."""
-    n_seqs, width, n_labels = emissions.shape
-    seqs = np.arange(n_seqs)
-    labels = np.arange(n_labels)
-    delta = emissions[:, 0]
-    back = np.broadcast_to(labels, emissions.shape).copy()
-    for t in range(1, width):
-        step = delta[:, :, None] + transitions
-        best_prev = _argmax_last(step, axis=1)
-        live = mask[:, t]
-        back[live, t] = best_prev[live]
-        delta = np.where(live[:, None], step[seqs[:, None], best_prev, labels] + emissions[:, t],
-                         delta)
-    paths = np.empty((n_seqs, width), dtype=int)
-    paths[:, -1] = _argmax_last(delta, axis=1)
-    for t in range(width - 1, 0, -1):
-        paths[:, t - 1] = back[seqs, t, paths[:, t]]
-    return paths, delta[seqs, paths[:, -1]]
+    resolve toward O.  Padding repeats the last label."""
+    scores = time_major(emissions)
+    width, _, n_seqs = scores.shape
+    delta = np.empty_like(scores)
+    delta[0] = scores[0]
+    # ``back[t, j, k]``: the best predecessor of label j at t is O.
+    back = np.empty(scores.shape, dtype=bool)
+    from_i, from_o = transitions[:, :, None]
+    for prev, cur, back_t, score_t in zip(delta, delta[1:], back[1:], scores[1:]):
+        via_i = prev[0] + from_i
+        via_o = prev[1] + from_o
+        np.greater_equal(via_o, via_i, out=back_t)
+        np.add(np.where(back_t, via_o, via_i), score_t, out=cur)
+    np.copyto(back, _SELF, where=padding.dead)
+    final = delta.take(padding.last_ids)
+    paths = np.empty((width, n_seqs), dtype=bool)
+    paths[-1] = final[1] >= final[0]
+    for label, prev, back_t in zip(paths[::-1], paths[-2::-1], back[:0:-1]):
+        prev[...] = np.where(label, back_t[1], back_t[0])
+    return paths.astype(int).T, np.where(paths[-1], final[1], final[0])

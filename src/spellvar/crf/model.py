@@ -64,20 +64,52 @@ class CrfModel:
         return encode([features], self.feature_index).emissions(self.state)[0, :len(features)]
 
 
+#: Most padded positions (sequences x the longest of them) that one kernel
+#: pass decodes, so that decoding memory depends on this bound and not on the
+#: corpus; a longer sequence is decoded alone.
+DECODE_CHUNK = 1 << 15
+
+
 def decode_batch(
     model: CrfModel, sequences: Sequence[Sequence[Sequence[str]]]
 ) -> list[tuple[list[str], float, list[dict[str, float]]]]:
     """Best label path, its unnormalized score and the per-position posterior
-    label probabilities of every sequence, all from one kernel pass."""
+    label probabilities of every sequence, in input order.
+
+    Sequences are decoded shortest first, in chunks of at most
+    :data:`DECODE_CHUNK` padded positions.  A sequence's results do not
+    depend on its chunk: padding adds no term to its sums."""
+    order = sorted(range(len(sequences)), key=lambda k: len(sequences[k]))
+    results: list = [None] * len(sequences)
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while (stop < len(order)
+               and (stop + 1 - start) * len(sequences[order[stop]]) <= DECODE_CHUNK):
+            stop += 1
+        chunk = order[start:stop]
+        for k, result in zip(chunk, _decode_chunk(model, [sequences[k] for k in chunk])):
+            results[k] = result
+        start = stop
+    return results
+
+
+def _decode_chunk(
+    model: CrfModel, sequences: Sequence[Sequence[Sequence[str]]]
+) -> list[tuple[list[str], float, list[dict[str, float]]]]:
     batch = encode(sequences, model.feature_index)
     emissions = batch.emissions(model.state)
-    paths, scores = viterbi(emissions, batch.mask, model.transitions)
-    _, probs, _ = forward_backward(emissions, batch.mask, model.transitions)
-    return [
-        ([LABELS[i] for i in path[:n]], score, [dict(zip(LABELS, row)) for row in rows[:n]])
-        for path, score, rows, n in zip(paths.tolist(), scores.tolist(), probs.tolist(),
-                                        batch.lengths.tolist())
-    ]
+    paths, scores = viterbi(emissions, batch, model.transitions)
+    _, probs, _ = forward_backward(emissions, batch, model.transitions)
+    labels = paths.T.take(batch.cells).tolist()
+    rows = batch.real(probs).tolist()
+    results = []
+    start = 0
+    for score, n in zip(scores.tolist(), batch.lengths.tolist()):
+        results.append(([LABELS[i] for i in labels[start:start + n]], score,
+                        [dict(zip(LABELS, row)) for row in rows[start:start + n]]))
+        start += n
+    return results
 
 
 def viterbi_decode(model: CrfModel, features: Sequence[Sequence[str]]) -> tuple[list[str], float]:

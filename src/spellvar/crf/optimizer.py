@@ -9,6 +9,7 @@ line search, which is what makes exactly-zero coordinates reachable.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -30,15 +31,16 @@ class OptimResult:
 
 
 def _pseudo_gradient(x: np.ndarray, grad: np.ndarray, l1: float) -> np.ndarray:
+    """The L1 objective's steepest-descent gradient: ``grad +- l1`` off zero,
+    and at zero the one-sided derivative that points downhill, else 0.0.
+    ``x`` is finite, as every iterate is."""
     if l1 == 0.0:
         return grad
-    pseudo = np.where(x > 0, grad + l1, np.where(x < 0, grad - l1, 0.0))
-    at_zero = x == 0
     up = grad + l1
     down = grad - l1
-    pseudo = np.where(at_zero & (down > 0), down, pseudo)
-    pseudo = np.where(at_zero & (up < 0), up, pseudo)
-    return pseudo
+    # At most one of down > 0 and up < 0 holds; fmax/fmin send NaN to 0.0.
+    at_zero = np.fmax(down, 0.0) + np.fmin(up, 0.0)
+    return np.where(x > 0, up, np.where(x < 0, down, at_zero))
 
 
 def _two_loop(
@@ -47,19 +49,23 @@ def _two_loop(
     y_list: deque[np.ndarray],
     rho_list: deque[float],
 ) -> np.ndarray:
+    """The quasi-Newton direction: minus the inverse-Hessian estimate of the
+    stored pairs applied to ``pseudo``.  ``ndarray.dot`` reaches the same BLAS
+    dot product as ``@`` at a fraction of the dispatch cost."""
     q = pseudo.copy()
+    scaled = np.empty_like(q)
     alphas: list[float] = []
     for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-        a = rho * float(s @ q)
-        q -= a * y
+        a = rho * float(s.dot(q))
+        q -= np.multiply(a, y, out=scaled)
         alphas.append(a)
     if s_list:
         s, y = s_list[-1], y_list[-1]
-        q *= float(s @ y) / float(y @ y)
+        q *= float(s.dot(y)) / float(y.dot(y))
     for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return -q
+        b = rho * float(y.dot(q))
+        q += np.multiply(a - b, s, out=scaled)
+    return np.negative(q, out=q)
 
 
 def minimize(
@@ -96,11 +102,12 @@ def minimize(
             break
         direction = _two_loop(pseudo, s_list, y_list, rho_list)
         if l1 > 0.0:
-            # Constrain the direction to the descent orthant of the pseudo-gradient.
+            # Constrain the direction to the descent orthant of the pseudo-gradient,
+            # and each step to the orthant of x (of -pseudo where x is zero).
             direction = np.where(direction * pseudo < 0, direction, 0.0)
-        if float(direction @ pseudo) >= 0.0:
+            orthant = np.sign(np.where(x != 0, x, -pseudo))
+        if float(direction.dot(pseudo)) >= 0.0:
             direction = -pseudo
-        orthant = np.where(x != 0, np.sign(x), -np.sign(pseudo))
 
         if not s_list:
             norm = float(np.linalg.norm(direction))
@@ -111,12 +118,13 @@ def minimize(
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * direction
             if l1 > 0.0:
-                x_new = np.where(x_new * orthant < 0, 0.0, x_new)
+                np.copyto(x_new, 0.0, where=x_new * orthant < 0)
             f_new, grad_new = fun_grad(x_new)
             penalized_new = f_new + l1 * float(np.abs(x_new).sum())
-            step = float(pseudo @ (x_new - x))
+            s = x_new - x
+            step = float(pseudo.dot(s))
             if (
-                np.isfinite(penalized_new)
+                math.isfinite(penalized_new)
                 and penalized_new <= penalized + _C1 * step
                 and penalized_new <= penalized
             ):
@@ -126,9 +134,8 @@ def minimize(
         if not accepted:
             break
 
-        s = x_new - x
         y = grad_new - grad
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         if sy > 1e-10:
             s_list.append(s)
             y_list.append(y)

@@ -13,24 +13,34 @@ from typing import Sequence
 
 import numpy as np
 
-from spellvar.crf.kernel import Batch, encode, forward_backward
+from spellvar.crf.kernel import Batch, encode, forward_backward, time_major
 from spellvar.crf.model import LABELS, CrfModel
 from spellvar.crf.optimizer import minimize
 
 
-@dataclass
 class EncodedDataset(Batch):
-    """A batch of training sequences with their gold labels, one per position.
-    ``column_ids`` and ``row_ids`` are the flat (column, label) and
-    (position, label) ids of every listed feature, in position order and
-    listed order within a position."""
+    """A batch of training sequences with their gold labels, one per position,
+    and the per-dataset constants of the objective: ``column_ids`` and
+    ``row_ids`` are the flat (column, label) and (position, label) ids of
+    every listed feature, in position order and listed order within a
+    position; ``gold_onehot`` marks each position's gold label and
+    ``gold_ids`` its flat id in the time-major emission scores."""
 
-    feature_index: dict[str, int]
-    gold: np.ndarray
-    transition_counts: np.ndarray
-    column_ids: np.ndarray
-    row_ids: np.ndarray
-    n_labels: int = len(LABELS)
+    n_labels = len(LABELS)
+
+    def __init__(self, batch: Batch, feature_index: dict[str, int], gold: np.ndarray,
+                 transition_counts: np.ndarray) -> None:
+        super().__init__(batch.slots, batch.lengths)
+        self.feature_index = feature_index
+        self.gold = gold
+        self.transition_counts = transition_counts
+        table = batch.slots.T
+        listed = table < len(feature_index)
+        labels = np.arange(self.n_labels)
+        self.column_ids = (table[listed][:, None] * self.n_labels + labels).ravel()
+        self.row_ids = (np.nonzero(listed)[0][:, None] * self.n_labels + labels).ravel()
+        self.gold_onehot = np.eye(self.n_labels)[gold]
+        self.gold_ids = self.real_ids[np.arange(len(gold)), gold]
 
     @property
     def n_features(self) -> int:
@@ -45,7 +55,7 @@ class EncodedDataset(Batch):
         positions that list each feature, shaped (features, labels).
         ``np.bincount`` adds in id order, so each total adds its rows in
         position order, like a sequential scatter-add."""
-        totals = np.bincount(self.column_ids, weights=np.take(values.ravel(), self.row_ids),
+        totals = np.bincount(self.column_ids, weights=values.take(self.row_ids),
                              minlength=self.n_features * self.n_labels)
         # Without any listed feature ``np.bincount`` returns integers.
         return totals.astype(float, copy=False).reshape(self.n_features, self.n_labels)
@@ -77,18 +87,8 @@ def encode_dataset(
     sequences = [features for features, _ in data]
     seen = dict.fromkeys(f for features in sequences for feats in features for f in feats)
     feature_index = {feature: column for column, feature in enumerate(seen)}
-    batch = encode(sequences, feature_index)
-    table = batch.slots.T
-    listed = table < len(feature_index)
-    labels = np.arange(len(LABELS))
-    return EncodedDataset(
-        **vars(batch),
-        feature_index=feature_index,
-        gold=np.array(gold, dtype=int),
-        transition_counts=transition_counts,
-        column_ids=(table[listed][:, None] * len(LABELS) + labels).ravel(),
-        row_ids=(np.nonzero(listed)[0][:, None] * len(LABELS) + labels).ravel(),
-    )
+    return EncodedDataset(encode(sequences, feature_index), feature_index,
+                          np.array(gold, dtype=int), transition_counts)
 
 
 def unpack_weights(weights: np.ndarray, dataset: EncodedDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -106,18 +106,15 @@ def log_likelihood_and_gradient(
     counts minus ``l2 * weights``).  L1 is left to the optimizer."""
     state, transitions = unpack_weights(weights, dataset)
     emissions = dataset.emissions(state)
-    log_z, posteriors, expected_transitions = forward_backward(
-        emissions, dataset.mask, transitions
-    )
-    flat_rows = np.arange(dataset.gold.shape[0])
-    gold_score = float(emissions[dataset.mask][flat_rows, dataset.gold].sum())
+    log_z, posteriors, expected_transitions = forward_backward(emissions, dataset, transitions)
+    gold_score = float(time_major(emissions).take(dataset.gold_ids).sum())
     gold_score += float((dataset.transition_counts * transitions).sum())
 
     value = gold_score - float(log_z.sum())
     value -= 0.5 * l2 * (float((state * state).sum()) + float((transitions * transitions).sum()))
 
-    gold_onehot = np.eye(dataset.n_labels)[dataset.gold]
-    grad_state = dataset.feature_totals(gold_onehot - posteriors[dataset.mask]) - l2 * state
+    grad_state = (dataset.feature_totals(dataset.gold_onehot - dataset.real(posteriors))
+                  - l2 * state)
     grad_transitions = dataset.transition_counts - expected_transitions - l2 * transitions
     gradient = np.concatenate([grad_state.ravel(), grad_transitions.ravel()])
     return value, gradient

@@ -177,6 +177,41 @@ class TestOptionsCheckedFirst:
         assert not (tmp_path / "out").exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--search-trials", "3", "--l1", "0.1"], "--l1 cannot be used with --search-trials"),
+        (["--search-trials", "3", "--l2", "0.1"], "--l2 cannot be used with --search-trials"),
+        (["--l1", "0.1", "--l2", "0.2", "--search-trials", "1"], "--l1, --l2 cannot be used with"),
+        (["--search-folds", "4"], "--search-folds cannot be used without --search-trials"),
+        (["--search-trials", "0", "--search-folds", "3"], "--search-folds cannot be used without"),
+    ])
+    def test_options_a_search_makes_moot(self, tmp_path, staged, no_input_read, extra, message,
+                                         capsys):
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"),
+                     "--gold-tags", str(staged / "gold.tags"), *extra,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, flags, message", [
+        (["l1 = 0.1", "search_trials = 2"], [], "--l1 cannot be used with"),
+        (["l2 = 0.1"], ["--search-trials", "2"], "--l2 cannot be used with"),
+        (["search_folds = 4"], [], "--search-folds cannot be used without"),
+    ])
+    def test_moot_options_from_the_ini_file(self, tmp_path, staged, no_input_read, lines, flags,
+                                            message, capsys):
+        config = write_lines(tmp_path / "run.ini", ["[extract]", *lines])
+        code = main(["extract", "--config", str(config), "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"),
+                     "--gold-tags", str(staged / "gold.tags"), *flags,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
     def test_negative_search_trials(self, tmp_path, staged, capsys):
         code = main(["extract", "--method", "selftrain",
                      "--corpus", str(staged / "unlabeled.jsonl"),
@@ -709,3 +744,37 @@ class TestStartup:
                     continue
                 assert all(name.split(".")[0] != "scipy" for name in names), (
                     f"{path}:{node.lineno}")
+
+
+# Imports the CLI in a fresh interpreter, installs the benchmark's span
+# recorder (which wraps program names by attribute and fails on a missing
+# one), runs a small self-training extraction and prints the traced calls.
+_TRACER_CHILD = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spellvar.cli
+import tracer
+
+recorder = tracer.install()
+out = sys.argv[3]
+assert spellvar.cli.main(["gen-synthetic", "--kind", "selftrain", "--out", out + "/st"]) == 0
+assert spellvar.cli.main([
+    "extract", "--method", "selftrain", "--corpus", out + "/st/unlabeled.jsonl",
+    "--gold-corpus", out + "/st/gold.jsonl", "--gold-tags", out + "/st/gold.tags",
+    "--iterations", "1", "--l1", "0.02", "--l2", "0.03", "--out", out + "/x"]) == 0
+print(json.dumps(tracer.self_times(recorder.spans)[1]))
+"""
+
+
+def test_benchmark_tracer_finds_every_name(tmp_path):
+    child = subprocess.run(
+        [sys.executable, "-c", _TRACER_CHILD, str(SRC), str(SRC.parent / "perfbench"),
+         str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    calls = json.loads(child.stdout.splitlines()[-1])
+    # Training reaches the wrapped names through its module's globals.
+    for name in ("crf.train.train", "crf.objective.encode_dataset",
+                 "crf.objective.log_likelihood_and_gradient", "crf.optimizer.minimize"):
+        assert calls.get(name, 0) >= 1, name

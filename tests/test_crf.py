@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import spellvar.crf.model as crf_model
 from spellvar.corpus import DictEntry, Token
 from spellvar.crf import (
     LABELS,
@@ -31,7 +33,7 @@ from spellvar.crf import (
     viterbi_decode,
     write_labeled_file,
 )
-from spellvar.crf.kernel import encode, forward_backward, viterbi
+from spellvar.crf.kernel import Padding, encode, forward_backward, viterbi
 from spellvar.crf.model import FORMAT_VERSION, decode_batch
 from spellvar.crf.optimizer import _pseudo_gradient
 
@@ -384,7 +386,7 @@ class TestKernelAgainstOracle:
     @given(_models(), _batches)
     def test_viterbi(self, model, batch):
         encoded = encode(batch, model.feature_index)
-        paths, scores = viterbi(encoded.emissions(model.state), encoded.mask, model.transitions)
+        paths, scores = viterbi(encoded.emissions(model.state), encoded, model.transitions)
         tagged = decode_batch(model, batch)
         for k, features in enumerate(batch):
             want_labels, want_score = oracle_viterbi(model, features)
@@ -403,7 +405,7 @@ class TestKernelAgainstOracle:
     def test_marginals(self, model, batch):
         encoded = encode(batch, model.feature_index)
         log_z, probs, _ = forward_backward(
-            encoded.emissions(model.state), encoded.mask, model.transitions
+            encoded.emissions(model.state), encoded, model.transitions
         )
         tagged = decode_batch(model, batch)
         for k, features in enumerate(batch):
@@ -777,7 +779,8 @@ class TestBitForBitOracles:
     @example(_TIED)
     def test_forward_backward(self, case):
         emissions, mask, transitions = case
-        log_z, posteriors, expected = forward_backward(emissions, mask, transitions)
+        log_z, posteriors, expected = forward_backward(emissions, Padding(mask.sum(axis=1)),
+                                                       transitions)
         want_log_z, want_posteriors, want_expected = oracle_batched_forward_backward(
             emissions, mask, transitions)
         assert same_bytes(log_z, want_log_z)
@@ -791,7 +794,7 @@ class TestBitForBitOracles:
     @example(_TIED)
     def test_viterbi(self, case):
         emissions, mask, transitions = case
-        paths, scores = viterbi(emissions, mask, transitions)
+        paths, scores = viterbi(emissions, Padding(mask.sum(axis=1)), transitions)
         want_paths, want_scores = oracle_batched_viterbi(emissions, mask, transitions)
         assert np.array_equal(paths, want_paths)
         assert same_bytes(scores, want_scores)
@@ -850,6 +853,20 @@ class TestDecodeBatch:
     def test_repeated_feature_counts_once(self):
         model = CrfModel.from_weights({("f0", "I"): 1.5})
         np.testing.assert_array_equal(model.emission_scores([["f0", "f0"]]), [[1.5, 0.0]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_models(), st.lists(st.lists(_position, max_size=9), max_size=12),
+           st.sampled_from([1, 5, 16]))
+    def test_chunks_change_no_bit(self, model, batch, chunk):
+        def exact(tagged):
+            return [(labels, score.hex(), [[row[label].hex() for label in LABELS] for row in rows])
+                    for labels, score, rows in tagged]
+
+        whole = decode_batch(model, batch)
+        with mock.patch.object(crf_model, "DECODE_CHUNK", chunk):
+            assert exact(decode_batch(model, batch)) == exact(whole)
+        for features, result in zip(batch, whole):
+            assert exact([result]) == exact(decode_batch(model, [features]))
 
 
 def separable_data(n: int = 50):
