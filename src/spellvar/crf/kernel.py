@@ -27,6 +27,14 @@ unmasked, and each sequence's log partition and final Viterbi score are read
 at its last real position; only the backward messages and the Viterbi
 back-pointers are masked, with masks and index arrays built once per batch
 in :class:`Padding`.
+
+Decoding (:func:`spellvar.crf.model.decode_batch`) sorts sequences by length
+and runs the kernel on chunks of them instead of on one batch padded to the
+longest entry of the corpus.  That changes no bit of a sequence's results:
+every value at a real position is computed from that sequence's own cells,
+extra padding columns only add cells that no real position reads, and the
+trailing zero slots of a wider feature table add +0.0 to a sum that started
+from +0.0, which is never -0.0, so x + 0.0 == x.
 """
 
 from __future__ import annotations
@@ -110,8 +118,6 @@ class Batch(Padding):
         # along a contiguous axis would sum pairwise): each score adds its
         # weights in listed order, to the last bit like a per-feature loop, so
         # near-tied Viterbi paths break the same way however a batch is formed.
-        # A running sum from +0.0 is never -0.0, so the trailing zero slots
-        # that a longer feature list elsewhere in the batch adds change no bit.
         scores.put(self.real_ids, np.add.reduce(rows, axis=0, initial=0.0))
         return scores.transpose(2, 0, 1)
 

@@ -762,11 +762,14 @@ def _objective_cases(draw):
 
 @st.composite
 def _optimizer_cases(draw):
-    """Iterates with exact and signed zeros, gradients tied with ``+-l1``."""
+    """Iterates with exact and signed zeros, gradients tied with ``+-l1``,
+    infinite or NaN."""
     l1 = draw(st.sampled_from([0.0, 0.02, 1.0, 2.35]) | st.floats(0.0, 1e3))
     n = draw(st.integers(0, 24))
-    x = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5]) | _big, min_size=n, max_size=n))
-    grad = draw(st.lists(st.sampled_from([l1, -l1, 0.0, -0.0, l1 / 2, -l1 / 2]) | _big,
+    x = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5, math.inf, -math.inf]) | _big,
+                      min_size=n, max_size=n))
+    grad = draw(st.lists(st.sampled_from([l1, -l1, 0.0, -0.0, l1 / 2, -l1 / 2, math.inf,
+                                          -math.inf, math.nan]) | _big,
                          min_size=n, max_size=n))
     return np.array(x, dtype=float), np.array(grad, dtype=float), l1
 
