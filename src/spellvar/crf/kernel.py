@@ -62,12 +62,14 @@ class Padding:
 
     ``mask`` marks the real positions of the batch-major (sequences x width)
     view, and ``live`` the same positions time-major, shaped to broadcast over
-    labels.  The id arrays address flat time-major arrays: ``cells`` each
-    real position, in sequence order, of a (positions, sequences) array;
-    ``real_ids`` its two labels in a (positions, labels, sequences) array;
-    ``last_ids`` the two labels of each sequence's last position (its first
-    when empty).  The ``chain_*`` ids address the (positions, 2, labels,
-    sequences) buffer of :func:`forward_backward`.
+    labels.  The id arrays address flat (positions, labels, sequences)
+    arrays: ``real_ids`` the two labels of each real position, in sequence
+    order, and ``last_ids`` those of each sequence's last position (its
+    first when empty).  The ``chain_*`` ids address the (positions, 2, labels,
+    sequences) buffer of :func:`forward_backward`: each sequence's last
+    forward message, and the messages either side of every real step from
+    one position to the next, in sequence order; ``step_seqs`` holds each
+    such step's sequence.
     """
 
     def __init__(self, lengths: np.ndarray) -> None:
@@ -79,7 +81,6 @@ class Padding:
         self.dead = ~self.live
         self.mask = live.T
         seqs, positions = np.nonzero(self.mask)
-        self.cells = positions * n_seqs + seqs
         self.real_ids = (2 * n_seqs * positions + seqs)[:, None] + n_seqs * _LABEL_ROWS.T
         last = np.maximum(lengths, 1) - 1
         every = np.arange(n_seqs)

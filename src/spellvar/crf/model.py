@@ -101,15 +101,11 @@ def _decode_chunk(
     emissions = batch.emissions(model.state)
     paths, scores = viterbi(emissions, batch, model.transitions)
     _, probs, _ = forward_backward(emissions, batch, model.transitions)
-    labels = paths.T.take(batch.cells).tolist()
-    rows = batch.real(probs).tolist()
-    results = []
-    start = 0
-    for score, n in zip(scores.tolist(), batch.lengths.tolist()):
-        results.append(([LABELS[i] for i in labels[start:start + n]], score,
-                        [dict(zip(LABELS, row)) for row in rows[start:start + n]]))
-        start += n
-    return results
+    return [
+        ([LABELS[i] for i in path[:n]], score, [dict(zip(LABELS, row)) for row in rows[:n]])
+        for path, score, rows, n in zip(paths.tolist(), scores.tolist(), probs.tolist(),
+                                        batch.lengths.tolist())
+    ]
 
 
 def viterbi_decode(model: CrfModel, features: Sequence[Sequence[str]]) -> tuple[list[str], float]:
