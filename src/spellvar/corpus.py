@@ -9,6 +9,7 @@ matches untokenized text.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -456,6 +457,36 @@ def read_seed_pairs(path: str | Path) -> list[tuple[str, str]]:
     return seeds
 
 
+#: What ``errors="surrogateescape"`` makes of a byte that does not decode.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(
+    path: str | Path, error: type[ValueError] = CorpusFormatError
+) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` of a UTF-8 text file, 1-based.
+
+    A leading byte-order mark is dropped.  A byte that is not UTF-8 raises
+    ``error`` naming the file and its line: the decoder reports only an
+    offset into the chunk it was decoding, so the file is read again with
+    each such byte kept as an escape, and the first line holding one is
+    named.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            yield from enumerate(handle, start=1)
+    except UnicodeDecodeError as exc:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            line_no, byte = next(
+                (line_no, match.group())
+                for line_no, line in enumerate(handle, start=1)
+                if (match := _ESCAPED_BYTE.search(line))
+            )
+        raise error(
+            f"{path}: line {line_no}: not UTF-8: byte 0x{ord(byte) - 0xDC00:02x}"
+        ) from exc
+
+
 _PAIRS_HEADER = ("informal", "formal", "score", "method", "origin", "entry_id")
 
 
@@ -474,30 +505,29 @@ def write_pairs_tsv(pairs: Iterable[VariantPair], path: str | Path) -> None:
 
 def read_pairs_tsv(path: str | Path) -> list[VariantPair]:
     pairs: list[VariantPair] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if line_no == 1 and parts[0] == _PAIRS_HEADER[0]:
-                continue
-            if len(parts) < 2:
-                raise CorpusFormatError(f"{path}: line {line_no}: expected tab-separated pair row")
-            informal, formal = parts[0], parts[1]
-            method = parts[3] if len(parts) > 3 else "baseline"
-            origin = parts[4] if len(parts) > 4 else ""
-            source = parts[5] if len(parts) > 5 else ""
-            try:
-                pairs.append(VariantPair(
-                    informal=informal,
-                    formal=formal,
-                    score=float(parts[2]) if len(parts) > 2 else 1.0,
-                    method=method,
-                    iteration=int(origin) if origin.isdigit() else 0,
-                    source_entry=source,
-                    rule_id=origin if method == "baseline" else "",
-                ))
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}: line {line_no}: {exc}") from exc
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if line_no == 1 and parts[0] == _PAIRS_HEADER[0]:
+            continue
+        if len(parts) < 2:
+            raise CorpusFormatError(f"{path}: line {line_no}: expected tab-separated pair row")
+        informal, formal = parts[0], parts[1]
+        method = parts[3] if len(parts) > 3 else "baseline"
+        origin = parts[4] if len(parts) > 4 else ""
+        source = parts[5] if len(parts) > 5 else ""
+        try:
+            pairs.append(VariantPair(
+                informal=informal,
+                formal=formal,
+                score=float(parts[2]) if len(parts) > 2 else 1.0,
+                method=method,
+                iteration=int(origin) if origin.isdigit() else 0,
+                source_entry=source,
+                rule_id=origin if method == "baseline" else "",
+            ))
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}: line {line_no}: {exc}") from exc
     return pairs

@@ -8,15 +8,14 @@ the fraction of evaluable pairs whose formal word ranks within the top k.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from spellvar.corpus import VariantPair
+from spellvar.corpus import VariantPair, read_lines
 
 
 class EmbeddingFormatError(ValueError):
@@ -103,68 +102,94 @@ def _parse_components(
         ) from exc
 
 
-def _parse_fast(text: str, dimension: int) -> np.ndarray | None:
-    """``text`` parsed in one NumPy call, or None when it does not give
-    exactly ``dimension`` values or NumPy stops at a token it cannot read.
+def _split_lines(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, [word] or [word, component text])`` per non-blank line."""
+    for line_no, line in read_lines(path, EmbeddingFormatError):
+        if fields := line.split(maxsplit=1):
+            yield line_no, fields
 
-    NumPy rejects some spellings ``float()`` accepts (``1_000``, non-ASCII
-    digits and spaces), so None means "ask ``_parse_components``", not "bad
-    line".  The one spelling NumPy reads and ``float()`` rejects is C's
-    ``nan(...)``, so text holding a parenthesis is never parsed here.
+
+def _header(line_no: int, fields: list[str]) -> tuple[int, int] | None:
+    """``(count, dimension)`` when line 1 is exactly two integer tokens."""
+    if line_no == 1 and len(fields) == 2 and len(tokens := fields[1].split()) == 1:
+        try:
+            return int(fields[0]), int(tokens[0])
+        except ValueError:
+            pass
+    return None
+
+
+def _parse_bulk(texts: list[str], dimension: int | None) -> np.ndarray | None:
+    """Every line's component text parsed in one ``np.loadtxt`` call, or None
+    unless that is sure to equal ``float()`` on each ``str.split()`` token.
+
+    NumPy's reader turns a field into a float as ``float()`` does
+    (``PyOS_string_to_double``) and splits ASCII text where ``str.split()``
+    does.  It rejects some spellings ``float()`` accepts (``1_000``,
+    non-ASCII digits), skips lines that hold no field and rejects ragged
+    rows, so its result is taken only for ASCII text with no empty line that
+    gives exactly one row of the expected width per line.
     """
-    if "(" in text:
+    if not texts or "" in texts or not all(map(str.isascii, texts)):
         return None
     try:
-        values = np.fromstring(text, sep=" ")
-    except (ValueError, DeprecationWarning):
+        values = np.loadtxt(texts, comments=None, dtype=float, ndmin=2)
+    except ValueError:
         return None
-    return values if len(values) == dimension else None
+    width = len(texts[0].split()) if dimension is None else dimension
+    return values if values.shape == (len(texts), width) else None
+
+
+def _parse_each_line(path: str | Path, dimension: int | None) -> np.ndarray:
+    """The file's vectors read again, one ``float()`` per component, raising
+    at the first line that does not parse."""
+    rows: list[np.ndarray] = []
+    for line_no, fields in _split_lines(path):
+        if _header(line_no, fields) is None:
+            components = fields[1].split() if len(fields) == 2 else []
+            rows.append(_parse_components(path, line_no, components, dimension))
+            dimension = len(rows[-1])
+    return np.array(rows)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read whitespace-separated text embeddings.
 
     A first line of exactly two integer tokens is treated as a
-    ``count dimension`` header.  Duplicate words keep their first vector.
-    Each line's components are parsed in one NumPy call; a line that call
-    cannot parse to the expected dimension goes through ``float()`` token by
-    token, which accepts what Python accepts and names the line otherwise.
+    ``count dimension`` header, and its count must equal the number of
+    vector lines.  Duplicate words keep their first vector.  One pass keeps
+    each line's word and component text, which are then parsed in one NumPy
+    call; a file that call cannot parse exactly as ``float()`` would is read
+    again and parsed token by token, which accepts what Python accepts and
+    names the line otherwise.
     """
+    header: tuple[int, int] | None = None
     words: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    dimension: int | None = None
-    with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
-        # Older NumPy warns instead of raising when it stops at unread text.
-        warnings.simplefilter("error", DeprecationWarning)
-        for line_no, line in enumerate(handle, start=1):
-            parts = line.split(maxsplit=1)
-            if not parts:
-                continue
-            if line_no == 1 and len(header := line.split()) == 2:
-                try:
-                    int(header[0]), int(header[1])
-                except ValueError:
-                    pass
-                else:
-                    dimension = int(header[1])
-                    continue
-            word = parts[0]
-            vector = None
-            if dimension is not None and len(parts) == 2:
-                vector = _parse_fast(parts[1], dimension)
-            if vector is None:
-                vector = _parse_components(path, line_no, line.split()[1:], dimension)
-                dimension = len(vector)
-            if word in seen:
-                continue
-            seen.add(word)
-            words.append(word)
-            rows.append(vector)
+    texts: list[str] = []
+    for line_no, fields in _split_lines(path):
+        if (found := _header(line_no, fields)) is not None:
+            header = found
+            continue
+        words.append(fields[0])
+        texts.append(fields[1] if len(fields) == 2 else "")
+    dimension = None if header is None else header[1]
+    vectors = _parse_bulk(texts, dimension)
+    del texts
+    if vectors is None:
+        vectors = _parse_each_line(path, dimension)
+    if header is not None and header[0] != len(words):
+        raise EmbeddingFormatError(
+            f"{path}: line 1: header says {header[0]} vectors, found {len(words)}"
+        )
     if not words:
         raise EmbeddingFormatError(f"{path}: no vectors found")
+    first: dict[str, int] = {}
+    for row, word in enumerate(words):
+        first.setdefault(word, row)
+    if len(first) < len(words):
+        words, vectors = list(first), vectors[list(first.values())]
     try:
-        return make_table(words, np.array(rows))
+        return make_table(words, vectors)
     except EmbeddingFormatError as exc:
         raise EmbeddingFormatError(f"{path}: {exc}") from exc
 
@@ -297,11 +322,9 @@ def evaluate_pairs(
 def load_vocab(path: str | Path) -> frozenset[str]:
     """Read one word per line, case-folded; blank lines are skipped."""
     words: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            word = line.strip()
-            if word:
-                words.add(word.casefold())
+    for _, line in read_lines(path):
+        if word := line.strip():
+            words.add(word.casefold())
     return frozenset(words)
 
 

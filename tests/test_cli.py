@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import codecs
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -10,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spellvar.cli import _build_parser, main
 from spellvar.corpus import read_pairs_tsv
@@ -275,14 +280,13 @@ class TestExtractSelftrain:
         assert "tag blocks" in capsys.readouterr().err
 
 
-@pytest.fixture()
-def eval_inputs(tmp_path):
-    pairs = write_lines(tmp_path / "pairs.tsv", [
+def write_eval_inputs(root):
+    pairs = write_lines(root / "pairs.tsv", [
         "informal\tformal\tscore\tmethod\torigin\tentry_id",
         "inf0\tfrm0\t1.0\tbaseline\tr\te1",
         "inf1\tfrm1\t1.0\tbaseline\tr\te2",
     ])
-    embeddings = write_lines(tmp_path / "vectors.txt", [
+    embeddings = write_lines(root / "vectors.txt", [
         "inf0 1 0 0",
         "frm0 1 0 0",
         "inf1 0 1 0",
@@ -290,8 +294,13 @@ def eval_inputs(tmp_path):
         "bg0 0 0 1",
         "bg1 0.5 0.5 0",
     ])
-    vocab = write_lines(tmp_path / "vocab.txt", ["frm0", "frm1"])
+    vocab = write_lines(root / "vocab.txt", ["frm0", "frm1"])
     return pairs, embeddings, vocab
+
+
+@pytest.fixture()
+def eval_inputs(tmp_path):
+    return write_eval_inputs(tmp_path)
 
 
 class TestEval:
@@ -408,6 +417,38 @@ class TestEval:
         assert "--ks" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("count, code", [(5, 2), (2, 2), (3, 0)])
+    def test_header_count_must_match_the_vector_lines(self, tmp_path, eval_inputs, count, code,
+                                                      capsys):
+        pairs, _, vocab = eval_inputs
+        # Three vector lines: a duplicate word counts, a blank line does not.
+        table = write_lines(tmp_path / "counted.txt",
+                            [f"{count} 2", "inf0 1 0", "", "frm0 1 0", "inf0 0 1"])
+        result = main(["eval", "--pairs", str(pairs), "--embeddings", str(table),
+                       "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert result == code
+        if code:
+            assert capsys.readouterr().err == (
+                f"error: {table}: line 1: header says {count} vectors, found 3\n")
+
+    @pytest.mark.parametrize("flag", ["--pairs", "--embeddings", "--formal-vocab"])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, eval_inputs, flag, capsys):
+        paths = dict(zip(["--pairs", "--embeddings", "--formal-vocab"], eval_inputs))
+        lines = paths[flag].read_bytes().splitlines(keepends=True)
+        # Far past the decoder's first 8 KiB chunk, whose start an offset
+        # into the chunk would point at.
+        lines += lines[-1:] * 3000
+        bad_line = len(lines) + 1
+        lines += [lines[-1][:2] + b"\xff" + lines[-1][2:], lines[-1]]
+        paths[flag] = tmp_path / f"bad{paths[flag].suffix}"
+        paths[flag].write_bytes(b"".join(lines))
+        argv = ["eval", "--out", str(tmp_path / "out")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[flag]}: line {bad_line}: not UTF-8: byte 0xff\n")
+
     def test_manifest_records_the_cutoffs_used(self, tmp_path, eval_inputs):
         pairs, embeddings, vocab = eval_inputs
         out = tmp_path / "out"
@@ -418,6 +459,50 @@ class TestEval:
         summary = json.loads((out / "00_vectors.summary.json").read_text(encoding="utf-8"))
         assert manifest["options"]["ks"] == [1, 3]
         assert list(summary["accuracy"]) == ["1", "3"]
+
+
+FUZZ_WORDS = ["inf0", "frm0", "inf1", "frm1", "bg0"]
+FUZZ_NUMBERS = ["1", "0", "-0.5", "3e-2", "1_000", "\uff12"]
+FUZZ_PIECES = FUZZ_WORDS + FUZZ_NUMBERS + [
+    "nan", "1e999", "x", "\u00e9", " ", "\t", "\x0b", "\xa0", "\n", "\r\n", "\r", "\x00", "2 3"]
+
+
+@st.composite
+def embedding_bytes(draw):
+    """Bytes of an embedding file: a table of the eval fixture's words, a run
+    of table-like pieces, any text or any bytes; maybe with a byte or a piece
+    spliced in, maybe behind a byte-order mark."""
+    rows = st.tuples(st.sampled_from(FUZZ_WORDS),
+                     st.lists(st.sampled_from(FUZZ_NUMBERS), min_size=3, max_size=3))
+    data = draw(st.one_of(
+        st.lists(rows, min_size=1, max_size=6).map(
+            lambda table: "".join(f"{word} {' '.join(vector)}\n" for word, vector in table)
+        ).map(str.encode),
+        st.lists(st.sampled_from(FUZZ_PIECES), max_size=40).map("".join).map(str.encode),
+        st.text(max_size=40).map(str.encode),
+        st.binary(max_size=40),
+    ))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        splice = draw(st.binary(min_size=1, max_size=2)
+                      | st.sampled_from(FUZZ_PIECES).map(str.encode))
+        data = data[:at] + splice + data[at:]
+    return draw(st.sampled_from([b"", codecs.BOM_UTF8])) + data
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedding_bytes())
+def test_eval_on_any_embedding_bytes_exits_0_or_2(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("fuzz")
+    pairs, embeddings, vocab = write_eval_inputs(root)
+    embeddings.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--out", str(root / "out")])
+    assert code in (0, 2)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.fixture()

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spellvar import evalsim
 from spellvar.corpus import VariantPair
 from spellvar.evalsim import (
     MISS_REASONS,
@@ -22,6 +24,51 @@ from spellvar.evalsim import (
     pearson,
     rank_of_formal,
 )
+
+
+#: Component spellings that NumPy and ``float()`` both read: each spelling of
+#: ``test_values_match_float_per_token`` but ``1_000``.
+PLAIN = ["0.1", "-2.5", "1.000", "3.140000e+00", "-7", "2.5E-3", "0", "+4."]
+#: Spellings only ``float()`` reads, ones neither reads (``1#2`` would read as
+#: 1 if ``#`` started a comment), and non-finite ones.
+ODD = ["1_000", "\uff12", "nan(1)", "x", "1,5", "1#2", "inf", "-Infinity", "nan", "1e999"]
+#: Every ASCII whitespace character ``str.split()`` splits at but a line break.
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "  "]
+
+
+@st.composite
+def embedding_files(draw):
+    """Text of an embedding table, clean or with one flaw."""
+    width = draw(st.integers(1, 3))
+    words = draw(st.lists(st.sampled_from(["a", "b", "c", "1", "7", "x\u00e9"]),
+                          min_size=1, max_size=5))
+    rows = [draw(st.lists(st.sampled_from(PLAIN), min_size=width, max_size=width))
+            for _ in words]
+    seps = [draw(st.lists(st.sampled_from(SEPARATORS), min_size=width + 1,
+                          max_size=width + 1)) for _ in words]
+    at = draw(st.integers(0, len(words) - 1))
+    flaw = draw(st.sampled_from(["none", "none", "none", "odd", "nbsp", "short", "long",
+                                 "word-only"]))
+    if flaw == "odd":
+        rows[at][-1] = draw(st.sampled_from(ODD))
+    elif flaw == "nbsp":
+        seps[at][0] = "\xa0"
+    elif flaw == "short":
+        rows[at].pop()
+    elif flaw == "long":
+        rows[at].append("1")
+        seps[at].append(" ")
+    elif flaw == "word-only":
+        rows[at] = []
+    lines = [word + "".join(sep + c for sep, c in zip(gaps, row)) + gaps[-1]
+             for word, row, gaps in zip(words, rows, seps)]
+    header = draw(st.sampled_from(["none", "right", "count", "dimension"]))
+    if header != "none":
+        count = len(words) + (header == "count")
+        lines.insert(0, f"{count} {width + (header == 'dimension')}")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
 def write_embeddings(tmp_path, text, name="vectors.txt"):
@@ -129,6 +176,62 @@ class TestLoadEmbeddings:
         expected = [[float(token) for token in line.split()[1:]] for line in lines]
         got = load_embeddings(path).vectors
         assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("text", ["a 1 0\nb 0 1\n", "2 2\na 1 0\nb 0 1\n"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        path = write_embeddings(tmp_path, "\ufeff" + text)
+        table = load_embeddings(path)
+        assert table.words == ("a", "b")
+        np.testing.assert_array_equal(table.vectors, [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("5 2\na 1 0\n\nb 0 1\na 1 1\n", "header says 5 vectors, found 3"),
+        ("2 2\na 1 0\n\nb 0 1\na 1 1\n", "header says 2 vectors, found 3"),
+        ("1 2\n", "header says 1 vectors, found 0"),
+    ])
+    def test_header_count_is_checked(self, tmp_path, text, message):
+        path = write_embeddings(tmp_path, text)
+        with pytest.raises(EmbeddingFormatError, match=f"^{path}: line 1: {message}$"):
+            load_embeddings(path)
+
+    def test_line_errors_come_before_the_header_count(self, tmp_path):
+        path = write_embeddings(tmp_path, "5 2\na 1 0\nb 0 x\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3: non-numeric"):
+            load_embeddings(path)
+
+    def test_plain_table_is_parsed_in_bulk(self, tmp_path):
+        path = write_embeddings(tmp_path, "3 2\na 1 0.5\nb -2e-3 1\n\na 7 7\n")
+        with patch.object(evalsim, "_parse_each_line", side_effect=AssertionError):
+            table = load_embeddings(path)
+        assert table.words == ("a", "b")
+        assert table.vectors.tobytes() == np.array([[1.0, 0.5], [-2e-3, 1.0]]).tobytes()
+
+    def test_table_the_bulk_parse_rejects_loads_line_by_line(self, tmp_path):
+        path = write_embeddings(tmp_path, "a 1 0.5\nb 0 1\nc 1_000 2\n")
+        with patch.object(evalsim, "_parse_each_line", wraps=evalsim._parse_each_line) as each:
+            table = load_embeddings(path)
+        assert each.call_count == 1
+        np.testing.assert_array_equal(table.vectors, [[1.0, 0.5], [0.0, 1.0], [1000.0, 2.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(embedding_files())
+    @example("a 0.5 1#2\nb 1 2\n")
+    @example("2 2\r\na 1_000 2\r\n\r\nb\x1c1\x1f2\r\n")
+    @example("1 3\nw\u00e9 1\xa02 3\n")
+    def test_bulk_and_per_line_paths_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome():
+            try:
+                table = load_embeddings(path)
+            except EmbeddingFormatError as exc:
+                return str(exc)
+            return table.words, table.vectors.shape, table.vectors.tobytes(), table.norms.tobytes()
+
+        bulk = outcome()
+        with patch.object(evalsim, "_parse_bulk", return_value=None):
+            assert outcome() == bulk
 
 
 def rank_oracle(table, informal, formal):
