@@ -10,9 +10,10 @@ pooled patterns extract.  Both pools only ever grow.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from spellvar.corpus import Corpus, VariantPair
 
@@ -182,12 +183,15 @@ def averaged_log_score(
 def label_occurrences(corpus: Corpus, pools: Pools) -> list[tuple[str, int]]:
     """Find definition positions whose token is the formal side of a pooled
     tuple whose informal side equals the entry headword (case-insensitive)."""
+    formals: dict[str, set[str]] = {}
+    for informal, formal in pools.tuple_pool:
+        formals.setdefault(informal, set()).add(formal)
     occurrences: list[tuple[str, int]] = []
     for entry in corpus:
-        informal = entry.headword.casefold()
-        for v, tok in enumerate(entry.definition):
-            if (informal, tok.lower) in pools.tuple_pool:
-                occurrences.append((entry.entry_id, v))
+        wanted = formals.get(entry.headword.casefold())
+        if wanted:
+            occurrences.extend((entry.entry_id, v) for v, tok in enumerate(entry.definition)
+                               if tok.lower in wanted)
     return occurrences
 
 
@@ -214,71 +218,219 @@ def generate_patterns(
     return list(patterns.values())
 
 
-Row = tuple[str, str, tuple[str, ...]]
-Site = tuple[str, str, str, int, list[str]]
+Context = tuple[tuple[str, ...], tuple[str, ...]]
+Level = tuple[np.ndarray, np.ndarray | None, int]
 
 
-def _lowered_rows(corpus: Corpus) -> list[Row]:
-    """(entry_id, case-folded headword, lowered tokens) per entry, in corpus order."""
-    return [(e.entry_id, e.headword.casefold(), tuple(t.lower for t in e.definition))
-            for e in corpus]
+class _Matches(NamedTuple):
+    """Every slot a matching pass found, as parallel arrays ordered by
+    position: the corpus position and the number of the matched (left,
+    right) context in ``contexts``."""
+
+    position: np.ndarray
+    context: np.ndarray
+    contexts: dict[Context, int]
 
 
-def _sweep(rows: Iterable[Row], patterns: Iterable[tuple[str, SurfacePattern]]) -> Iterator[Site]:
-    """Yield (informal, formal, entry_id, position, matched ids) for each
-    non-identity slot that an (id, pattern) pair matches, in corpus order.
-    Looking up each slot's (left, right) contexts in one dict makes a pass
-    cost O(tokens x window^2), whatever the number of patterns."""
-    wanted: dict[tuple[tuple[str, ...], tuple[str, ...]], list[str]] = {}
-    for pid, pattern in patterns:
-        wanted.setdefault((pattern.left, pattern.right), []).append(pid)
-    max_left = max((len(left) for left, _ in wanted), default=0)
-    max_right = max((len(right) for _, right in wanted), default=0)
-    for entry_id, informal, lowers in rows:
-        for v, formal in enumerate(lowers):
-            if formal == informal:
+class _ContextIndex:
+    """Integer view of a corpus's lowered definitions, built once per run.
+
+    Positions are numbered across the whole corpus and tokens are interned
+    to ids.  The ``n`` tokens on one side of a position get an exact integer
+    key, interned one token at a time: the (``n - 1``)-token context's key
+    and the next token's id are packed into one int64 and renumbered with
+    ``np.unique``.  Keys and ids stay below the token count, so no packing
+    overflows for a corpus under about 3e9 tokens and entries, and no two
+    contexts share a key.  Each length is built on first use, so the index
+    needs no window.
+    """
+
+    def __init__(self, corpus: Corpus) -> None:
+        vocab: dict[str, int] = {}
+        ids = [vocab.setdefault(tok.lower, len(vocab))
+               for entry in corpus for tok in entry.definition]
+        lengths = np.array([len(entry.definition) for entry in corpus], dtype=np.int64)
+        self.vocab = vocab
+        self.words = list(vocab)
+        self.informals = [entry.headword.casefold() for entry in corpus]
+        self.entry_ids = [entry.entry_id for entry in corpus]
+        self.headword_ids: dict[str, int] = {}
+        self.headword = np.array([self.headword_ids.setdefault(word, len(self.headword_ids))
+                                  for word in self.informals], dtype=np.int64)
+        self.ids = np.array(ids, dtype=np.int64)
+        self.row = np.repeat(np.arange(len(lengths)), lengths)
+        offset = np.arange(len(ids)) - (np.cumsum(lengths) - lengths)[self.row]
+        # Tokens a position has before it (side -1) and after it (side 1).
+        self._room = {-1: offset, 1: lengths[self.row] - 1 - offset}
+        # Whether each position's token differs from its entry's headword.
+        as_token = np.array([vocab.get(word, -1) for word in self.informals], dtype=np.int64)
+        self.free = self.ids != as_token[self.row]
+        # Per side, per context length n: each position's key, -1 where the
+        # definition has fewer than n tokens on that side; the sorted packed
+        # (shorter key, token id) pairs the keys number, None for n = 1; and
+        # the number of keys.
+        self._levels: dict[int, list[Level]] = {-1: [], 1: []}
+        self._keys: dict[int, dict[tuple[str, ...], int]] = {-1: {(): -1}, 1: {(): -1}}
+
+    def _level(self, side: int, n: int) -> Level:
+        levels = self._levels[side]
+        while len(levels) < n:
+            k = len(levels) + 1
+            at = np.flatnonzero(self._room[side] >= k)
+            token = self.ids[at + side * k]
+            keys = np.full(len(self.ids), -1, dtype=np.int64)
+            if k == 1:
+                keys[at] = token
+                levels.append((keys, None, len(self.words)))
+            else:
+                known, keys[at] = np.unique(levels[-1][0][at] * len(self.words) + token,
+                                            return_inverse=True)
+                levels.append((keys, known, len(known)))
+        return levels[n - 1]
+
+    def _context_keys(self, side: int, contexts: Sequence[tuple[str, ...]]) -> np.ndarray:
+        """Key of each context on ``side`` of a slot, in reading order; -1 for
+        an empty context and where no position of the corpus has it.  Keys
+        are kept: the rounds of a run look up mostly the same contexts."""
+        kept = self._keys[side]
+        new = [c for c in dict.fromkeys(contexts) if c not in kept]
+        if new:
+            width = max(map(len, new))
+            pad = [-1] * width
+            vocab = self.vocab
+            words = np.array([[vocab.get(w, -1) for w in (c[::-1] if side < 0 else c)]
+                              + pad[len(c):] for c in new], dtype=np.int64)
+            lengths = np.array([len(c) for c in new])
+            keys = words[:, 0].copy()
+            for n in range(2, width + 1):
+                _, known, _ = self._level(side, n)
+                growing = np.flatnonzero((lengths >= n) & (keys >= 0))
+                word = words[growing, n - 1]
+                found, hit = _find(known, keys[growing] * len(self.words) + word)
+                keys[growing] = np.where(hit & (word >= 0), found, -1)
+            kept.update(zip(new, keys.tolist()))
+        return np.array([kept[c] for c in contexts], dtype=np.int64)
+
+    def match(self, patterns: Iterable[SurfacePattern]) -> _Matches:
+        """Find every slot that is not its entry's headword and that one of
+        ``patterns`` matches.
+
+        Patterns are matched in groups of one (left, right) length: each
+        group's keys are sorted once and every position's key is looked up
+        in them with one ``np.searchsorted``."""
+        contexts: dict[Context, int] = {}
+        for pattern in patterns:
+            contexts.setdefault((pattern.left, pattern.right), len(contexts))
+        keys = {-1: self._context_keys(-1, [left for left, _ in contexts]),
+                1: self._context_keys(1, [right for _, right in contexts])}
+        positions, matched = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for (left, right), c in contexts.items():
+            shapes.setdefault((len(left), len(right)), []).append(c)
+        for shape, members in shapes.items():
+            members = np.array(members)
+            usable = np.ones(len(members), dtype=bool)
+            slot_keys = wanted_keys = 0
+            sides = [(side, n) for side, n in zip((-1, 1), shape) if n]
+            for side, n in sides:
+                level_keys, _, count = self._level(side, n)
+                usable &= keys[side][members] >= 0
+                slot_keys = slot_keys * count + level_keys
+                wanted_keys = wanted_keys * count + keys[side][members]
+            order = np.argsort(wanted_keys[usable])
+            if not len(order):
                 continue
-            lefts = [lowers[v - l:v] for l in range(min(max_left, v) + 1)]
-            rights = [lowers[v + 1:v + 1 + r] for r in range(min(max_right + 1, len(lowers) - v))]
-            hits = [pid for left in lefts for right in rights
-                    for pid in wanted.get((left, right), ())]
-            if hits:
-                yield informal, formal, entry_id, v, hits
+            wanted_keys, members = wanted_keys[usable][order], members[usable][order]
+            found, hit = _find(wanted_keys, slot_keys)
+            at = np.flatnonzero(hit)
+            # A slot lacking the context on one side (key -1) can still
+            # combine into a wanted key.
+            ok = self.free[at]
+            for side, n in sides:
+                ok &= self._level(side, n)[0][at] >= 0
+            positions.append(at[ok])
+            matched.append(members[found[at[ok]]])
+        position, context = np.concatenate(positions), np.concatenate(matched)
+        order = np.argsort(position, kind="stable")
+        return _Matches(position[order], context[order], contexts)
+
+    def _tuple_codes(self, position: np.ndarray) -> np.ndarray:
+        """One number per (informal, formal) tuple of the slots at ``position``."""
+        return self.headword[self.row[position]] * len(self.words) + self.ids[position]
+
+    def _pool_codes(self, tuple_pool: set[tuple[str, str]]) -> np.ndarray:
+        """Sorted codes of the pooled tuples that a slot of the corpus can hold."""
+        return _distinct(np.array(
+            [self.headword_ids[i] * len(self.words) + self.vocab[f] for i, f in tuple_pool
+             if i in self.headword_ids and f in self.vocab], dtype=np.int64))
+
+    def pattern_stats(
+        self,
+        matches: _Matches,
+        patterns: Iterable[tuple[str, SurfacePattern]],
+        tuple_pool: set[tuple[str, str]],
+    ) -> dict[str, PatternStats]:
+        """RlogF statistics per pattern id over the distinct tuples it extracts."""
+        tuples, tuple_of = np.unique(self._tuple_codes(matches.position), return_inverse=True)
+        pairs = _distinct(matches.context * len(tuples) + tuple_of)
+        context_of, tuple_of = np.divmod(pairs, len(tuples))
+        pooled = _find(self._pool_codes(tuple_pool), tuples)[1][tuple_of]
+        extracted = np.bincount(context_of, minlength=len(matches.contexts)).tolist()
+        recovered = np.bincount(context_of[pooled], minlength=len(matches.contexts)).tolist()
+        stats: dict[str, PatternStats] = {}
+        for pid, pattern in patterns:
+            c = matches.contexts[(pattern.left, pattern.right)]
+            stats[pid] = PatternStats(pattern, recovered[c], extracted[c],
+                                      rlogf(recovered[c], extracted[c]))
+        return stats
+
+    def candidates(self, matches: _Matches, pools: Pools) -> list[TupleStats]:
+        """Unpooled tuples extracted by pooled patterns, in order of first site."""
+        pooled: dict[int, list[str]] = {}
+        for pid, pattern in pools.pattern_pool.items():
+            if (c := matches.contexts.get((pattern.left, pattern.right))) is not None:
+                pooled.setdefault(c, []).append(pid)
+        is_pooled = np.zeros(len(matches.contexts), dtype=bool)
+        is_pooled[list(pooled)] = True
+        codes = self._tuple_codes(matches.position)
+        keep = is_pooled[matches.context] & ~_find(self._pool_codes(pools.tuple_pool), codes)[1]
+        position, context, codes = matches.position[keep], matches.context[keep], codes[keep]
+        _, first, tuple_of = np.unique(codes, return_index=True, return_inverse=True)
+        # Hits are ordered by position, so each site's first hit starts a run.
+        sites = np.bincount(tuple_of[np.diff(position, prepend=-1) != 0], minlength=len(first))
+        at = position[first]
+        stats = [TupleStats(self.informals[row], self.words[formal], set(), n, self.entry_ids[row])
+                 for row, formal, n in zip(self.row[at].tolist(), self.ids[at].tolist(),
+                                           sites.tolist())]
+        pairs = _distinct(tuple_of * len(matches.contexts) + context)
+        for t, c in zip(*(a.tolist() for a in np.divmod(pairs, len(matches.contexts)))):
+            stats[t].matching_patterns.update(pooled[c])
+        return [stats[t] for t in np.argsort(first).tolist()]
 
 
-def _pattern_stats(
-    sites: Iterable[Site], patterns: Iterable[tuple[str, SurfacePattern]], tuple_pool: set
-) -> dict[str, PatternStats]:
-    """RlogF statistics per pattern id over the distinct tuples it extracts."""
-    extracted: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
-    for informal, formal, _, _, hits in sites:
-        for pid in hits:
-            extracted[pid].add((informal, formal))
-    stats: dict[str, PatternStats] = {}
-    for pid, pattern in patterns:
-        matches, found = len(extracted[pid] & tuple_pool), len(extracted[pid])
-        stats[pid] = PatternStats(pattern, matches, found, rlogf(matches, found))
-    return stats
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.  ``np.unique`` asked for no more than these
+    imports ``numpy.ma`` on first use, about 10 ms and 1.3 MiB."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
-def _candidates(sites: Iterable[Site], pools: Pools) -> list[TupleStats]:
-    """Unpooled tuples extracted by pooled patterns, in order of first site."""
-    stats: dict[tuple[str, str], TupleStats] = {}
-    for informal, formal, entry_id, _, hits in sites:
-        pooled = [pid for pid in hits if pid in pools.pattern_pool]
-        if not pooled or (informal, formal) in pools.tuple_pool:
-            continue
-        st = stats.setdefault((informal, formal), TupleStats(informal, formal, set(), 0, entry_id))
-        st.matching_patterns.update(pooled)
-        st.occurrence_count += 1
-    return list(stats.values())
+def _find(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each value in the sorted, distinct ``table``, and whether it is there."""
+    if not len(table):
+        return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=bool)
+    at = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    return at, table[at] == values
 
 
 def score_pattern(pattern: SurfacePattern, pools: Pools, corpus: Corpus) -> PatternStats:
     """Score one pattern with RlogF over the distinct tuples it extracts."""
-    wanted = [(pattern.pattern_id, pattern)]
-    sites = _sweep(_lowered_rows(corpus), wanted)
-    return _pattern_stats(sites, wanted, pools.tuple_pool)[pattern.pattern_id]
+    index = _ContextIndex(corpus)
+    stats = index.pattern_stats(index.match([pattern]), [(pattern.pattern_id, pattern)],
+                                pools.tuple_pool)
+    return stats[pattern.pattern_id]
 
 
 def match_tuples(pools: Pools, corpus: Corpus) -> list[TupleStats]:
@@ -289,7 +441,8 @@ def match_tuples(pools: Pools, corpus: Corpus) -> list[TupleStats]:
     """
     if not pools.pattern_pool:
         raise ValueError("empty pool")
-    return _candidates(_sweep(_lowered_rows(corpus), pools.pattern_pool.items()), pools)
+    index = _ContextIndex(corpus)
+    return index.candidates(index.match(pools.pattern_pool.values()), pools)
 
 
 def apply_constraints(
@@ -338,17 +491,24 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
     pools = Pools(tuple_pool=set(seeds), pattern_pool={}, seeds=seeds)
     pairs: list[VariantPair] = []
     trace: list[dict] = []
-    rows = _lowered_rows(corpus)
+    index = _ContextIndex(corpus)
+    labelled: set[tuple[str, int]] = set()
+    generated: dict[str, SurfacePattern] = {}
 
     for iteration in range(1, config.max_iterations + 1):
-        occurrences = label_occurrences(corpus, pools)
-        fresh = [p for p in generate_patterns(corpus, occurrences, config.window)
-                 if p.pattern_id not in pools.pattern_pool]
-        # One sweep serves pattern scoring, pool-match counts and tuple
-        # matching: the tuple pool only changes at the end of the round.
+        # The pools only grow, so the occurrences do too, and each round
+        # harvests patterns around its new ones only.  The order of ``fresh``
+        # does not reach the results: promotion sorts by score, then id.
+        new = [o for o in label_occurrences(corpus, pools) if o not in labelled]
+        labelled.update(new)
+        for pattern in generate_patterns(corpus, new, config.window):
+            generated.setdefault(pattern.pattern_id, pattern)
+        fresh = [p for pid, p in generated.items() if pid not in pools.pattern_pool]
+        # One matching pass serves pattern scoring, pool-match counts and
+        # tuple matching: the tuple pool only changes at the end of the round.
         wanted = [*((p.pattern_id, p) for p in fresh), *pools.pattern_pool.items()]
-        sites = list(_sweep(rows, wanted))
-        pattern_stats = _pattern_stats(sites, wanted, pools.tuple_pool)
+        matches = index.match(p for _, p in wanted)
+        pattern_stats = index.pattern_stats(matches, wanted, pools.tuple_pool)
         scored = [pattern_stats[p.pattern_id] for p in fresh]
         max_pattern = max((st.score for st in scored), default=0.0)
         accepted_patterns: list[PatternStats] = []
@@ -362,7 +522,7 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
         accepted_tuples: list[TupleStats] = []
         if pools.pattern_pool:
             pool_match_counts = {pid: pattern_stats[pid].pool_matches for pid in pools.pattern_pool}
-            candidates = apply_constraints(_candidates(sites, pools), config.stopwords,
+            candidates = apply_constraints(index.candidates(matches, pools), config.stopwords,
                                            config.levenshtein_tau, config.strict_constraint)
             for candidate in candidates:
                 score_tuple(candidate, pool_match_counts, config.use_tuple_count_variant)

@@ -320,10 +320,11 @@ def evaluate_pairs(
 
 
 def load_vocab(path: str | Path) -> frozenset[str]:
-    """Read one word per line, case-folded; blank lines are skipped."""
+    """Read one word per line, case-folded; ``#`` comments and blank lines
+    are skipped."""
     words: set[str] = set()
     for _, line in read_lines(path):
-        if word := line.strip():
+        if (word := line.strip()) and not word.startswith("#"):
             words.add(word.casefold())
     return frozenset(words)
 

@@ -642,6 +642,20 @@ class TestSweepAgainstOracle:
             expected = oracle_score_pattern(pattern, pools, corpus)
             assert score_pattern(pattern, pools, corpus) == expected
 
+    # Three words a, b, c: packed as (first key) * 3 + (second key), a
+    # context with a word the corpus lacks (-1) or a slot lacking the right
+    # context (-1) lands on another context's number.
+    @pytest.mark.parametrize("rows, pattern", [
+        ((("h", "a b c"),), SurfacePattern(left=(), right=("c", "nope"))),
+        ((("h", "a b c"), ("g", "b a")), SurfacePattern(left=("a",), right=("c",))),
+    ], ids=["unknown-word", "no-right-context"])
+    def test_missing_context_never_matches(self, rows, pattern):
+        corpus = make_corpus(*rows)
+        pools = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
+                      seeds=frozenset())
+        assert score_pattern(pattern, pools, corpus) == oracle_score_pattern(pattern, pools, corpus)
+        assert match_tuples(pools, corpus) == oracle_match_tuples(pools, corpus)
+
     def test_pattern_longer_than_every_definition(self):
         corpus = make_corpus(("x", "a b c"), ("y", "a b c d"))
         pattern = SurfacePattern(left=("a", "b", "c", "d"), right=("e",))
@@ -696,7 +710,7 @@ class TestBootstrapRunAgainstOracle:
         result = self._check(fixture.corpus, _fixture_config(fixture))
         assert result.pairs
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_varied_contexts(self, seed):
         corpus, seeds = varied_corpus(seed)
         config = BootstrapConfig(
@@ -706,3 +720,72 @@ class TestBootstrapRunAgainstOracle:
         result = self._check(corpus, config)
         assert len(result.trace) >= 2
         assert len(result.pools.pattern_pool) > 3
+
+
+# --- Exactness where packed context keys would overflow an int64 ---
+
+LEFT, RIGHT = ("la", "lb", "lc", "ld", "le"), ("ra", "rb", "rc", "rd", "re")
+
+
+@pytest.fixture(scope="module")
+def wide_corpus():
+    """72,000 filler words, each used once, come first, so the planted words
+    have ids past 70,000, where ``id ** 4`` no longer fits an int64."""
+    filler = [f"f{i}" for i in range(72_000)]
+    rows = [(f"h{k}", " ".join(filler[k * 8:k * 8 + 8])) for k in range(9_000)]
+    left, right = " ".join(LEFT), " ".join(RIGHT)
+    for k in range(4):
+        rows += [(f"i{k}", f"{left} w{k}"), (f"i{k}", f"w{k} {right}"),
+                 (f"j{k}", f"{left} v{k} {right}")]
+    rows += [
+        ("i8", f"lz {' '.join(LEFT[1:])} w8"),  # four of the five left words
+        ("i9", f"w9 {' '.join(RIGHT[:4])} rz"),
+        ("x", f"pre {left} v8 {right} post"),
+        ("i0", f"{left} i0 {right}"),  # the headword's own slot
+    ]
+    return make_corpus(*rows)
+
+
+WIDE_PATTERNS = (
+    SurfacePattern(LEFT, RIGHT),
+    SurfacePattern(LEFT, ()),
+    SurfacePattern((), RIGHT),
+    SurfacePattern(LEFT[1:], RIGHT[:2]),
+    SurfacePattern(LEFT[4:], ()),
+    SurfacePattern(("f71992", "f71993"), ("f71995",)),
+    # Longer than the window of five, one reaching past a definition's start.
+    SurfacePattern(("pre", *LEFT), (*RIGHT, "post")),
+    SurfacePattern(("f0", "pre", *LEFT), ()),
+    # Words the corpus never holds.
+    SurfacePattern(("nope", *LEFT[1:]), ()),
+    SurfacePattern((), (*RIGHT[:4], "nope")),
+)
+
+
+class TestWideVocabularyAgainstOracle:
+    def test_vocabulary_is_wide(self, wide_corpus):
+        words = {tok.lower for entry in wide_corpus for tok in entry.definition}
+        assert len(words) > 70_000
+
+    @pytest.mark.parametrize("pattern", WIDE_PATTERNS, ids=lambda p: p.pattern_id)
+    def test_score_pattern(self, wide_corpus, pattern):
+        pools = Pools(tuple_pool={("i0", "w0"), ("i1", "w1"), ("j0", "v0"), ("h8999", "f71994")},
+                      pattern_pool={}, seeds=frozenset())
+        expected = oracle_score_pattern(pattern, pools, wide_corpus)
+        assert score_pattern(pattern, pools, wide_corpus) == expected
+
+    def test_match_tuples(self, wide_corpus):
+        pools = Pools(tuple_pool={("i0", "w0")},
+                      pattern_pool={p.pattern_id: p for p in WIDE_PATTERNS}, seeds=frozenset())
+        expected = oracle_match_tuples(pools, wide_corpus)
+        assert len(expected) >= 8
+        assert match_tuples(pools, wide_corpus) == expected
+
+    def test_bootstrap_run(self, wide_corpus):
+        config = BootstrapConfig(seeds=(("i0", "w0"), ("i1", "w1")), max_iterations=3,
+                                 window=5, top_n_patterns=3)
+        result = bootstrap_run(wide_corpus, config)
+        pools, pairs, trace = oracle_bootstrap_run(wide_corpus, config)
+        assert (result.pairs, result.trace) == (pairs, trace)
+        assert result.pools == pools
+        assert len(result.pools.pattern_pool) >= 3 and result.pairs

@@ -135,6 +135,15 @@ class TestExtractBootstrap:
         assert code == 1
         assert str(ghost) in capsys.readouterr().err
 
+    def test_undecodable_seeds_name_file_and_line(self, tmp_path, planted, capsys):
+        seeds = tmp_path / "seeds.tsv"
+        seeds.write_bytes((planted / "seeds.tsv").read_bytes() + b"caf\xff\tcafe\n")
+        code = main(["extract", "--method", "bootstrap",
+                     "--corpus", str(planted / "corpus.jsonl"),
+                     "--seeds", str(seeds), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {seeds}: line 4: not UTF-8: byte 0xff\n"
+
     def test_out_of_range_alpha(self, tmp_path, planted, capsys):
         code = main(["extract", "--method", "bootstrap", "--alpha", "0.2",
                      "--corpus", str(planted / "corpus.jsonl"),
@@ -833,7 +842,8 @@ class TestStartup:
 
 # Imports the CLI in a fresh interpreter, installs the benchmark's span
 # recorder (which wraps program names by attribute and fails on a missing
-# one), runs a small self-training extraction and prints the traced calls.
+# one), runs a small self-training and a bootstrap extraction on the stock
+# fixtures and prints the traced calls.
 _TRACER_CHILD = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -847,6 +857,10 @@ assert spellvar.cli.main([
     "extract", "--method", "selftrain", "--corpus", out + "/st/unlabeled.jsonl",
     "--gold-corpus", out + "/st/gold.jsonl", "--gold-tags", out + "/st/gold.tags",
     "--iterations", "1", "--l1", "0.02", "--l2", "0.03", "--out", out + "/x"]) == 0
+assert spellvar.cli.main(["gen-synthetic", "--kind", "bootstrap", "--out", out + "/bs"]) == 0
+assert spellvar.cli.main([
+    "extract", "--method", "bootstrap", "--corpus", out + "/bs/corpus.jsonl",
+    "--seeds", out + "/bs/seeds.tsv", "--out", out + "/y"]) == 0
 print(json.dumps(tracer.self_times(recorder.spans)[1]))
 """
 
@@ -859,7 +873,11 @@ def test_benchmark_tracer_finds_every_name(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     calls = json.loads(child.stdout.splitlines()[-1])
-    # Training reaches the wrapped names through its module's globals.
+    # Training and bootstrapping reach the wrapped names through their
+    # modules' globals.
     for name in ("crf.train.train", "crf.objective.encode_dataset",
-                 "crf.objective.log_likelihood_and_gradient", "crf.optimizer.minimize"):
+                 "crf.objective.log_likelihood_and_gradient", "crf.optimizer.minimize",
+                 "corpus.load_jsonl", "bootstrap.bootstrap_run", "bootstrap.label_occurrences",
+                 "bootstrap.generate_patterns", "bootstrap.apply_constraints",
+                 "bootstrap.score_tuple"):
         assert calls.get(name, 0) >= 1, name

@@ -74,6 +74,14 @@ class TestTokenize:
         for i, tok in enumerate(tokenize(text)):
             assert tok.head == i
 
+    def test_shared_tokens_are_built_once(self):
+        built = {}
+        first, second = tokenize("way of saying", built), tokenize("way to say", built)
+        assert first == tokenize("way of saying") and second == tokenize("way to say")
+        assert first[0] is second[0]
+        assert first[1] is not second[1]
+        assert tokenize("say way", built)[1] is not first[0]  # another position
+
 
 class TestLoadJsonl:
     def _write(self, tmp_path, lines):
@@ -214,6 +222,13 @@ class TestAnnotate:
         for tok in corpus.entries[0].definition:
             assert tok.upos != "_"
             assert tok.lemma != "_"
+
+    def test_fallback_changes_only_annotation_fields(self):
+        entry = make_entry("w", "The 8 walking Dogs")
+        annotated = annotate(Corpus(entries=(entry,))).entries[0].definition
+        for i, (old, new) in enumerate(zip(entry.definition, annotated)):
+            expected = replace(old, lemma=old.lower, upos=new.upos, xpos="_", dep="_", head=i)
+            assert new == expected
 
     def test_idempotent(self):
         once = annotate(make_corpus(("w", "another way of saying your")))
@@ -378,3 +393,30 @@ class TestWordLists:
         path.write_text("solo\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="line 1"):
             read_seed_pairs(path)
+
+
+# Each loader with two good lines and what it makes of them.
+LOADERS = {
+    "corpus": (load_jsonl, [b'{"word": "ur", "definition": "your"}\n'] * 2,
+               lambda corpus: [e.headword for e in corpus]),
+    "stopwords": (load_stopwords, [b"the\n", b"of\n"], sorted),
+    "seeds": (read_seed_pairs, [b"aye\tyes\n", b"ur\tyour\n"], list),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+class TestLoaderEncoding:
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, name):
+        load, lines, _ = LOADERS[name]
+        path = tmp_path / name
+        path.write_bytes(lines[0] * 2000 + lines[1][:1] + b"\xff" + lines[1][1:] + lines[0])
+        with pytest.raises(CorpusFormatError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: line 2001: not UTF-8: byte 0xff"
+
+    def test_byte_order_mark_dropped(self, tmp_path, name):
+        load, lines, view = LOADERS[name]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(b"".join(lines))
+        marked.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))
+        assert view(load(marked)) == view(load(plain))

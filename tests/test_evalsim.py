@@ -493,6 +493,11 @@ class TestLoadVocab:
         path.write_text("Mate\nyes\n\nmate\n", encoding="utf-8")
         assert load_vocab(path) == frozenset({"mate", "yes"})
 
+    def test_comment_lines_skipped(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("# formal words\nmate\n  # indented comment\nyes\n", encoding="utf-8")
+        assert load_vocab(path) == frozenset({"mate", "yes"})
+
 
 class TestPearson:
     def test_hand_computed_example(self):
