@@ -332,22 +332,21 @@ def annotate(
 def _parse_conllu_blocks(path: str | Path) -> list[list[list[str]]]:
     blocks: list[list[list[str]]] = []
     current: list[list[str]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current:
-                    blocks.append(current)
-                    current = []
-                continue
-            if line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) != 10:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: expected 10 tab-separated columns, got {len(columns)}"
-                )
-            current.append(columns)
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        if line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        if len(columns) != 10:
+            raise CorpusFormatError(
+                f"{path}: line {line_no}: expected 10 tab-separated columns, got {len(columns)}"
+            )
+        current.append(columns)
     if current:
         blocks.append(current)
     return blocks

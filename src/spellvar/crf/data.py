@@ -9,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from spellvar.corpus import CorpusFormatError
+from spellvar.corpus import CorpusFormatError, read_lines
 
 TAGS = ("I", "O")
 
@@ -27,24 +27,21 @@ def read_labeled_file(path: str | Path) -> list[LabeledBlock]:
             surfaces.clear()
             tags.clear()
 
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: expected 'surface<TAB>tag'"
-                )
-            surface, tag = parts
-            if tag not in TAGS:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: tag must be one of {TAGS}, got {tag!r}"
-                )
-            surfaces.append(surface)
-            tags.append(tag)
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CorpusFormatError(f"{path}: line {line_no}: expected 'surface<TAB>tag'")
+        surface, tag = parts
+        if tag not in TAGS:
+            raise CorpusFormatError(
+                f"{path}: line {line_no}: tag must be one of {TAGS}, got {tag!r}"
+            )
+        surfaces.append(surface)
+        tags.append(tag)
     flush()
     return blocks
 

@@ -4,6 +4,14 @@ The tagger has exactly two labels, I and O (``LABELS`` in
 :mod:`spellvar.crf.model`; ``load_model`` rejects any other set), and the
 kernel is written for them.
 
+Features reach the kernel as integer ids.  :class:`FeatureIds` interns each
+feature string once per run, in first-seen order, and keeps a position's
+distinct features as ids in listed order (:class:`IdSequences`); the
+strings themselves are not kept.  A model's id-to-column array then turns
+any set of sequences into a :class:`Batch` with one ``np.take``: a table of
+feature columns, positions in sequence order, known columns first in listed
+order and features the model lacks dropped.
+
 Sequences are padded to the longest one and laid out time-major and
 label-major: arrays are (positions, labels, sequences), so that each step of
 a recursion reads and writes rows as long as the batch.  Callers see
@@ -12,8 +20,11 @@ batch-major views (sequences, positions, labels) of those arrays.
 Emission scores of a whole batch are one gather of weight rows and one
 ordered sum, put into the padded layout.
 
-Forward and backward recursions run in one loop, step t of the one beside
-step width-1-t of the other, since both are one binary
+The forward and the backward recursion run separately (:func:`forward`,
+:func:`backward`), since neither reads the other's messages: the log
+partition needs only the forward pass, so training gets the objective's value
+without the backward pass, and decoding gets posteriors without the
+pairwise term of :func:`expected_transitions`.  Each step is one binary
 ``np.logaddexp(x0 + m0, x1 + m1)`` over the two labels of the neighbouring
 position.  That equals, bit for bit, the ``np.logaddexp.reduce`` over a
 length-2 axis that a general-label kernel uses: a reduce without an initial
@@ -33,13 +44,17 @@ and runs the kernel on chunks of them instead of on one batch padded to the
 longest entry of the corpus.  That changes no bit of a sequence's results:
 every value at a real position is computed from that sequence's own cells,
 extra padding columns only add cells that no real position reads, and the
-trailing zero slots of a wider feature table add +0.0 to a sum that started
+trailing pad slots of a wider feature table add +0.0 to a sum that started
 from +0.0, which is never -0.0, so x + 0.0 == x.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from array import array
+from collections import defaultdict
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +63,96 @@ _LABEL_ROWS = np.arange(2)[:, None]
 # Back-pointer of a padded position: each label points at itself, so the
 # backtrace repeats a sequence's last label through its padding.
 _SELF = np.array([[False], [True]])
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``range(start, start + size)`` of each pair, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
+
+
+class FeatureIds:
+    """Feature strings interned to integer ids in first-seen order."""
+
+    def __init__(self) -> None:
+        self._ids: defaultdict[str, int] = defaultdict()
+        # A missing string gets the next id.
+        self._ids.default_factory = self._ids.__len__
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def intern(self, sequences: Iterable[Sequence[Sequence[str]]]) -> IdSequences:
+        """Each position's distinct features as ids, in listed order.  The
+        sequences are read one at a time, so a generator's feature lists can
+        be dropped as soon as they are interned."""
+        new_id = self._ids.__getitem__
+        ids, counts, lengths = array("i"), array("i"), array("i")
+        for features in sequences:
+            distinct = list(map(dict.fromkeys, features))
+            counts.extend(map(len, distinct))
+            ids.extend(map(new_id, chain.from_iterable(distinct)))
+            lengths.append(len(features))
+        return IdSequences(self, *(np.frombuffer(a, dtype=np.int32) for a in (ids, counts, lengths)))
+
+    def names(self) -> list[str]:
+        """The interned strings, indexed by id."""
+        return list(self._ids)
+
+    def columns(self, feature_index: Mapping[str, int]) -> np.ndarray:
+        """The column of ``feature_index`` of every id; ``len(feature_index)``,
+        the pad column, for a feature it lacks."""
+        pad = len(feature_index)
+        return np.fromiter(map(feature_index.get, self._ids, repeat(pad)), dtype=np.intp,
+                           count=len(self._ids))
+
+
+def intern(sequences: Iterable[Sequence[Sequence[str]]]) -> IdSequences:
+    """Feature lists interned on their own, for callers holding strings."""
+    return FeatureIds().intern(sequences)
+
+
+class IdSequences:
+    """Sequences of positions, each a run of distinct feature ids of
+    ``vocabulary``: ``ids`` holds every position's ids in order, ``counts``
+    how many each position has, ``lengths`` the positions of each sequence
+    and ``starts`` the index of each sequence's first position."""
+
+    def __init__(self, vocabulary: FeatureIds, ids: np.ndarray, counts: np.ndarray,
+                 lengths: np.ndarray) -> None:
+        self.vocabulary = vocabulary
+        self.ids = ids
+        self.counts = counts
+        self.lengths = lengths
+        self.starts = np.cumsum(lengths) - lengths
+        self._id_starts = np.cumsum(counts) - counts
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def positions(self, order: np.ndarray) -> np.ndarray:
+        """Flat indices of the positions of the sequences in ``order``."""
+        return _ranges(self.starts[order], self.lengths[order])
+
+    def take(self, order: Sequence[int] | np.ndarray) -> IdSequences:
+        """The sequences at ``order``, in that order."""
+        order = np.asarray(order, dtype=np.intp)
+        positions = self.positions(order)
+        counts = self.counts[positions]
+        return IdSequences(self.vocabulary, self.ids[_ranges(self._id_starts[positions], counts)],
+                           counts, self.lengths[order])
+
+    def encode(self, columns: np.ndarray, n_columns: int) -> Batch:
+        """The batch of these sequences under the id-to-column array
+        ``columns``, whose value ``n_columns`` marks a feature to drop."""
+        mapped = columns.take(self.ids)
+        known = mapped < n_columns
+        kept = np.concatenate(([0], np.cumsum(known)))
+        per_position = kept[self._id_starts + self.counts] - kept[self._id_starts]
+        slots = np.full((per_position.max(initial=0), len(self.counts)), n_columns,
+                        dtype=np.intp)
+        slots.T[np.arange(len(slots)) < per_position[:, None]] = mapped[known]
+        return Batch(slots, self.lengths.astype(int))
 
 
 def time_major(values: np.ndarray) -> np.ndarray:
@@ -65,11 +170,7 @@ class Padding:
     labels.  The id arrays address flat (positions, labels, sequences)
     arrays: ``real_ids`` the two labels of each real position, in sequence
     order, and ``last_ids`` those of each sequence's last position (its
-    first when empty).  The ``chain_*`` ids address the (positions, 2, labels,
-    sequences) buffer of :func:`forward_backward`: each sequence's last
-    forward message, and the messages either side of every real step from
-    one position to the next, in sequence order; ``step_seqs`` holds each
-    such step's sequence.
+    first when empty).
     """
 
     def __init__(self, lengths: np.ndarray) -> None:
@@ -83,19 +184,17 @@ class Padding:
         seqs, positions = np.nonzero(self.mask)
         self.real_ids = (2 * n_seqs * positions + seqs)[:, None] + n_seqs * _LABEL_ROWS.T
         last = np.maximum(lengths, 1) - 1
-        every = np.arange(n_seqs)
-        self.last_ids = 2 * n_seqs * last + every + n_seqs * _LABEL_ROWS
-        later = positions > 0
-        steps, self.step_seqs = positions[later], seqs[later]
-        self.chain_last = 4 * n_seqs * last + every + n_seqs * _LABEL_ROWS
-        self.chain_prev = 4 * n_seqs * (steps - 1) + self.step_seqs + n_seqs * _LABEL_ROWS
-        self.chain_ahead = (4 * n_seqs * (width - 1 - steps) + 2 * n_seqs + self.step_seqs
-                            + n_seqs * _LABEL_ROWS)
+        self.last_ids = 2 * n_seqs * last + np.arange(n_seqs) + n_seqs * _LABEL_ROWS
 
-    def real(self, values: np.ndarray) -> np.ndarray:
-        """Rows of batch-major (sequences, positions, labels) ``values`` at the
-        real positions, in sequence order."""
-        return time_major(values).take(self.real_ids)
+    @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every real step from one position to the next, in sequence order:
+        the ids of the two labels at the position stepped from and at the
+        one stepped to, and the step's sequence."""
+        n_seqs = len(self.lengths)
+        seqs, positions = np.nonzero(self.mask[:, 1:])
+        from_ids = 2 * n_seqs * positions + seqs + n_seqs * _LABEL_ROWS
+        return from_ids, from_ids + 2 * n_seqs, seqs
 
 
 class Batch(Padding):
@@ -123,61 +222,63 @@ class Batch(Padding):
         return scores.transpose(2, 0, 1)
 
 
-def encode(sequences: Sequence[Sequence[Sequence[str]]], feature_index: dict[str, int]) -> Batch:
-    """Map each position's features to columns of ``feature_index``; unknown
-    features are dropped and a feature repeated within a position counts once."""
-    columns: list[int] = []
-    counts: list[int] = []
-    for features in sequences:
-        for feats in features:
-            known = [c for c in dict.fromkeys(map(feature_index.get, feats)) if c is not None]
-            columns.extend(known)
-            counts.append(len(known))
-    per_position = np.array(counts, dtype=np.intp)
-    table = np.full((len(counts), per_position.max(initial=0)), len(feature_index), dtype=np.intp)
-    table[np.arange(table.shape[1]) < per_position[:, None]] = columns
-    lengths = np.array([len(features) for features in sequences], dtype=int)
-    return Batch(np.ascontiguousarray(table.T), lengths)
-
-
-def forward_backward(
+def forward(
     emissions: np.ndarray, padding: Padding, transitions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each sequence's log partition, the posterior label probabilities at
-    every position (zero where padded), and the expected count of each
-    label transition summed over the batch."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forward messages, time-major, and each sequence's log partition."""
     scores = time_major(emissions)
-    width, _, n_seqs = scores.shape
-    # chain[k, 0] is the forward message at k, chain[k, 1] the backward one
-    # into width-2-k plus the scores at width-1-k (scores + beta).
-    chain = np.empty((width, 2, 2, n_seqs))
-    beta = np.zeros(scores.shape)
-    chain[0, 0] = scores[0]
-    np.add(scores[-1], beta[-1], out=chain[0, 1])
-    # Per direction, the transition weights from (forward) or into (backward)
-    # label I and label O, one row per label of the position stepped to.
-    from_i, from_o = np.array((transitions, transitions.T)).transpose(1, 0, 2)[:, :, :, None]
-    lae, add, copyto = np.logaddexp, np.add, np.copyto
-    for prev, cur, score_k, score_s, beta_s, live_next in zip(
-            chain, chain[1:], scores[1:], scores[-2::-1], beta[-2::-1], padding.live[:0:-1]):
-        step = lae(prev[:, :1] + from_i, prev[:, 1:] + from_o)
-        add(step[0], score_k, out=cur[0])
-        copyto(beta_s, step[1], where=live_next)
-        add(score_s, beta_s, out=cur[1])
-    final = chain.take(padding.chain_last)
-    log_z = lae(final[0], final[1])
+    alpha = np.empty(scores.shape)
+    alpha[0] = scores[0]
+    # Transition weights from label I and from label O, one row per label of
+    # the position stepped to.
+    from_i, from_o = transitions[:, :, None]
+    lae, add = np.logaddexp, np.add
+    for prev, cur, score in zip(alpha, alpha[1:], scores[1:]):
+        add(lae(prev[:1] + from_i, prev[1:] + from_o), score, out=cur)
+    final = alpha.take(padding.last_ids)
+    return alpha, lae(final[0], final[1])
 
+
+def backward(emissions: np.ndarray, padding: Padding, transitions: np.ndarray) -> np.ndarray:
+    """The backward messages, time-major: zero at each sequence's last
+    position and in its padding."""
+    scores = time_major(emissions)
+    beta = np.zeros(scores.shape)
+    # ``ahead`` holds scores + beta of the position after the one stepped to.
+    ahead = np.empty(scores.shape[1:])
+    np.add(scores[-1], beta[-1], out=ahead)
+    # Transition weights into label I and into label O, one row per label of
+    # the position stepped to.
+    into_i, into_o = transitions.T[:, :, None]
+    lae, add, copyto = np.logaddexp, np.add, np.copyto
+    for score, cur, live_next in zip(scores[-2::-1], beta[-2::-1], padding.live[:0:-1]):
+        copyto(cur, lae(ahead[:1] + into_i, ahead[1:] + into_o), where=live_next)
+        add(score, cur, out=ahead)
+    return beta
+
+
+def posteriors(
+    alpha: np.ndarray, beta: np.ndarray, log_z: np.ndarray, padding: Padding
+) -> np.ndarray:
+    """Posterior label probabilities at every position, time-major, zero
+    where padded."""
+    return np.exp(alpha + beta - log_z, out=np.zeros(beta.shape), where=padding.live)
+
+
+def expected_transitions(
+    emissions: np.ndarray, alpha: np.ndarray, beta: np.ndarray, log_z: np.ndarray,
+    padding: Padding, transitions: np.ndarray,
+) -> np.ndarray:
+    """The expected count of each label transition, summed over the batch."""
+    from_ids, to_ids, step_seqs = padding.steps
     # Pairwise posteriors of every real (t-1, t) step, shaped (label at t-1,
     # label at t, step) and copied step-major, so that the sum adds one step
     # after another in sequence order.
-    joint = chain.take(padding.chain_prev)[:, None, :] + transitions[:, :, None]
-    joint += chain.take(padding.chain_ahead)[None, :, :]
-    joint -= log_z.take(padding.step_seqs)
+    joint = alpha.take(from_ids)[:, None, :] + transitions[:, :, None]
+    joint += (time_major(emissions).take(to_ids) + beta.take(to_ids))[None, :, :]
+    joint -= log_z.take(step_seqs)
     np.exp(joint, out=joint)
-    expected_transitions = joint.reshape(4, -1).T.copy().sum(axis=0).reshape(2, 2)
-    posteriors = np.exp(chain[:, 0] + beta - log_z, out=np.zeros(beta.shape),
-                        where=padding.live)
-    return log_z, posteriors.transpose(2, 0, 1), expected_transitions
+    return joint.reshape(4, -1).T.copy().sum(axis=0).reshape(2, 2)
 
 
 def viterbi(

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from spellvar.crf.kernel import encode, forward_backward, viterbi
+from spellvar.crf.kernel import IdSequences, backward, forward, intern, posteriors, viterbi
 
 LABELS = ("I", "O")
 FORMAT_NAME = "spellvar-crf"
@@ -61,7 +61,10 @@ class CrfModel:
 
     def emission_scores(self, features: Sequence[Sequence[str]]) -> np.ndarray:
         """Sum state weights of the known features at each position."""
-        return encode([features], self.feature_index).emissions(self.state)[0, :len(features)]
+        sequences = intern([features])
+        batch = sequences.encode(sequences.vocabulary.columns(self.feature_index),
+                                 len(self.feature_index))
+        return batch.emissions(self.state)[0, :len(features)]
 
 
 #: Most padded positions (sequences x the longest of them) that one kernel
@@ -71,52 +74,57 @@ DECODE_CHUNK = 1 << 15
 
 
 def decode_batch(
-    model: CrfModel, sequences: Sequence[Sequence[Sequence[str]]]
-) -> list[tuple[list[str], float, list[dict[str, float]]]]:
-    """Best label path, its unnormalized score and the per-position posterior
-    label probabilities of every sequence, in input order.
+    model: CrfModel, sequences: IdSequences
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best label path of every sequence, as label indices at each real
+    position (sequences in input order, as ``sequences.ids`` lists them),
+    each path's unnormalized score, and the posterior probability of each
+    label (a row per real position, a column per label of ``LABELS``).
 
     Sequences are decoded shortest first, in chunks of at most
     :data:`DECODE_CHUNK` padded positions.  A sequence's results do not
     depend on its chunk: padding adds no term to its sums."""
-    order = sorted(range(len(sequences)), key=lambda k: len(sequences[k]))
-    results: list = [None] * len(sequences)
+    columns = sequences.vocabulary.columns(model.feature_index)
+    lengths = sequences.lengths.tolist()
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    n_positions = sum(lengths)
+    labels = np.empty(n_positions, dtype=int)
+    scores = np.empty(len(lengths))
+    probs = np.empty((n_positions, len(LABELS)))
     start = 0
     while start < len(order):
         stop = start + 1
-        while (stop < len(order)
-               and (stop + 1 - start) * len(sequences[order[stop]]) <= DECODE_CHUNK):
+        while stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= DECODE_CHUNK:
             stop += 1
         chunk = order[start:stop]
-        for k, result in zip(chunk, _decode_chunk(model, [sequences[k] for k in chunk])):
-            results[k] = result
+        batch = sequences.take(chunk).encode(columns, len(model.feature_index))
+        emissions = batch.emissions(model.state)
+        paths, scores[chunk] = viterbi(emissions, batch, model.transitions)
+        alpha, log_z = forward(emissions, batch, model.transitions)
+        beta = backward(emissions, batch, model.transitions)
+        real = sequences.positions(np.array(chunk))
+        labels[real] = paths[batch.mask]
+        probs[real] = posteriors(alpha, beta, log_z, batch).take(batch.real_ids)
         start = stop
-    return results
+    return labels, scores, probs
 
 
-def _decode_chunk(
-    model: CrfModel, sequences: Sequence[Sequence[Sequence[str]]]
-) -> list[tuple[list[str], float, list[dict[str, float]]]]:
-    batch = encode(sequences, model.feature_index)
-    emissions = batch.emissions(model.state)
-    paths, scores = viterbi(emissions, batch, model.transitions)
-    _, probs, _ = forward_backward(emissions, batch, model.transitions)
-    return [
-        ([LABELS[i] for i in path[:n]], score, [dict(zip(LABELS, row)) for row in rows[:n]])
-        for path, score, rows, n in zip(paths.tolist(), scores.tolist(), probs.tolist(),
-                                        batch.lengths.tolist())
-    ]
+def _decode_one(
+    model: CrfModel, features: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return decode_batch(model, intern([features]))
 
 
 def viterbi_decode(model: CrfModel, features: Sequence[Sequence[str]]) -> tuple[list[str], float]:
     """Best label path and its unnormalized score; ties resolve toward O."""
-    labels, score, _ = decode_batch(model, [features])[0]
-    return labels, score
+    labels, scores, _ = _decode_one(model, features)
+    return [LABELS[i] for i in labels.tolist()], float(scores[0])
 
 
 def marginals(model: CrfModel, features: Sequence[Sequence[str]]) -> list[dict[str, float]]:
     """Per-position posterior label probabilities via forward-backward."""
-    return decode_batch(model, [features])[0][2]
+    _, _, probs = _decode_one(model, features)
+    return [dict(zip(LABELS, row)) for row in probs.tolist()]
 
 
 def save_model(model: CrfModel, path: str | Path) -> None:

@@ -5,6 +5,10 @@ direction comes from the standard two-loop recursion over recent (s, y)
 pairs; when ``l1 > 0`` the gradient is replaced by the pseudo-gradient and
 iterates are projected back onto the orthant chosen at the start of each
 line search, which is what makes exactly-zero coordinates reachable.
+
+The objective returns its value with a function that completes its
+gradient, and the gradient is completed only at the starting point and at
+accepted steps: a trial point the line search rejects costs the value alone.
 """
 
 from __future__ import annotations
@@ -69,21 +73,23 @@ def _two_loop(
 
 
 def minimize(
-    fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun_grad: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],
     x0: np.ndarray,
     l1: float = 0.0,
     max_iterations: int = 200,
     tolerance: float = 1e-5,
     memory: int = 10,
 ) -> OptimResult:
-    """Minimize ``fun_grad`` (smooth value and gradient) plus an L1 term.
+    """Minimize ``fun_grad`` (smooth value, and a function returning its
+    gradient at the same point) plus an L1 term.
 
     Accepted iterates never increase the penalized objective; convergence is
     declared when the max-norm of the (pseudo-)gradient drops below
     ``tolerance``.  Raises on non-finite objective values.
     """
     x = np.array(x0, dtype=float)
-    f, grad = fun_grad(x)
+    f, gradient = fun_grad(x)
+    grad = gradient()
     if not np.isfinite(f) or not np.all(np.isfinite(grad)):
         raise ValueError("objective is not finite at the starting point")
     penalized = f + l1 * float(np.abs(x).sum())
@@ -119,7 +125,7 @@ def minimize(
             x_new = x + alpha * direction
             if l1 > 0.0:
                 np.copyto(x_new, 0.0, where=x_new * orthant < 0)
-            f_new, grad_new = fun_grad(x_new)
+            f_new, gradient_new = fun_grad(x_new)
             penalized_new = f_new + l1 * float(np.abs(x_new).sum())
             s = x_new - x
             step = float(pseudo.dot(s))
@@ -134,6 +140,7 @@ def minimize(
         if not accepted:
             break
 
+        grad_new = gradient_new()
         y = grad_new - grad
         sy = float(s.dot(y))
         if sy > 1e-10:

@@ -2,18 +2,29 @@
 
 Training sequences are encoded once into one table of feature columns per
 position, so emission scores are one gather-and-sum and expected feature
-counts one scatter-add, and the penalized log-likelihood's forward-backward
-runs over all sequences at once in :mod:`spellvar.crf.kernel`.
+counts one scatter-add, and the penalized log-likelihood's recursions run
+over all sequences at once in :mod:`spellvar.crf.kernel`.  The value needs
+only the forward pass; the gradient's backward pass can be left to a
+function that the optimizer calls only for the points it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from spellvar.crf.kernel import Batch, encode, forward_backward, time_major
+from spellvar.crf.kernel import (
+    Batch,
+    IdSequences,
+    backward,
+    expected_transitions,
+    forward,
+    intern,
+    posteriors,
+    time_major,
+)
 from spellvar.crf.model import LABELS, CrfModel
 from spellvar.crf.optimizer import minimize
 
@@ -61,21 +72,30 @@ class EncodedDataset(Batch):
         return totals.astype(float, copy=False).reshape(self.n_features, self.n_labels)
 
 
-def encode_dataset(
-    data: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]],
-) -> EncodedDataset:
-    """Index features in first-seen order and flatten sequences to arrays."""
-    if not data:
+class TaggedIds(NamedTuple):
+    """Interned training sequences and their tags, one tag sequence each."""
+
+    sequences: IdSequences
+    tags: Sequence[Sequence[str]]
+
+
+TrainingData = Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]] | TaggedIds
+
+
+def encode_dataset(data: TrainingData) -> EncodedDataset:
+    """Index features in first-seen order and flatten sequences to arrays;
+    (features, tags) pairs of strings are interned first."""
+    if not isinstance(data, TaggedIds):
+        data = TaggedIds(intern(features for features, _ in data), [tags for _, tags in data])
+    if not len(data.sequences):
         raise ValueError("no training data")
     label_index = {label: i for i, label in enumerate(LABELS)}
     gold: list[int] = []
     transition_counts = np.zeros((len(LABELS), len(LABELS)))
-    for features, tags in data:
-        if len(features) != len(tags):
-            raise ValueError(
-                f"sequence has {len(features)} feature lists but {len(tags)} tags"
-            )
-        if len(features) == 0:
+    for length, tags in zip(data.sequences.lengths.tolist(), data.tags):
+        if length != len(tags):
+            raise ValueError(f"sequence has {length} feature lists but {len(tags)} tags")
+        if length == 0:
             raise ValueError("empty sequences are not trainable")
         for tag in tags:
             if tag not in label_index:
@@ -84,10 +104,14 @@ def encode_dataset(
         np.add.at(transition_counts, (current[:-1], current[1:]), 1)
         gold.extend(current)
 
-    sequences = [features for features, _ in data]
-    seen = dict.fromkeys(f for features in sequences for feats in features for f in feats)
-    feature_index = {feature: column for column, feature in enumerate(seen)}
-    return EncodedDataset(encode(sequences, feature_index), feature_index,
+    sequences = data.sequences
+    ids, first = np.unique(sequences.ids, return_index=True)
+    seen = ids[np.argsort(first)]
+    columns = np.full(len(sequences.vocabulary), len(seen), dtype=np.intp)
+    columns[seen] = np.arange(len(seen))
+    names = sequences.vocabulary.names()
+    feature_index = {names[i]: column for column, i in enumerate(seen.tolist())}
+    return EncodedDataset(sequences.encode(columns, len(seen)), feature_index,
                           np.array(gold, dtype=int), transition_counts)
 
 
@@ -99,25 +123,35 @@ def unpack_weights(weights: np.ndarray, dataset: EncodedDataset) -> tuple[np.nda
 
 
 def log_likelihood_and_gradient(
-    weights: np.ndarray, dataset: EncodedDataset, l2: float = 0.0
-) -> tuple[float, np.ndarray]:
+    weights: np.ndarray, dataset: EncodedDataset, l2: float = 0.0, *, deferred: bool = False
+) -> tuple[float, np.ndarray | Callable[[], np.ndarray]]:
     """Sum over sequences of gold-path score minus log partition, minus the
     L2 term, together with its exact gradient (empirical minus expected
-    counts minus ``l2 * weights``).  L1 is left to the optimizer."""
+    counts minus ``l2 * weights``).  L1 is left to the optimizer.
+
+    With ``deferred`` the gradient comes back as a function that completes
+    it from this call's forward pass, so that a caller that discards the
+    point never runs the backward pass."""
     state, transitions = unpack_weights(weights, dataset)
     emissions = dataset.emissions(state)
-    log_z, posteriors, expected_transitions = forward_backward(emissions, dataset, transitions)
+    alpha, log_z = forward(emissions, dataset, transitions)
     gold_score = float(time_major(emissions).take(dataset.gold_ids).sum())
     gold_score += float((dataset.transition_counts * transitions).sum())
 
     value = gold_score - float(log_z.sum())
     value -= 0.5 * l2 * (float((state * state).sum()) + float((transitions * transitions).sum()))
 
-    grad_state = (dataset.feature_totals(dataset.gold_onehot - dataset.real(posteriors))
-                  - l2 * state)
-    grad_transitions = dataset.transition_counts - expected_transitions - l2 * transitions
-    gradient = np.concatenate([grad_state.ravel(), grad_transitions.ravel()])
-    return value, gradient
+    def gradient() -> np.ndarray:
+        beta = backward(emissions, dataset, transitions)
+        probs = posteriors(alpha, beta, log_z, dataset).take(dataset.real_ids)
+        grad_state = dataset.feature_totals(dataset.gold_onehot - probs) - l2 * state
+        grad_transitions = (dataset.transition_counts
+                            - expected_transitions(emissions, alpha, beta, log_z, dataset,
+                                                   transitions)
+                            - l2 * transitions)
+        return np.concatenate([grad_state.ravel(), grad_transitions.ravel()])
+
+    return value, gradient if deferred else gradient()
 
 
 @dataclass(frozen=True)
@@ -137,11 +171,12 @@ class TrainConfig:
 
 
 def train(
-    data: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]] | EncodedDataset,
+    data: TrainingData | EncodedDataset,
     config: TrainConfig = TrainConfig(),
 ) -> CrfModel:
-    """Fit a model on (features, tags) sequences, or on a dataset already
-    encoded by :func:`encode_dataset` when several trainings share one.
+    """Fit a model on (features, tags) sequences, on interned ones, or on a
+    dataset already encoded by :func:`encode_dataset` when several trainings
+    share one.
 
     Single-label data still trains but the returned model carries the
     ``degenerate`` flag.  A non-finite objective raises.
@@ -149,9 +184,10 @@ def train(
     dataset = data if isinstance(data, EncodedDataset) else encode_dataset(data)
     degenerate = len(set(dataset.gold.tolist())) < 2
 
-    def fun_grad(weights: np.ndarray) -> tuple[float, np.ndarray]:
-        value, gradient = log_likelihood_and_gradient(weights, dataset, config.l2)
-        return -value, -gradient
+    def fun_grad(weights: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        value, gradient = log_likelihood_and_gradient(weights, dataset, config.l2,
+                                                      deferred=True)
+        return -value, lambda: -gradient()
 
     result = minimize(
         fun_grad,

@@ -4,6 +4,10 @@ Each round trains on the labeled set, tags the remaining unlabeled entries,
 and promotes whole entries whose Viterbi-I tokens all clear the marginal
 confidence threshold.  Promoted silver labels are frozen; promoted entries
 leave the unlabeled set for good.
+
+Every entry's features are interned to integer ids once per run; each
+round's labeled set and remaining entries are taken from those ids, and the
+decoded arrays are turned into per-position values only for promoted entries.
 """
 
 from __future__ import annotations
@@ -13,12 +17,21 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+import numpy as np
+
 from spellvar.corpus import SENTINEL, Corpus, DictEntry, VariantPair, annotate
 from spellvar.crf.features import FeatureSet, extract_features
+from spellvar.crf.kernel import FeatureIds
 # ``marginals`` and ``viterbi_decode`` are unused here but stay importable
 # under these names, which perfbench/tracer.py wraps.
-from spellvar.crf.model import CrfModel, decode_batch, marginals, viterbi_decode  # noqa: F401
-from spellvar.crf.train import TrainConfig, encode_dataset, train
+from spellvar.crf.model import (  # noqa: F401
+    LABELS,
+    CrfModel,
+    decode_batch,
+    marginals,
+    viterbi_decode,
+)
+from spellvar.crf.train import TaggedIds, TrainConfig, encode_dataset, train
 
 LabeledEntry = tuple[DictEntry, tuple[str, ...]]
 
@@ -130,10 +143,14 @@ def random_search(
         start += size
 
     # Every trial trains on the same splits, so each is encoded once.
+    sequences = FeatureIds().intern(features for features, _ in data)
     splits = []
     for held_out in folds:
         held_set = set(held_out)
-        splits.append((encode_dataset([data[i] for i in order if i not in held_set]), held_out))
+        kept = [i for i in order if i not in held_set]
+        training = TaggedIds(sequences.take(kept), [data[i][1] for i in kept])
+        gold_tags = [tag for i in held_out for tag in data[i][1]]
+        splits.append((encode_dataset(training), sequences.take(held_out), gold_tags))
 
     best: tuple[float, float, float] | None = None  # (mean, l1, l2)
     best_scores: tuple[float, ...] = ()
@@ -143,12 +160,10 @@ def random_search(
         l2 = _log_uniform(rng, *space.l2_range)
         config = replace(base, l1=l1, l2=l2)
         scores: list[float] = []
-        for train_split, held_out in splits:
-            model = train(train_split, config)
-            gold_tags = [tuple(data[i][1]) for i in held_out]
-            tagged = decode_batch(model, [data[i][0] for i in held_out])
-            pred_tags = [labels for labels, _, _ in tagged]
-            scores.append(token_f1(gold_tags, pred_tags))
+        for train_split, held_out, gold_tags in splits:
+            labels, _, _ = decode_batch(train(train_split, config), held_out)
+            # F1 pools every token, so the held-out fold is one sequence here.
+            scores.append(token_f1([gold_tags], [[LABELS[i] for i in labels.tolist()]]))
         mean = sum(scores) / len(scores)
         history.append((l1, l2, mean))
         if (
@@ -228,59 +243,57 @@ def self_train(
     if clash:
         raise ValueError(f"entries present in both gold and unlabeled sets: {sorted(clash)}")
 
-    labeled: list[tuple[FeatureSet, tuple[str, ...]]] = [
-        (extract_features(entry, config.window), tags) for entry, tags in gold_entries
-    ]
-    remaining = [(entry, extract_features(entry, config.window)) for entry in unlabeled.entries]
+    entries = [entry for entry, _ in gold_entries] + list(unlabeled.entries)
+    corpus = FeatureIds().intern(extract_features(entry, config.window) for entry in entries)
+    labeled = list(range(len(gold_entries)))
+    labeled_tags = [tags for _, tags in gold_entries]
+    remaining = np.arange(len(gold_entries), len(entries))
+    is_i = LABELS.index("I")
     pairs: list[VariantPair] = []
     trace: list[dict] = []
     model: CrfModel | None = None
 
     for iteration in range(1, config.max_iterations + 1):
-        model = train(labeled, config.train)
-        tagged = decode_batch(model, [features for _, features in remaining])
-        promotions: list[
-            tuple[DictEntry, FeatureSet, tuple[str, ...], list[dict[str, float]]]
-        ] = []
-        for (entry, features), (path, _, margs) in zip(remaining, tagged):
-            silver = tuple(
-                "I" if tag == "I" and marg["I"] > config.confidence_tau else "O"
-                for tag, marg in zip(path, margs)
-            )
-            if "I" in silver:
-                promotions.append((entry, features, silver, margs))
+        model = train(TaggedIds(corpus.take(labeled), labeled_tags), config.train)
+        tagged = corpus.take(remaining)
+        labels, _, probs = decode_batch(model, tagged)
+        p_i = probs[:, is_i]
+        confident = (labels == is_i) & (p_i > config.confidence_tau)
+        owner = np.repeat(np.arange(len(tagged)), tagged.lengths)
+        promoted = np.zeros(len(tagged), dtype=bool)
+        promoted[owner[confident]] = True
+        promoted_at = np.flatnonzero(promoted)
 
         record: dict = {
             "iteration": iteration,
-            "promoted": len(promotions),
-            "promoted_ids": [entry.entry_id for entry, _, _, _ in promotions],
-            "remaining_unlabeled": len(remaining) - len(promotions),
-            "labeled_size": len(labeled) + len(promotions),
+            "promoted": len(promoted_at),
+            "promoted_ids": [entries[k].entry_id for k in remaining[promoted_at].tolist()],
+            "remaining_unlabeled": len(remaining) - len(promoted_at),
+            "labeled_size": len(labeled) + len(promoted_at),
             "objective": model.final_objective,
             "converged": model.converged,
             "iterations": model.iterations,
         }
-        if not promotions:
+        if not len(promoted_at):
             record["early_stop"] = True
             trace.append(record)
             break
 
-        promoted_ids = {entry.entry_id for entry, _, _, _ in promotions}
-        remaining = [item for item in remaining if item[0].entry_id not in promoted_ids]
-        min_marginal = 1.0
-        for entry, features, silver, margs in promotions:
-            labeled.append((features, silver))
-            pairs.extend(pairs_from_tagging(entry, silver, margs, iteration=iteration))
-            min_marginal = min(
-                min_marginal,
-                min(m["I"] for tag, m in zip(silver, margs) if tag == "I"),
-            )
-        record["min_promoted_marginal"] = min_marginal
+        for k, start, length in zip(remaining[promoted_at].tolist(),
+                                    tagged.starts[promoted_at].tolist(),
+                                    tagged.lengths[promoted_at].tolist()):
+            silver = tuple("I" if c else "O" for c in confident[start:start + length].tolist())
+            margs = [{"I": p} for p in p_i[start:start + length].tolist()]
+            labeled.append(k)
+            labeled_tags.append(silver)
+            pairs.extend(pairs_from_tagging(entries[k], silver, margs, iteration=iteration))
+        remaining = remaining[~promoted]
+        record["min_promoted_marginal"] = min(1.0, float(p_i[confident].min()))
         record["pairs_total"] = len(pairs)
         trace.append(record)
 
     if model is None:
-        model = train(labeled, config.train)
+        model = train(TaggedIds(corpus.take(labeled), labeled_tags), config.train)
     # Training sees only feature lists; the window they were extracted with is ours.
     model = replace(model, window=config.window)
     return SelfTrainResult(model=model, pairs=pairs, trace=trace)

@@ -289,6 +289,57 @@ class TestExtractSelftrain:
         assert "tag blocks" in capsys.readouterr().err
 
 
+    def _run_tags(self, tmp_path, staged, tags):
+        return main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"), "--gold-tags", str(tags),
+                     "--iterations", "1", "--l1", "0.02", "--l2", "0.03",
+                     "--out", str(tmp_path / "out")])
+
+    def test_undecodable_gold_tags_name_file_and_line(self, tmp_path, staged, capsys):
+        lines = (staged / "gold.tags").read_bytes().split(b"\n")
+        lines[5] = lines[5].replace(b"\t", b"\xff\t", 1)
+        tags = tmp_path / "gold.tags"
+        tags.write_bytes(b"\n".join(lines))
+        assert self._run_tags(tmp_path, staged, tags) == 2
+        assert capsys.readouterr().err == f"error: {tags}: line 6: not UTF-8: byte 0xff\n"
+
+    def test_gold_tags_with_a_byte_order_mark_load(self, tmp_path, staged):
+        tags = tmp_path / "gold.tags"
+        tags.write_bytes(codecs.BOM_UTF8 + (staged / "gold.tags").read_bytes())
+        assert self._run_tags(tmp_path, staged, tags) == 0
+        assert read_pairs_tsv(tmp_path / "out" / "pairs.tsv")
+
+
+class TestAnnotationsFile:
+    @pytest.fixture()
+    def conllu(self, tmp_path, baseline_corpus):
+        assert main(["annotate", "--corpus", str(baseline_corpus),
+                     "--out", str(tmp_path / "parsed")]) == 0
+        return (tmp_path / "parsed" / "annotated.conllu").read_bytes()
+
+    def _extract(self, tmp_path, corpus, annotations):
+        return main(["extract", "--method", "baseline", "--corpus", str(corpus),
+                     "--annotations", str(annotations), "--out", str(tmp_path / "out")])
+
+    def test_undecodable_annotations_name_file_and_line(self, tmp_path, baseline_corpus,
+                                                        conllu, capsys):
+        lines = conllu.split(b"\n")
+        lines[2] = lines[2].replace(b"\t", b"\t\xff", 1)
+        annotations = tmp_path / "bad.conllu"
+        annotations.write_bytes(b"\n".join(lines))
+        assert self._extract(tmp_path, baseline_corpus, annotations) == 2
+        assert (capsys.readouterr().err
+                == f"error: {annotations}: line 3: not UTF-8: byte 0xff\n")
+
+    def test_annotations_with_a_byte_order_mark_load(self, tmp_path, baseline_corpus, conllu):
+        # The mark sits before a comment line, which must still read as one.
+        annotations = tmp_path / "bom.conllu"
+        annotations.write_bytes(codecs.BOM_UTF8 + b"# parsed\n" + conllu)
+        assert self._extract(tmp_path, baseline_corpus, annotations) == 0
+        assert len(read_pairs_tsv(tmp_path / "out" / "pairs.tsv")) == 2
+
+
 def write_eval_inputs(root):
     pairs = write_lines(root / "pairs.tsv", [
         "informal\tformal\tscore\tmethod\torigin\tentry_id",

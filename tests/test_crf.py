@@ -33,8 +33,19 @@ from spellvar.crf import (
     viterbi_decode,
     write_labeled_file,
 )
-from spellvar.crf.kernel import Padding, encode, forward_backward, viterbi
+from spellvar.crf.kernel import (
+    Batch,
+    FeatureIds,
+    Padding,
+    backward,
+    expected_transitions,
+    forward,
+    intern,
+    posteriors,
+    viterbi,
+)
 from spellvar.crf.model import FORMAT_VERSION, decode_batch
+from spellvar.crf.train import TaggedIds
 from spellvar.crf.optimizer import _pseudo_gradient
 
 from conftest import make_entry
@@ -303,6 +314,67 @@ class TestMarginals:
         assert marginals(model, []) == []
 
 
+# --- string-facing calls of the id kernel --------------------------------
+#
+# The kernel takes interned feature ids and runs the forward and backward
+# recursions separately; these helpers give the tests the string batches and
+# the combined results they were written against.
+
+
+def oracle_encode(sequences, feature_index) -> Batch:
+    """The string encoder the id tables replaced, kept verbatim: each
+    position's features mapped to columns of ``feature_index``, unknown
+    features dropped and a feature repeated within a position counted once."""
+    columns: list[int] = []
+    counts: list[int] = []
+    for features in sequences:
+        for feats in features:
+            known = [c for c in dict.fromkeys(map(feature_index.get, feats)) if c is not None]
+            columns.extend(known)
+            counts.append(len(known))
+    per_position = np.array(counts, dtype=np.intp)
+    table = np.full((len(counts), per_position.max(initial=0)), len(feature_index), dtype=np.intp)
+    table[np.arange(table.shape[1]) < per_position[:, None]] = columns
+    lengths = np.array([len(features) for features in sequences], dtype=int)
+    return Batch(np.ascontiguousarray(table.T), lengths)
+
+
+def encode(sequences, feature_index) -> Batch:
+    """String sequences interned, then mapped through ``feature_index``."""
+    interned = intern(sequences)
+    return interned.encode(interned.vocabulary.columns(feature_index), len(feature_index))
+
+
+def forward_backward(emissions, padding, transitions):
+    """Log partitions, batch-major posteriors and expected transitions."""
+    alpha, log_z = forward(emissions, padding, transitions)
+    beta = backward(emissions, padding, transitions)
+    return (log_z, posteriors(alpha, beta, log_z, padding).transpose(2, 0, 1),
+            expected_transitions(emissions, alpha, beta, log_z, padding, transitions))
+
+
+def decode_strings(model: CrfModel, batch) -> list[tuple[list[str], float, list[dict]]]:
+    """``decode_batch`` of string sequences, split into each sequence's
+    labels, score and per-position posterior dicts."""
+    labels, scores, probs = decode_batch(model, intern(batch))
+    out, start = [], 0
+    for features, score in zip(batch, scores.tolist()):
+        stop = start + len(features)
+        out.append(([LABELS[i] for i in labels[start:stop].tolist()], score,
+                    [dict(zip(LABELS, row)) for row in probs[start:stop].tolist()]))
+        start = stop
+    return out
+
+
+def deferred(fun_grad):
+    """An objective returning arrays, in the optimizer's convention of a
+    value and a function that returns the gradient."""
+    def fun(x):
+        value, gradient = fun_grad(x)
+        return value, lambda: gradient
+    return fun
+
+
 # --- per-sequence oracles -------------------------------------------------
 #
 # The tagger's inference as it was before the batched kernel: a dict loop for
@@ -387,7 +459,7 @@ class TestKernelAgainstOracle:
     def test_viterbi(self, model, batch):
         encoded = encode(batch, model.feature_index)
         paths, scores = viterbi(encoded.emissions(model.state), encoded, model.transitions)
-        tagged = decode_batch(model, batch)
+        tagged = decode_strings(model, batch)
         for k, features in enumerate(batch):
             want_labels, want_score = oracle_viterbi(model, features)
             assert [LABELS[i] for i in paths[k, :len(features)]] == want_labels
@@ -407,7 +479,7 @@ class TestKernelAgainstOracle:
         log_z, probs, _ = forward_backward(
             encoded.emissions(model.state), encoded, model.transitions
         )
-        tagged = decode_batch(model, batch)
+        tagged = decode_strings(model, batch)
         for k, features in enumerate(batch):
             alpha, beta, want_log_z = oracle_forward_backward(
                 oracle_emission_scores(model, features), model.transitions
@@ -811,6 +883,9 @@ class TestBitForBitOracles:
         assert type(value) is float
         assert same_bytes(value, want_value)
         assert same_bytes(gradient, want_gradient)
+        value, complete = log_likelihood_and_gradient(weights, dataset, l2, deferred=True)
+        assert same_bytes(value, want_value)
+        assert same_bytes(complete(), want_gradient)
 
     @settings(max_examples=300, deadline=None)
     @given(_optimizer_cases())
@@ -831,7 +906,7 @@ class TestBitForBitOracles:
             return -value, -gradient
 
         x0 = np.zeros(dataset.n_parameters)
-        result = minimize(fun_grad, x0, l1=l1, max_iterations=40)
+        result = minimize(deferred(fun_grad), x0, l1=l1, max_iterations=40)
         x, fun, iterations, converged, history = oracle_minimize(
             fun_grad, x0, l1=l1, max_iterations=40)
         assert same_bytes(result.x, x)
@@ -843,7 +918,7 @@ class TestDecodeBatch:
     def test_empty_sequences_mixed_in(self):
         model = random_model(np.random.default_rng(41))
         batch = [[], [["f0"], ["f1", "f2"]], [], [["f3"]]]
-        tagged = decode_batch(model, batch)
+        tagged = decode_strings(model, batch)
         assert tagged[0] == ([], 0.0, []) and tagged[2] == ([], 0.0, [])
         for features, (labels, score, rows) in zip(batch, tagged):
             assert (labels, score) == viterbi_decode(model, features)
@@ -851,7 +926,29 @@ class TestDecodeBatch:
 
     def test_empty_batch(self):
         model = random_model(np.random.default_rng(43))
-        assert decode_batch(model, []) == []
+        labels, scores, probs = decode_batch(model, intern([]))
+        assert labels.shape == scores.shape == (0,) and probs.shape == (0, len(LABELS))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_models(), st.lists(st.lists(_position, max_size=9), max_size=12),
+           st.lists(st.lists(_position, max_size=4), max_size=4))
+    def test_arrays_equal_per_sequence_calls(self, model, batch, before):
+        # Sequences taken out of a corpus whose other entries were interned
+        # first decode like each sequence on its own.
+        corpus = FeatureIds().intern(before + batch)
+        labels, scores, probs = decode_batch(model, corpus.take(range(len(before), len(corpus))))
+        n_positions = sum(map(len, batch))
+        assert labels.shape == (n_positions,) and probs.shape == (n_positions, len(LABELS))
+        assert scores.shape == (len(batch),)
+        start = 0
+        for k, features in enumerate(batch):
+            stop = start + len(features)
+            want_labels, want_score = viterbi_decode(model, features)
+            assert [LABELS[i] for i in labels[start:stop].tolist()] == want_labels
+            assert same_bytes(scores[k], want_score)
+            want_rows = [[row[label] for label in LABELS] for row in marginals(model, features)]
+            assert same_bytes(probs[start:stop], np.array(want_rows).reshape(-1, len(LABELS)))
+            start = stop
 
     def test_repeated_feature_counts_once(self):
         model = CrfModel.from_weights({("f0", "I"): 1.5})
@@ -865,11 +962,58 @@ class TestDecodeBatch:
             return [(labels, score.hex(), [[row[label].hex() for label in LABELS] for row in rows])
                     for labels, score, rows in tagged]
 
-        whole = decode_batch(model, batch)
+        whole = decode_strings(model, batch)
         with mock.patch.object(crf_model, "DECODE_CHUNK", chunk):
-            assert exact(decode_batch(model, batch)) == exact(whole)
+            assert exact(decode_strings(model, batch)) == exact(whole)
         for features, result in zip(batch, whole):
-            assert exact([result]) == exact(decode_batch(model, [features]))
+            assert exact([result]) == exact(decode_strings(model, [features]))
+
+
+_FEATURES = [f"f{i}" for i in range(8)] + ["u0", "u1"]
+# Positions may repeat a feature; sequences may be empty.
+_id_batches = st.lists(st.lists(st.lists(st.sampled_from(_FEATURES), max_size=6), max_size=5),
+                       max_size=6)
+
+
+@st.composite
+def _feature_indexes(draw) -> dict[str, int]:
+    """Some of f0-f7 in any column order; u0 and u1 are never known."""
+    known = draw(st.lists(st.sampled_from(_FEATURES[:8]), unique=True))
+    return {feature: column for column, feature in enumerate(known)}
+
+
+class TestIdBatches:
+    @settings(max_examples=300, deadline=None)
+    @given(_feature_indexes(), _id_batches, _id_batches, st.randoms(use_true_random=False))
+    @example({"f0": 0}, [[["f0", "u0", "f0"], []], []], [[["u1", "f1"]]], None)
+    def test_slots_equal_the_string_encoder(self, feature_index, batch, before, rnd):
+        # ``before`` interns first, so some ids belong to features the batch
+        # never lists, and the batch is taken out of the whole corpus.
+        vocabulary = FeatureIds()
+        corpus = vocabulary.intern(before + batch)
+        order = list(range(len(before), len(before) + len(batch)))
+        if rnd is not None:
+            rnd.shuffle(order)
+        got = corpus.take(order).encode(vocabulary.columns(feature_index), len(feature_index))
+        want = oracle_encode([(before + batch)[k] for k in order], feature_index)
+        assert same_bytes(got.slots, want.slots)
+        assert same_bytes(got.lengths, want.lengths)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_id_batches, _id_batches)
+    def test_interned_dataset_equals_the_string_one(self, batch, before):
+        batch = [features for features in batch if features]
+        if not batch:
+            return
+        tags = [("O",) * len(features) for features in batch]
+        corpus = FeatureIds().intern(before + batch)
+        got = encode_dataset(TaggedIds(corpus.take(range(len(before), len(corpus))), tags))
+        want = encode_dataset(list(zip(batch, tags)))
+        assert list(got.feature_index.items()) == list(want.feature_index.items())
+        oracle_index = dict.fromkeys(f for features in batch for feats in features for f in feats)
+        assert list(got.feature_index) == list(oracle_index)
+        assert same_bytes(got.slots, oracle_encode(batch, got.feature_index).slots)
+        assert same_bytes(got.slots, want.slots) and same_bytes(got.lengths, want.lengths)
 
 
 def separable_data(n: int = 50):
@@ -966,7 +1110,7 @@ class TestMinimize:
             d = x - target
             return 0.5 * float(d @ d), d
 
-        result = minimize(fun, np.zeros(3))
+        result = minimize(deferred(fun), np.zeros(3))
         assert result.converged
         np.testing.assert_allclose(result.x, target, atol=1e-4)
 
@@ -979,7 +1123,7 @@ class TestMinimize:
         def fun(x):
             return 0.5 * float(x @ quad @ x) + float(linear @ x), quad @ x + linear
 
-        result = minimize(fun, rng.normal(size=6), l1=0.3)
+        result = minimize(deferred(fun), rng.normal(size=6), l1=0.3)
         for before, after in zip(result.history, result.history[1:]):
             assert after <= before + 1e-12
 
@@ -988,7 +1132,7 @@ class TestMinimize:
             d = x - 0.5
             return 0.5 * float(d @ d), d
 
-        result = minimize(fun, np.array([2.0]), l1=1.0)
+        result = minimize(deferred(fun), np.array([2.0]), l1=1.0)
         assert result.x[0] == 0.0
 
     def test_l1_shrinks_optimum(self):
@@ -996,15 +1140,41 @@ class TestMinimize:
             d = x - 3.0
             return 0.5 * float(d @ d), d
 
-        result = minimize(fun, np.array([0.0]), l1=1.0)
+        result = minimize(deferred(fun), np.array([0.0]), l1=1.0)
         assert result.x[0] == pytest.approx(2.0, abs=1e-4)
+
+    def test_rejected_trial_points_never_complete_a_gradient(self):
+        dataset = encode_dataset(separable_data(20))
+        evaluated, completed = [], []
+
+        def fun_grad(weights):
+            value, gradient = log_likelihood_and_gradient(weights, dataset, 0.1, deferred=True)
+            point = weights.copy()
+            evaluated.append(point)
+
+            def complete():
+                completed.append(point)
+                return -gradient()
+            return -value, complete
+
+        result = minimize(fun_grad, np.zeros(dataset.n_parameters), l1=0.5)
+        # The start and each accepted iterate, once each; the line search
+        # rejected some trial points, which were evaluated but not completed.
+        assert result.converged
+        assert len(completed) == len(result.history) == result.iterations + 1
+        assert len(evaluated) > len(completed)
+        # Completed points are evaluated ones, each once and in order, from
+        # the start point to the result.
+        at = [next(i for i, point in enumerate(evaluated) if point is done) for done in completed]
+        assert at == sorted(set(at)) and at[0] == 0
+        assert same_bytes(completed[-1], result.x)
 
     def test_non_finite_start_rejected(self):
         def fun(x):
             return float("inf"), x
 
         with pytest.raises(ValueError, match="not finite"):
-            minimize(fun, np.zeros(2))
+            minimize(deferred(fun), np.zeros(2))
 
 
 class TestModelIo:
