@@ -42,19 +42,17 @@ def extract_features(entry: DictEntry, window: int = 1) -> FeatureSet:
     """Build per-position feature lists with context up to ``window`` tokens
     away, plus a constant bias and sentence-boundary markers."""
     n = len(entry.definition)
+    # Each token's context templates, made once for all its neighbours.
+    context = [_token_templates(entry, j, context=True) for j in range(n)]
     out: FeatureSet = []
     for i in range(n):
         feats = ["bias"]
         feats.extend(_token_templates(entry, i, context=False))
         for offset in range(1, window + 1):
             if i - offset >= 0:
-                feats.extend(
-                    f"-{offset}:{f}" for f in _token_templates(entry, i - offset, context=True)
-                )
+                feats.extend(map(f"-{offset}:".__add__, context[i - offset]))
             if i + offset < n:
-                feats.extend(
-                    f"+{offset}:{f}" for f in _token_templates(entry, i + offset, context=True)
-                )
+                feats.extend(map(f"+{offset}:".__add__, context[i + offset]))
         if i == 0:
             feats.append("-1:BOS")
         if i == n - 1:

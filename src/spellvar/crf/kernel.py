@@ -229,12 +229,12 @@ def forward(
     scores = time_major(emissions)
     alpha = np.empty(scores.shape)
     alpha[0] = scores[0]
-    # Transition weights from label I and from label O, one row per label of
-    # the position stepped to.
-    from_i, from_o = transitions[:, :, None]
+    # ``via[i, j]``: the message of label i plus the weight from i to j.
+    weights = transitions[:, :, None]
     lae, add = np.logaddexp, np.add
     for prev, cur, score in zip(alpha, alpha[1:], scores[1:]):
-        add(lae(prev[:1] + from_i, prev[1:] + from_o), score, out=cur)
+        via = prev[:, None] + weights
+        add(lae(via[0], via[1]), score, out=cur)
     final = alpha.take(padding.last_ids)
     return alpha, lae(final[0], final[1])
 
@@ -244,15 +244,14 @@ def backward(emissions: np.ndarray, padding: Padding, transitions: np.ndarray) -
     position and in its padding."""
     scores = time_major(emissions)
     beta = np.zeros(scores.shape)
-    # ``ahead`` holds scores + beta of the position after the one stepped to.
-    ahead = np.empty(scores.shape[1:])
-    np.add(scores[-1], beta[-1], out=ahead)
-    # Transition weights into label I and into label O, one row per label of
-    # the position stepped to.
-    into_i, into_o = transitions.T[:, :, None]
+    # ``ahead`` holds scores + beta of the position after the one stepped to,
+    # and ``via[j, i]`` that of its label j plus the weight from i to j.
+    ahead = scores[-1] + beta[-1]
+    weights = transitions.T[:, :, None]
     lae, add, copyto = np.logaddexp, np.add, np.copyto
     for score, cur, live_next in zip(scores[-2::-1], beta[-2::-1], padding.live[:0:-1]):
-        copyto(cur, lae(ahead[:1] + into_i, ahead[1:] + into_o), where=live_next)
+        via = ahead[:, None] + weights
+        copyto(cur, lae(via[0], via[1]), where=live_next)
         add(score, cur, out=ahead)
     return beta
 
