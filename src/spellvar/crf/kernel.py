@@ -93,7 +93,8 @@ class FeatureIds:
             counts.extend(map(len, distinct))
             ids.extend(map(new_id, chain.from_iterable(distinct)))
             lengths.append(len(features))
-        return IdSequences(self, *(np.frombuffer(a, dtype=np.int32) for a in (ids, counts, lengths)))
+        return IdSequences(self, *(np.frombuffer(a, dtype=np.int32)
+                                   for a in (ids, counts, lengths)))
 
     def names(self) -> list[str]:
         """The interned strings, indexed by id."""
@@ -130,7 +131,7 @@ class IdSequences:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def positions(self, order: np.ndarray) -> np.ndarray:
+    def positions(self, order: Sequence[int] | np.ndarray) -> np.ndarray:
         """Flat indices of the positions of the sequences in ``order``."""
         return _ranges(self.starts[order], self.lengths[order])
 

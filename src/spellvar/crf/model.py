@@ -102,7 +102,7 @@ def decode_batch(
         paths, scores[chunk] = viterbi(emissions, batch, model.transitions)
         alpha, log_z = forward(emissions, batch, model.transitions)
         beta = backward(emissions, batch, model.transitions)
-        real = sequences.positions(np.array(chunk))
+        real = sequences.positions(chunk)
         labels[real] = paths[batch.mask]
         probs[real] = posteriors(alpha, beta, log_z, batch).take(batch.real_ids)
         start = stop

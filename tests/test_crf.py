@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -1003,8 +1003,7 @@ class TestIdBatches:
     @given(_id_batches, _id_batches)
     def test_interned_dataset_equals_the_string_one(self, batch, before):
         batch = [features for features in batch if features]
-        if not batch:
-            return
+        assume(batch)
         tags = [("O",) * len(features) for features in batch]
         corpus = FeatureIds().intern(before + batch)
         got = encode_dataset(TaggedIds(corpus.take(range(len(before), len(corpus))), tags))
