@@ -15,7 +15,7 @@ from spellvar.corpus import (
     annotate,
     load_conllu,
     load_jsonl,
-    load_stopwords,
+    read_word_list,
     tokenize,
 )
 
@@ -30,7 +30,7 @@ __all__ = [
     "annotate",
     "load_conllu",
     "load_jsonl",
-    "load_stopwords",
+    "read_word_list",
     "tokenize",
     "__version__",
 ]

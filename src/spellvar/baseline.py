@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from spellvar.corpus import Corpus, VariantPair
+from spellvar.corpus import Corpus, VariantPair, read_lines
 
 CAPTURE_GROUP = "Spelling"
 
@@ -47,22 +47,20 @@ class SurfaceRule:
 def load_rules(path: str | Path | None = None) -> list[SurfaceRule]:
     """Load ``rule_id<TAB>pattern`` lines; ``None`` loads the packaged defaults."""
     if path is None:
-        text = resources.files("spellvar").joinpath("data/default_rules.tsv").read_text("utf-8")
-        source = "default rules"
-    else:
-        text = Path(path).read_text("utf-8")
-        source = str(path)
+        with resources.as_file(resources.files("spellvar") / "data/default_rules.tsv") as packaged:
+            return load_rules(packaged)
     rules: list[SurfaceRule] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in read_lines(path, RuleError):
+        line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t", 1)
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise RuleError(f"{source}: line {line_no}: expected 'rule_id<TAB>pattern'")
+            raise RuleError(f"{path}: line {line_no}: expected 'rule_id<TAB>pattern'")
         rule_id = parts[0].strip()
         if rule_id in seen:
-            raise RuleError(f"{source}: line {line_no}: duplicate rule id {rule_id!r}")
+            raise RuleError(f"{path}: line {line_no}: duplicate rule id {rule_id!r}")
         seen.add(rule_id)
         rules.append(SurfaceRule(rule_id=rule_id, pattern_source=parts[1]))
     return rules

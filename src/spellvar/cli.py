@@ -34,9 +34,10 @@ from spellvar.corpus import (
     annotate,
     load_conllu,
     load_jsonl,
-    load_stopwords,
+    read_lines,
     read_pairs_tsv,
     read_seed_pairs,
+    read_word_list,
     write_conllu,
     write_jsonl,
     write_pairs_tsv,
@@ -49,7 +50,6 @@ from spellvar.evalsim import (
     EmbeddingFormatError,
     evaluate_pairs,
     load_embeddings,
-    load_vocab,
     pearson,
 )
 from spellvar.selftrain import SearchSpace, SelfTrainConfig, random_search, self_train
@@ -113,12 +113,12 @@ def _load_config_section(config_path: str | None, section: str) -> dict[str, str
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        parser.read_file((line for _, line in read_lines(path, UsageError)), source=str(path))
+        # Values are interpolated as they are read, so a bad one raises here.
+        return dict(parser.items(section)) if parser.has_section(section) else {}
     except configparser.Error as exc:
-        raise UsageError(f"bad config file: {exc}") from None
-    if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
+        message = " ".join(part.strip() for part in str(exc).splitlines())
+        raise UsageError(f"bad config file: {message}") from None
 
 
 class _Options:
@@ -184,7 +184,7 @@ class _Options:
 def _packaged_stopwords() -> frozenset[str]:
     ref = resources.files("spellvar").joinpath("data/stopwords.txt")
     with resources.as_file(ref) as path:
-        return load_stopwords(path)
+        return read_word_list(path)
 
 
 def _write_trace(path: Path, records: Iterable[dict]) -> None:
@@ -267,7 +267,7 @@ def _cmd_extract(opts: _Options) -> None:
         opts.done(context)
         seeds = read_seed_pairs(seeds_path)
         if stopwords_path is not None:
-            stopwords = load_stopwords(stopwords_path)
+            stopwords = read_word_list(stopwords_path)
         else:
             stopwords = _packaged_stopwords()
         config = opts.build(_BOOTSTRAP, knobs, seeds=tuple(seeds), stopwords=stopwords)
@@ -348,7 +348,7 @@ def _cmd_eval(opts: _Options) -> None:
             raise UsageError(f"--embeddings: path does not exist: {name}")
 
     pairs = read_pairs_tsv(pairs_path)
-    vocab = load_vocab(vocab_path)
+    vocab = read_word_list(vocab_path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs: list[str] = []
@@ -390,15 +390,19 @@ def _cmd_eval(opts: _Options) -> None:
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle, delimiter="\t"))
-    if not rows or len(rows) < 2:
+    reader = csv.reader((line for _, line in read_lines(path)), delimiter="\t")
+    rows: list[list[str]] = []
+    try:
+        for row in reader:
+            # A quoted field may span lines; a row is named by its last line.
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}: line {reader.line_num}: row width does not match header")
+            rows.append(row)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if len(rows) < 2:
         raise ValueError(f"{path}: need a header row plus at least one data row")
-    header, data = rows[0], rows[1:]
-    for row in data:
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row width does not match header")
-    return header, data
+    return rows[0], rows[1:]
 
 
 def _numeric_columns(

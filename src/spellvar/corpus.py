@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 #: Placeholder for annotation fields that no annotator has filled in.
 SENTINEL = "_"
@@ -98,7 +98,6 @@ class Corpus:
     """An immutable, ordered collection of entries."""
 
     entries: tuple[DictEntry, ...]
-    annotated: bool = False
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -196,7 +195,7 @@ def load_jsonl(path: str | Path) -> Corpus:
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{path}: line {line_no}: {exc}") from exc
     try:
-        return Corpus(entries=tuple(entries), annotated=False)
+        return Corpus(entries=tuple(entries))
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
 
@@ -229,7 +228,7 @@ def _entry_from_json(line: str, default_id: str, built: dict[tuple[str, int], To
     )
 
 
-# Closed-class lexicon for the dependency-free fallback annotator.  Coverage
+# Closed-class lexicon for :func:`annotate`'s UPOS guesses.  Coverage
 # is deliberately small: anything unknown falls through to suffix rules.
 _CLOSED_CLASS = {
     "the": "DET", "a": "DET", "an": "DET", "this": "DET", "that": "DET",
@@ -278,104 +277,53 @@ def _guess_upos(token: Token) -> str:
     return "NOUN"
 
 
-def fallback_annotator(entry: DictEntry) -> list[Token]:
-    """Dependency-free annotator: identity lemma plus heuristic coarse POS.
+def _fill(tok: Token) -> Token:
+    if tok.lemma != SENTINEL and tok.upos != SENTINEL:
+        return tok
+    # Positional arguments: ``dataclasses.replace`` per token is far slower.
+    return Token(tok.surface, tok.lower, tok.lower if tok.lemma == SENTINEL else tok.lemma,
+                 _guess_upos(tok) if tok.upos == SENTINEL else tok.upos,
+                 tok.xpos, tok.dep, tok.head, tok.is_title, tok.is_digit)
 
-    Fine-grained tags and dependency fields stay sentinel and every head
-    points at the token itself.  Deterministic, hence idempotent.
+
+def annotate(corpus: Corpus) -> Corpus:
+    """Return ``corpus`` with every token's missing lemma and UPOS filled in.
+
+    A missing lemma becomes the case-folded surface and a missing UPOS a
+    heuristic guess; every other field, parsed ones included, is kept.
+    Deterministic, hence idempotent.
     """
-    return [
-        Token(tok.surface, tok.lower, tok.lower, _guess_upos(tok), SENTINEL, SENTINEL, i,
-              tok.is_title, tok.is_digit)
-        for i, tok in enumerate(entry.definition)
-    ]
-
-
-def annotate(
-    corpus: Corpus,
-    annotator: Callable[[DictEntry], Sequence[Token]] | None = None,
-) -> Corpus:
-    """Return a new corpus with ``annotator`` applied to every entry.
-
-    The annotator must keep token count and surfaces unchanged; violations
-    and annotator exceptions are reported with the offending entry id.
-    """
-    annotator = annotator or fallback_annotator
-    new_entries: list[DictEntry] = []
+    entries = []
     for entry in corpus:
-        try:
-            tokens = tuple(annotator(entry))
-        except CorpusFormatError:
-            raise
-        except Exception as exc:
-            raise CorpusFormatError(f"entry {entry.entry_id!r}: annotator failed: {exc}") from exc
-        if len(tokens) != len(entry.definition):
-            raise CorpusFormatError(
-                f"entry {entry.entry_id!r}: annotator changed token count "
-                f"({len(entry.definition)} -> {len(tokens)})"
-            )
-        for i, (old, new) in enumerate(zip(entry.definition, tokens)):
-            if old.surface != new.surface:
-                raise CorpusFormatError(
-                    f"entry {entry.entry_id!r}: annotator changed surface at {i} "
-                    f"({old.surface!r} -> {new.surface!r})"
-                )
-        new_entries.append(replace(entry, definition=tokens))
-    annotated = all(
-        tok.upos != SENTINEL and tok.lemma != SENTINEL
-        for entry in new_entries
-        for tok in entry.definition
-    )
-    return Corpus(entries=tuple(new_entries), annotated=annotated)
-
-
-def _parse_conllu_blocks(path: str | Path) -> list[list[list[str]]]:
-    blocks: list[list[list[str]]] = []
-    current: list[list[str]] = []
-    for line_no, line in read_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip():
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        if line.startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != 10:
-            raise CorpusFormatError(
-                f"{path}: line {line_no}: expected 10 tab-separated columns, got {len(columns)}"
-            )
-        current.append(columns)
-    if current:
-        blocks.append(current)
-    return blocks
+        tokens = tuple(_fill(tok) for tok in entry.definition)
+        entries.append(replace(entry, definition=tokens))
+    return Corpus(entries=tuple(entries))
 
 
 def merge_conllu(corpus: Corpus, annotations_path: str | Path) -> Corpus:
     """Merge pre-parsed annotations into ``corpus`` by position.
 
     The file holds one block per corpus entry, in order, with the usual
-    10-column rows.  Head indices are 1-based in the file with 0 for the
-    root; internally the root points at itself.
+    10-column rows; ``#`` comment lines are skipped.  Head indices are
+    1-based in the file with 0 for the root; internally the root points at
+    itself.
     """
-    blocks = _parse_conllu_blocks(annotations_path)
+    lines = (item for item in read_lines(annotations_path) if not item[1].startswith("#"))
+    blocks = list(read_blocks(annotations_path, lines, 10))
     if len(blocks) != len(corpus):
         raise CorpusFormatError(
             f"{annotations_path}: {len(blocks)} annotation blocks for {len(corpus)} entries"
         )
-    blocks_by_id = {entry.entry_id: block for entry, block in zip(corpus, blocks)}
-
-    def _merge(entry: DictEntry) -> list[Token]:
-        rows = blocks_by_id[entry.entry_id]
-        if len(rows) != len(entry.definition):
+    entries = []
+    for entry, rows in zip(corpus, blocks):
+        n = len(rows)
+        if n != len(entry.definition):
             raise CorpusFormatError(
-                f"entry {entry.entry_id!r}: {len(rows)} annotation rows for "
+                f"entry {entry.entry_id!r}: {n} annotation rows for "
                 f"{len(entry.definition)} tokens"
             )
         merged: list[Token] = []
-        n = len(rows)
-        for i, (tok, row) in enumerate(zip(entry.definition, rows)):
+        for i, (tok, (_, row)) in enumerate(zip(entry.definition, rows)):
             _, surface, lemma, upos, xpos, _, head_str, dep = row[:8]
             if surface != tok.surface:
                 raise CorpusFormatError(
@@ -393,10 +341,10 @@ def merge_conllu(corpus: Corpus, annotations_path: str | Path) -> Corpus:
                     f"entry {entry.entry_id!r}: head index {head_file} out of range at token {i}"
                 )
             head = i if head_file == 0 else head_file - 1
-            merged.append(replace(tok, lemma=lemma, upos=upos, xpos=xpos, dep=dep, head=head))
-        return merged
-
-    return annotate(corpus, _merge)
+            merged.append(Token(tok.surface, tok.lower, lemma, upos, xpos, dep, head,
+                                tok.is_title, tok.is_digit))
+        entries.append(replace(entry, definition=tuple(merged)))
+    return Corpus(entries=tuple(entries))
 
 
 def load_conllu(corpus_path: str | Path, annotations_path: str | Path) -> Corpus:
@@ -432,8 +380,9 @@ def write_jsonl(corpus: Corpus, path: str | Path) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read one word per line; ``#`` comments and blank lines are skipped."""
+def read_word_list(path: str | Path) -> frozenset[str]:
+    """Read one word per line, case-folded; ``#`` comments and blank lines
+    are skipped."""
     words: set[str] = set()
     for _, line in read_lines(path):
         line = line.strip()
@@ -461,7 +410,7 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def read_lines(
-    path: str | Path, error: type[ValueError] = CorpusFormatError
+    path: str | Path, error: type[Exception] = CorpusFormatError
 ) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` of a UTF-8 text file, 1-based.
 
@@ -484,6 +433,28 @@ def read_lines(
         raise error(
             f"{path}: line {line_no}: not UTF-8: byte 0x{ord(byte) - 0xDC00:02x}"
         ) from exc
+
+
+def read_blocks(
+    path: str | Path, lines: Iterable[tuple[int, str]], width: int
+) -> Iterator[list[tuple[int, list[str]]]]:
+    """Group numbered ``lines`` of ``path`` into blocks separated by blank
+    lines; each row is its line number and its ``width`` tab-separated fields."""
+    block: list[tuple[int, list[str]]] = []
+    for line_no, line in lines:
+        if not line.strip():
+            if block:
+                yield block
+                block = []
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != width:
+            raise CorpusFormatError(
+                f"{path}: line {line_no}: expected {width} tab-separated columns, got {len(fields)}"
+            )
+        block.append((line_no, fields))
+    if block:
+        yield block
 
 
 _PAIRS_HEADER = ("informal", "formal", "score", "method", "origin", "entry_id")

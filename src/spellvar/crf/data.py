@@ -9,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from spellvar.corpus import CorpusFormatError, read_lines
+from spellvar.corpus import CorpusFormatError, read_blocks, read_lines
 
 TAGS = ("I", "O")
 
@@ -18,31 +18,14 @@ LabeledBlock = tuple[tuple[str, ...], tuple[str, ...]]
 
 def read_labeled_file(path: str | Path) -> list[LabeledBlock]:
     blocks: list[LabeledBlock] = []
-    surfaces: list[str] = []
-    tags: list[str] = []
-
-    def flush() -> None:
-        if surfaces:
-            blocks.append((tuple(surfaces), tuple(tags)))
-            surfaces.clear()
-            tags.clear()
-
-    for line_no, line in read_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip():
-            flush()
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CorpusFormatError(f"{path}: line {line_no}: expected 'surface<TAB>tag'")
-        surface, tag = parts
-        if tag not in TAGS:
-            raise CorpusFormatError(
-                f"{path}: line {line_no}: tag must be one of {TAGS}, got {tag!r}"
-            )
-        surfaces.append(surface)
-        tags.append(tag)
-    flush()
+    for rows in read_blocks(path, read_lines(path), 2):
+        for line_no, (_, tag) in rows:
+            if tag not in TAGS:
+                raise CorpusFormatError(
+                    f"{path}: line {line_no}: tag must be one of {TAGS}, got {tag!r}"
+                )
+        surfaces, tags = zip(*(fields for _, fields in rows))
+        blocks.append((surfaces, tags))
     return blocks
 
 

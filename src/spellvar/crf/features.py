@@ -3,7 +3,8 @@
 Features are plain strings of the form ``template=value``, with context
 templates carrying a signed offset prefix (``-1:word.lower=saying``).
 Templates whose annotation field is still the sentinel are skipped, so the
-same extractor works on fully parsed and fallback-annotated entries alike.
+same extractor works alike on fully parsed entries and on entries whose lemma
+and UPOS alone :func:`spellvar.corpus.annotate` guessed.
 """
 
 from __future__ import annotations

@@ -23,6 +23,10 @@ import numpy as np
 #: Armijo sufficient-decrease constant.
 _C1 = 1e-4
 _MAX_BACKTRACKS = 60
+#: Convergence threshold on the max-norm of the (pseudo-)gradient.
+_TOLERANCE = 1e-5
+#: Number of recent (s, y) pairs the two-loop recursion keeps.
+_MEMORY = 10
 
 
 @dataclass
@@ -77,15 +81,13 @@ def minimize(
     x0: np.ndarray,
     l1: float = 0.0,
     max_iterations: int = 200,
-    tolerance: float = 1e-5,
-    memory: int = 10,
 ) -> OptimResult:
     """Minimize ``fun_grad`` (smooth value, and a function returning its
     gradient at the same point) plus an L1 term.
 
     Accepted iterates never increase the penalized objective; convergence is
     declared when the max-norm of the (pseudo-)gradient drops below
-    ``tolerance``.  Raises on non-finite objective values.
+    ``_TOLERANCE``.  Raises on non-finite objective values.
     """
     x = np.array(x0, dtype=float)
     f, gradient = fun_grad(x)
@@ -94,15 +96,15 @@ def minimize(
         raise ValueError("objective is not finite at the starting point")
     penalized = f + l1 * float(np.abs(x).sum())
     history = [penalized]
-    s_list: deque[np.ndarray] = deque(maxlen=memory)
-    y_list: deque[np.ndarray] = deque(maxlen=memory)
-    rho_list: deque[float] = deque(maxlen=memory)
+    s_list: deque[np.ndarray] = deque(maxlen=_MEMORY)
+    y_list: deque[np.ndarray] = deque(maxlen=_MEMORY)
+    rho_list: deque[float] = deque(maxlen=_MEMORY)
     converged = False
     iteration = 0
 
     for iteration in range(1, max_iterations + 1):
         pseudo = _pseudo_gradient(x, grad, l1)
-        if float(np.abs(pseudo).max(initial=0.0)) < tolerance:
+        if float(np.abs(pseudo).max(initial=0.0)) < _TOLERANCE:
             converged = True
             iteration -= 1
             break

@@ -161,7 +161,6 @@ class TrainConfig:
     l1: float = 2.35
     l2: float = 0.08
     max_optimizer_iterations: int = 200
-    gradient_tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.l1 < 0 or self.l2 < 0:
@@ -194,7 +193,6 @@ def train(
         np.zeros(dataset.n_parameters),
         l1=config.l1,
         max_iterations=config.max_optimizer_iterations,
-        tolerance=config.gradient_tolerance,
     )
     if not np.isfinite(result.fun):
         raise ValueError("training diverged to a non-finite objective")

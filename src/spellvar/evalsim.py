@@ -319,16 +319,6 @@ def evaluate_pairs(
     return EvalReport(matched_pairs=matched, hits=hits, accuracy=accuracy, per_pair=outcomes)
 
 
-def load_vocab(path: str | Path) -> frozenset[str]:
-    """Read one word per line, case-folded; ``#`` comments and blank lines
-    are skipped."""
-    words: set[str] = set()
-    for _, line in read_lines(path):
-        if (word := line.strip()) and not word.startswith("#"):
-            words.add(word.casefold())
-    return frozenset(words)
-
-
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation; rejects mismatched, short, or constant input."""
     if len(xs) != len(ys):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spellvar.corpus import SENTINEL, Corpus, DictEntry, VariantPair, annotate
+from spellvar.corpus import Corpus, DictEntry, VariantPair, annotate
 from spellvar.crf.features import FeatureSet, extract_features
 from spellvar.crf.kernel import FeatureIds
 # ``marginals`` and ``viterbi_decode`` are unused here but stay importable
@@ -211,13 +211,6 @@ def pairs_from_tagging(
     return pairs
 
 
-def _ensure_annotated_entry(entry: DictEntry) -> DictEntry:
-    if all(tok.upos != SENTINEL and tok.lemma != SENTINEL for tok in entry.definition):
-        return entry
-    single = Corpus(entries=(entry,))
-    return annotate(single).entries[0]
-
-
 def self_train(
     gold: Sequence[LabeledEntry],
     unlabeled: Corpus,
@@ -227,17 +220,18 @@ def self_train(
 
     A token counts as confident when Viterbi labels it I and its marginal
     P(I) strictly exceeds ``confidence_tau``; entries with at least one
-    confident token are promoted whole, everything else tagged O.
+    confident token are promoted whole, everything else tagged O.  Both sets
+    go through :func:`annotate`, which fills only missing lemmas and UPOS tags.
     """
     if not gold:
         raise ValueError("self-training needs gold data")
-    gold_entries = [(_ensure_annotated_entry(entry), tuple(tags)) for entry, tags in gold]
+    gold_corpus = annotate(Corpus(entries=tuple(entry for entry, _ in gold)))
+    gold_entries = [(entry, tuple(tags)) for entry, (_, tags) in zip(gold_corpus, gold)]
     for entry, tags in gold_entries:
         if len(tags) != len(entry.definition):
             raise ValueError(f"entry {entry.entry_id!r}: {len(tags)} tags for "
                              f"{len(entry.definition)} tokens")
-    if not unlabeled.annotated:
-        unlabeled = annotate(unlabeled)
+    unlabeled = annotate(unlabeled)
     gold_ids = {entry.entry_id for entry, _ in gold_entries}
     clash = gold_ids & {entry.entry_id for entry in unlabeled}
     if clash:

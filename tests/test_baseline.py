@@ -59,6 +59,13 @@ class TestLoadRules:
         with pytest.raises(RuleError, match="duplicate"):
             load_rules(path)
 
+    @pytest.mark.parametrize("mark", ["\x0c", "\x85", "\u2028"])
+    def test_only_line_breaks_end_a_rule(self, tmp_path, mark):
+        path = tmp_path / "rules.tsv"
+        path.write_text(f"r1\tshort{mark}for (?P<Spelling>\\w+)\n", encoding="utf-8")
+        (rule,) = load_rules(path)
+        assert rule.pattern_source == f"short{mark}for (?P<Spelling>\\w+)"
+
     def test_missing_tab_rejected(self, tmp_path):
         path = tmp_path / "rules.tsv"
         path.write_text("just one field\n", encoding="utf-8")

@@ -77,6 +77,14 @@ class TestExtractBaseline:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_undecodable_rules_name_file_and_line(self, tmp_path, baseline_corpus, capsys):
+        rules = tmp_path / "rules.tsv"
+        rules.write_bytes(b"# rules\nr1\tcaf\xe9 for (?P<Spelling>\\w+)\n")
+        code = main(["extract", "--method", "baseline", "--corpus", str(baseline_corpus),
+                     "--rules", str(rules), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {rules}: line 2: not UTF-8: byte 0xe9\n"
+
     def test_unknown_flag(self, tmp_path, baseline_corpus):
         code = main(["extract", "--method", "baseline", "--corpus", str(baseline_corpus),
                      "--out", str(tmp_path / "out"), "--bogus"])
@@ -527,27 +535,37 @@ FUZZ_PIECES = FUZZ_WORDS + FUZZ_NUMBERS + [
     "nan", "1e999", "x", "\u00e9", " ", "\t", "\x0b", "\xa0", "\n", "\r\n", "\r", "\x00", "2 3"]
 
 
-@st.composite
-def embedding_bytes(draw):
-    """Bytes of an embedding file: a table of the eval fixture's words, a run
-    of table-like pieces, any text or any bytes; maybe with a byte or a piece
-    spliced in, maybe behind a byte-order mark."""
+def file_bytes(*kinds, splice):
+    """Bytes of a text file drawn from one of ``kinds``, maybe with a draw of
+    ``splice`` spliced in, maybe behind a byte-order mark."""
+    @st.composite
+    def build(draw):
+        data = draw(st.one_of(*kinds))
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(splice) + data[at:]
+        return draw(st.sampled_from([b"", codecs.BOM_UTF8])) + data
+    return build()
+
+
+def runs_of(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=40).map("".join).map(str.encode)
+
+
+ANY_TEXT = st.text(max_size=40).map(str.encode)
+ANY_BYTES = st.binary(max_size=40)
+PIECE_OR_BYTES = st.binary(min_size=1, max_size=2) | st.sampled_from(FUZZ_PIECES).map(str.encode)
+
+
+def embedding_bytes():
+    """A table of the eval fixture's words, a run of table-like pieces, any
+    text or any bytes."""
     rows = st.tuples(st.sampled_from(FUZZ_WORDS),
                      st.lists(st.sampled_from(FUZZ_NUMBERS), min_size=3, max_size=3))
-    data = draw(st.one_of(
-        st.lists(rows, min_size=1, max_size=6).map(
-            lambda table: "".join(f"{word} {' '.join(vector)}\n" for word, vector in table)
-        ).map(str.encode),
-        st.lists(st.sampled_from(FUZZ_PIECES), max_size=40).map("".join).map(str.encode),
-        st.text(max_size=40).map(str.encode),
-        st.binary(max_size=40),
-    ))
-    if draw(st.booleans()):
-        at = draw(st.integers(0, len(data)))
-        splice = draw(st.binary(min_size=1, max_size=2)
-                      | st.sampled_from(FUZZ_PIECES).map(str.encode))
-        data = data[:at] + splice + data[at:]
-    return draw(st.sampled_from([b"", codecs.BOM_UTF8])) + data
+    table = st.lists(rows, min_size=1, max_size=6).map(
+        lambda table: "".join(f"{word} {' '.join(vector)}\n" for word, vector in table)
+    ).map(str.encode)
+    return file_bytes(table, runs_of(FUZZ_PIECES), ANY_TEXT, ANY_BYTES, splice=PIECE_OR_BYTES)
 
 
 @settings(max_examples=200, deadline=None)
@@ -563,6 +581,139 @@ def test_eval_on_any_embedding_bytes_exits_0_or_2(tmp_path_factory, data):
     assert code in (0, 2)
     if code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# Line ends a text reader may meet; only the first four end a line.
+LINE_ENDS = ["\n", "\r\n", "\r", "\n\n", "\x0c", "\x85", "\u2028"]
+
+
+def lines_of(row):
+    """Up to six rows drawn from ``row``, each ended by one of ``LINE_ENDS``."""
+    return st.lists(st.tuples(row, st.sampled_from(LINE_ENDS)), max_size=6).map(
+        lambda rows: "".join(text + end for text, end in rows).encode())
+
+
+def tab_row(*columns):
+    return st.tuples(*map(st.sampled_from, columns)).map("\t".join)
+
+
+# Every pattern the rule fuzz can compile comes from this list, and none
+# starts with a quantifier, so no run of them nests one: matching stays cheap.
+# For the same reason a rule file's splice is a byte that is never UTF-8 here.
+RULE_PATTERNS = [r'way of saying "(?P<Spelling>\w+)"', r"saying (?P<Spelling>\w+)",
+                 r"(?P<Spelling>yes)", r"(?P<Spelling>[unclosed", r"no group (\w+)",
+                 r"(?P<Word>\w+)", ""]
+RULE_PIECES = ["r1", "r2", "#", " ", "\t", "x", "\u00e9", "\x00"] + LINE_ENDS + RULE_PATTERNS
+NOT_UTF8 = st.sampled_from([b"\xff", b"\xe9", b"\x80"])
+
+CELLS = ["name", "top1", "a", "b", "c", "0.1", "0.5", "-2", "nan", "", '"', '"a\tb"', "x"]
+# A table with the join column and drawn values.
+TABLE_FILES = st.lists(st.sampled_from(["0.1", "0.5", "-2", "nan", "1e999", "x"]),
+                       min_size=3, max_size=3).map(
+    lambda cells: ("name\ttop1\n" + "".join(f"{k}\t{v}\n" for k, v in zip("abc", cells))).encode())
+
+# The annotation columns after the surface: lemma, UPOS, XPOS, head, relation.
+CONLLU_COLUMNS = (["_", "say"], ["_", "VERB", "NOUN"], ["_", "VBG"], ["0", "1", "2", "7", "x"],
+                  ["_", "root"])
+
+
+def conllu_row(i, surface):
+    return tab_row(*CONLLU_COLUMNS).map(
+        lambda rest: "{}\t{}\t{}\t{}\t{}\t_\t{}\t{}\t_\t_\n".format(i, surface, *rest.split("\t")))
+
+
+# One block per fuzz corpus entry, in order.
+CONLLU_FILES = st.tuples(conllu_row(1, "saying"), conllu_row(2, "yes"), conllu_row(1, "mate")).map(
+    lambda rows: (rows[0] + rows[1] + "\n" + rows[2]).encode())
+CONLLU_SURFACES = ["saying", "yes", "mate", "x"]
+CONLLU_LINES = lines_of(tab_row(["1", "2"], CONLLU_SURFACES, *CONLLU_COLUMNS[:3], ["_"],
+                                *CONLLU_COLUMNS[3:], ["_"], ["_"]))
+
+# One block per fuzz gold entry, in order.
+GOLD_BLOCKS = (("short", "for", "mate"), ("saying", "yes"))
+
+
+def tag_block(block):
+    return st.lists(st.sampled_from(["I", "O"]), min_size=len(block), max_size=len(block)).map(
+        lambda tags: "".join(f"{surface}\t{tag}\n" for surface, tag in zip(block, tags)))
+
+
+TAG_FILES = st.tuples(*map(tag_block, GOLD_BLOCKS)).map(lambda blocks: "\n".join(blocks).encode())
+TAG_SURFACES = ["short", "for", "mate", "saying", "yes", "x"]
+WORDS = ["frm0", "frm1", "FRM1", "#frm0", " frm0 ", "x", "\u00e9", ""]
+INI_LINES = ["[correlate]", "[DEFAULT]", "[extract]", "keys = name", "out: elsewhere",
+             "foo = 1", "% = 2", "v = %(v)s", "v = 100%", "v = %(w)s", "#c", ";c",
+             "  indented", "[", "name", "keys"]
+
+# Each reader's fuzzed files and the exit codes they may end in: a bad
+# config is a usage error, and so is a table without the join column.
+FUZZ_FILES = {
+    "rules": (file_bytes(lines_of(tab_row(["r1", "r2", "#r3", " r1"], RULE_PATTERNS)),
+                         runs_of(RULE_PIECES), splice=NOT_UTF8), (0, 2)),
+    "table": (file_bytes(TABLE_FILES,
+                         lines_of(st.lists(st.sampled_from(CELLS), min_size=1, max_size=4)
+                                  .map("\t".join)),
+                         runs_of(CELLS + LINE_ENDS), ANY_TEXT, ANY_BYTES, splice=PIECE_OR_BYTES),
+              (0, 1, 2)),
+    "conllu": (file_bytes(CONLLU_FILES, CONLLU_LINES,
+                          runs_of(CONLLU_SURFACES + LINE_ENDS + ["\t"]), ANY_TEXT, ANY_BYTES,
+                          splice=PIECE_OR_BYTES), (0, 2)),
+    "gold_tags": (file_bytes(TAG_FILES, lines_of(tab_row(TAG_SURFACES, ["I", "O", "B", ""])),
+                             ANY_TEXT, ANY_BYTES, splice=PIECE_OR_BYTES), (0, 2)),
+    "word_list": (file_bytes(lines_of(st.sampled_from(WORDS)), ANY_TEXT, ANY_BYTES,
+                             splice=PIECE_OR_BYTES), (0, 2)),
+    "config": (file_bytes(lines_of(st.sampled_from(INI_LINES)), runs_of(INI_LINES + LINE_ENDS),
+                          ANY_TEXT, ANY_BYTES, splice=PIECE_OR_BYTES), (0, 1)),
+}
+
+
+def fuzz_command(reader, root, fuzzed):
+    """The command that reads ``fuzzed`` as ``reader``, with good copies of
+    its other inputs written under ``root``."""
+    corpus = write_corpus(root, [{"word": "aye", "definition": "saying yes"},
+                                 {"word": "m8", "definition": "mate"}])
+    out = ["--out", str(root / "out")]
+    if reader in ("rules", "conllu"):
+        flag = "--rules" if reader == "rules" else "--annotations"
+        return ["extract", "--method", "baseline", "--corpus", str(corpus), flag, str(fuzzed),
+                *out]
+    if reader == "gold_tags":
+        gold = write_corpus(root, [
+            {"word": "m8", "definition": "short for mate", "entry_id": "g1"},
+            {"word": "aye", "definition": "saying yes", "entry_id": "g2"}], "gold.jsonl")
+        return ["extract", "--method", "selftrain", "--corpus", str(corpus),
+                "--gold-corpus", str(gold), "--gold-tags", str(fuzzed), "--iterations", "1",
+                "--l1", "0.02", "--l2", "0.03", *out]
+    if reader == "word_list":
+        pairs, embeddings, _ = write_eval_inputs(root)
+        return ["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                "--formal-vocab", str(fuzzed), *out]
+    table = write_lines(root / "table.tsv", ["name\tval", "a\t0.1", "b\t0.3", "c\t0.2"])
+    if reader == "table":
+        return ["correlate", "--intrinsic", str(fuzzed), "--extrinsic", str(table),
+                "--keys", "name", *out]
+    # Every correlate option is a flag, so the file can only add to them.
+    return ["correlate", "--config", str(fuzzed), "--intrinsic", str(table),
+            "--extrinsic", str(table), "--keys", "name", *out]
+
+
+@pytest.mark.parametrize("reader", sorted(FUZZ_FILES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_input_file_exits_0_1_or_2(tmp_path_factory, reader, data):
+    root = tmp_path_factory.mktemp("fuzz")
+    fuzzed = root / "fuzzed"
+    files, codes = FUZZ_FILES[reader]
+    fuzzed.write_bytes(data.draw(files))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(fuzz_command(reader, root, fuzzed))
+    assert code in codes
+    if code:
+        # Notes on skipped columns may come first; the error is the last line.
+        notes, _, error = err.getvalue().removesuffix("\n").rpartition("\n")
+        assert error.startswith("error: ")
+        assert all(note.startswith("note: ") for note in notes.splitlines())
 
 
 @pytest.fixture()
@@ -615,6 +766,38 @@ class TestCorrelate:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "ghost" in capsys.readouterr().err
+
+    def _correlate(self, tmp_path, intrinsic, extrinsic):
+        return main(["correlate", "--intrinsic", str(intrinsic), "--extrinsic", str(extrinsic),
+                     "--keys", "name", "--out", str(tmp_path / "out")])
+
+    def test_undecodable_table_names_file_and_line(self, tmp_path, correlate_inputs, capsys):
+        intrinsic, extrinsic = correlate_inputs
+        table = tmp_path / "bad.tsv"
+        table.write_bytes(intrinsic.read_bytes().replace(b"b\t0.2", b"b\t0.2\xff"))
+        assert self._correlate(tmp_path, table, extrinsic) == 2
+        assert capsys.readouterr().err == f"error: {table}: line 3: not UTF-8: byte 0xff\n"
+
+    def test_table_with_a_byte_order_mark_loads(self, tmp_path, correlate_inputs):
+        intrinsic, extrinsic = correlate_inputs
+        table = tmp_path / "bom.tsv"
+        table.write_bytes(codecs.BOM_UTF8 + intrinsic.read_bytes())
+        assert self._correlate(tmp_path, table, extrinsic) == 0
+
+    def test_row_width_names_the_line(self, tmp_path, correlate_inputs, capsys):
+        # The quoted field spans lines 3 and 4; the short row is line 5.
+        intrinsic, extrinsic = correlate_inputs
+        table = write_lines(tmp_path / "ragged.tsv", [
+            "name\ttop1\ttop20", "a\t0.1\t0.5", 'b\t"0.2', '"\t0.6', "c\t0.4"])
+        assert self._correlate(tmp_path, table, extrinsic) == 2
+        assert capsys.readouterr().err == (
+            f"error: {table}: line 5: row width does not match header\n")
+
+    def test_oversized_field_is_a_data_error(self, tmp_path, correlate_inputs, capsys):
+        intrinsic, extrinsic = correlate_inputs
+        table = write_lines(tmp_path / "huge.tsv", ["name\ttop1", "a\t" + "9" * 200_000])
+        assert self._correlate(tmp_path, table, extrinsic) == 2
+        assert capsys.readouterr().err.startswith(f"error: {table}: line 2: field larger")
 
 
 class TestAnnotate:
@@ -693,6 +876,38 @@ class TestConfigFile:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"{name}: cannot parse" in capsys.readouterr().err
+
+    def test_undecodable_config_names_file_and_line(self, tmp_path, baseline_corpus, capsys):
+        config = tmp_path / "run.ini"
+        config.write_bytes(b"[extract]\nmethod = baseline\n# caf\xe9\n")
+        code = main(["extract", "--config", str(config), "--corpus", str(baseline_corpus),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: line 3: not UTF-8: byte 0xe9\n"
+
+    def test_config_with_a_byte_order_mark_loads(self, tmp_path, baseline_corpus):
+        out = tmp_path / "out"
+        config = tmp_path / "run.ini"
+        config.write_bytes(codecs.BOM_UTF8 + f"[extract]\nmethod = baseline\ncorpus = "
+                           f"{baseline_corpus}\nout = {out}\n".encode())
+        assert main(["extract", "--config", str(config)]) == 0
+        assert (out / "pairs.tsv").is_file()
+
+    def test_parse_error_is_one_line(self, tmp_path, baseline_corpus, capsys):
+        config = write_lines(tmp_path / "run.ini", ["method = baseline"])
+        code = main(["extract", "--config", str(config), "--corpus", str(baseline_corpus),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bad config file: File contains no section headers. "
+            f"file: '{config}', line: 1 'method = baseline\\n'\n")
+
+    def test_bad_interpolation_is_a_usage_error(self, tmp_path, baseline_corpus, capsys):
+        config = write_lines(tmp_path / "run.ini", ["[extract]", "method = 100%"])
+        code = main(["extract", "--config", str(config), "--corpus", str(baseline_corpus),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad config file: '%'")
 
     def test_missing_config_file(self, tmp_path):
         code = main(["extract", "--config", str(tmp_path / "ghost.ini")])

@@ -17,9 +17,9 @@ from spellvar.corpus import (
     annotate,
     load_conllu,
     load_jsonl,
-    load_stopwords,
     read_pairs_tsv,
     read_seed_pairs,
+    read_word_list,
     tokenize,
     write_conllu,
     write_jsonl,
@@ -96,7 +96,7 @@ class TestLoadJsonl:
         ])
         corpus = load_jsonl(path)
         assert len(corpus) == 2
-        assert not corpus.annotated
+        assert all(tok.upos == "_" and tok.lemma == "_" for e in corpus for tok in e.definition)
         first = corpus.entries[0]
         assert first.headword == "m8"
         assert len(first.definition) == 7
@@ -216,12 +216,21 @@ class TestAnnotate:
         assert tags[0] == "DET"
         assert tags[2] == "ADP"
 
-    def test_sets_annotated_flag(self):
+    def test_fills_every_lemma_and_upos(self):
         corpus = annotate(make_corpus(("w", "a way of saying yes")))
-        assert corpus.annotated
         for tok in corpus.entries[0].definition:
             assert tok.upos != "_"
             assert tok.lemma != "_"
+
+    @pytest.mark.parametrize("lemma,upos", [("_", "X"), ("wlk", "_")])
+    def test_fills_only_the_missing_field(self, lemma, upos):
+        (tok,) = tokenize("Walking")
+        parsed = replace(tok, lemma=lemma, upos=upos, xpos="VBG", dep="root")
+        entry = DictEntry(headword="w", definition=(parsed,), definition_text="Walking",
+                          entry_id="e1")
+        (new,) = annotate(Corpus(entries=(entry,))).entries[0].definition
+        filled = {"lemma": "walking"} if lemma == "_" else {"upos": "VERB"}
+        assert new == replace(parsed, **filled)
 
     def test_fallback_changes_only_annotation_fields(self):
         entry = make_entry("w", "The 8 walking Dogs")
@@ -241,20 +250,6 @@ class TestAnnotate:
         before = [t.surface for t in base.entries[0].definition]
         after = [t.surface for t in out.entries[0].definition]
         assert before == after
-
-    def test_annotator_changing_count_rejected(self):
-        corpus = make_corpus(("w", "a b c"))
-        with pytest.raises(CorpusFormatError, match="e1"):
-            annotate(corpus, lambda entry: entry.definition[:2])
-
-    def test_annotator_failure_names_entry(self):
-        corpus = make_corpus(("w", "a b"))
-
-        def broken(entry):
-            raise RuntimeError("boom")
-
-        with pytest.raises(CorpusFormatError, match="e1"):
-            annotate(corpus, broken)
 
 
 CONLLU_BLOCK = """\
@@ -278,7 +273,7 @@ class TestConllu:
 
     def test_merge(self, tmp_path):
         corpus = load_conllu(*self._files(tmp_path))
-        assert corpus.annotated
+        assert all(tok.upos != "_" and tok.lemma != "_" for tok in corpus.entries[0].definition)
         tokens = corpus.entries[0].definition
         your = tokens[4]
         assert your.lower == "your"
@@ -381,7 +376,7 @@ class TestWordLists:
     def test_stopwords_skip_comments_and_case_fold(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nThe\n\nof\n", encoding="utf-8")
-        assert load_stopwords(path) == frozenset({"the", "of"})
+        assert read_word_list(path) == frozenset({"the", "of"})
 
     def test_seed_pairs(self, tmp_path):
         path = tmp_path / "seeds.tsv"
@@ -399,7 +394,7 @@ class TestWordLists:
 LOADERS = {
     "corpus": (load_jsonl, [b'{"word": "ur", "definition": "your"}\n'] * 2,
                lambda corpus: [e.headword for e in corpus]),
-    "stopwords": (load_stopwords, [b"the\n", b"of\n"], sorted),
+    "stopwords": (read_word_list, [b"the\n", b"of\n"], sorted),
     "seeds": (read_seed_pairs, [b"aye\tyes\n", b"ur\tyour\n"], list),
 }
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spellvar import evalsim
-from spellvar.corpus import VariantPair
+from spellvar.corpus import VariantPair, read_word_list
 from spellvar.evalsim import (
     MISS_REASONS,
     RANK_CHUNK,
@@ -19,7 +19,6 @@ from spellvar.evalsim import (
     MissingWordError,
     evaluate_pairs,
     load_embeddings,
-    load_vocab,
     make_table,
     pearson,
     rank_of_formal,
@@ -491,12 +490,12 @@ class TestLoadVocab:
     def test_basic(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("Mate\nyes\n\nmate\n", encoding="utf-8")
-        assert load_vocab(path) == frozenset({"mate", "yes"})
+        assert read_word_list(path) == frozenset({"mate", "yes"})
 
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("# formal words\nmate\n  # indented comment\nyes\n", encoding="utf-8")
-        assert load_vocab(path) == frozenset({"mate", "yes"})
+        assert read_word_list(path) == frozenset({"mate", "yes"})
 
 
 class TestPearson:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from spellvar.corpus import Corpus
+from spellvar import selftrain
+from spellvar.corpus import Corpus, CorpusFormatError, load_conllu
 from spellvar.crf import TrainConfig, extract_features, viterbi_decode
 from spellvar.selftrain import (
     SearchSpace,
@@ -254,6 +255,32 @@ class TestSelfTrain:
         clashing = Corpus(entries=(entry,))
         with pytest.raises(ValueError, match=entry.entry_id):
             self_train(staircase.gold, clashing, CASCADE_CONFIG)
+
+    def test_duplicate_gold_ids_rejected(self, staircase):
+        with pytest.raises(CorpusFormatError, match="duplicate entry_id"):
+            self_train(staircase.gold[:1] * 2, staircase.unlabeled, CASCADE_CONFIG)
+
+    def test_parsed_annotations_reach_the_features(self, staircase, tmp_path, monkeypatch):
+        # One unparsed lemma in the file fills that lemma alone; the parse stays.
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text('{"word": "ur", "definition": "saying your"}\n'
+                               '{"word": "m8", "definition": "mate"}\n', encoding="utf-8")
+        annotations = tmp_path / "annotations.conllu"
+        annotations.write_text("1\tsaying\tsay\tVERB\tVBG\t_\t0\troot\t_\t_\n"
+                               "2\tyour\tyour\tPRON\tPRP$\t_\t1\tobj\t_\t_\n\n"
+                               "1\tmate\t_\tNOUN\tNN\t_\t0\troot\t_\t_\n", encoding="utf-8")
+        seen = {}
+
+        def recording(entry, window):
+            seen[entry.entry_id] = features = extract_features(entry, window)
+            return features
+
+        monkeypatch.setattr(selftrain, "extract_features", recording)
+        config = SelfTrainConfig(max_iterations=0, train=CASCADE_TRAIN)
+        self_train(staircase.gold, load_conllu(corpus_path, annotations), config)
+        assert {"tag_=VBG", "dep_=root", "lemma_=say"} <= set(seen["e1"][0])
+        assert {"tag_=PRP$", "dep_=obj", "head_tag=VBG"} <= set(seen["e1"][1])
+        assert {"tag_=NN", "dep_=root", "lemma_=mate", "pos_=NOUN"} <= set(seen["e2"][0])
 
     def test_tag_length_mismatch_rejected(self, staircase):
         entry, _ = staircase.gold[0]
