@@ -62,7 +62,10 @@ def load_rules(path: str | Path | None = None) -> list[SurfaceRule]:
         if rule_id in seen:
             raise RuleError(f"{path}: line {line_no}: duplicate rule id {rule_id!r}")
         seen.add(rule_id)
-        rules.append(SurfaceRule(rule_id=rule_id, pattern_source=parts[1]))
+        try:
+            rules.append(SurfaceRule(rule_id=rule_id, pattern_source=parts[1]))
+        except RuleError as exc:
+            raise RuleError(f"{path}: line {line_no}: {exc}") from exc
     return rules
 
 

@@ -19,6 +19,7 @@ import csv
 import functools
 import inspect
 import json
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
 from spellvar import __version__
-from spellvar.baseline import RuleError, extract_baseline, load_rules
+from spellvar.baseline import extract_baseline, load_rules
 from spellvar.bootstrap import BootstrapConfig, bootstrap_run
 from spellvar.corpus import (
     Corpus,
@@ -44,14 +45,9 @@ from spellvar.corpus import (
 )
 from spellvar.crf.data import read_labeled_file, write_labeled_file
 from spellvar.crf.features import extract_features
-from spellvar.crf.model import ModelFormatError, save_model
+from spellvar.crf.model import save_model
 from spellvar.crf.train import TrainConfig
-from spellvar.evalsim import (
-    EmbeddingFormatError,
-    evaluate_pairs,
-    load_embeddings,
-    pearson,
-)
+from spellvar.evalsim import evaluate_pairs, load_embeddings, pearson
 from spellvar.selftrain import SearchSpace, SelfTrainConfig, random_search, self_train
 from spellvar.synthetic import bootstrap_fixture, selftrain_fixture
 
@@ -217,7 +213,7 @@ def _load_extract_corpus(corpus_path: Path, annotations: Path | None) -> Corpus:
 
 
 def _read_gold(gold_corpus_path: Path, gold_tags_path: Path):
-    corpus = load_jsonl(gold_corpus_path)
+    corpus = annotate(load_jsonl(gold_corpus_path))
     blocks = read_labeled_file(gold_tags_path)
     if len(blocks) != len(corpus.entries):
         raise CorpusFormatError(
@@ -301,11 +297,7 @@ def _cmd_extract(opts: _Options) -> None:
         gold = _read_gold(gold_corpus_path, gold_tags_path)
         corpus = _load_extract_corpus(corpus_path, annotations)
         if space is not None:
-            gold_annotated = annotate(Corpus(entries=tuple(e for e, _ in gold))).entries
-            data = [
-                (extract_features(entry, config.window), tags)
-                for entry, (_, tags) in zip(gold_annotated, gold)
-            ]
+            data = [(extract_features(entry, config.window), tags) for entry, tags in gold]
             searched = random_search(data, space)
             penalties = {"l1": searched.l1, "l2": searched.l2}
             config = replace(config, train=opts.build(_TRAIN, penalties))
@@ -406,7 +398,7 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _numeric_columns(
-    header: list[str], rows: list[list[str]], keys: list[str], label: str
+    header: list[str], rows: list[list[str]], keys: list[str], label: str, path: Path
 ) -> dict[str, list[float]]:
     columns: dict[str, list[float]] = {}
     for j, name in enumerate(header):
@@ -416,6 +408,9 @@ def _numeric_columns(
             columns[name] = [float(row[j]) for row in rows]
         except ValueError:
             print(f"note: skipping non-numeric {label} column {name!r}", file=sys.stderr)
+            continue
+        if not all(map(math.isfinite, columns[name])):
+            raise ValueError(f"{path}: column {name!r} holds a non-finite value")
     return columns
 
 
@@ -455,8 +450,10 @@ def _cmd_correlate(opts: _Options) -> None:
     if len(joined) < 2:
         raise ValueError("need at least two joined rows to correlate")
 
-    int_cols = _numeric_columns(int_header, [int_table[k] for k in joined], keys, "intrinsic")
-    ext_cols = _numeric_columns(ext_header, [ext_table[k] for k in joined], keys, "extrinsic")
+    int_cols = _numeric_columns(int_header, [int_table[k] for k in joined], keys, "intrinsic",
+                                intrinsic_path)
+    ext_cols = _numeric_columns(ext_header, [ext_table[k] for k in joined], keys, "extrinsic",
+                                extrinsic_path)
 
     def usable(columns: dict[str, list[float]], label: str) -> dict[str, list[float]]:
         kept = {}
@@ -643,9 +640,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         name = exc.filename if exc.filename else str(exc)
         print(f"error: file not found: {name}", file=sys.stderr)
         return USAGE_ERROR
-    except (CorpusFormatError, RuleError, EmbeddingFormatError, ModelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -203,7 +203,7 @@ def load_jsonl(path: str | Path) -> Corpus:
 def _entry_from_json(line: str, default_id: str, built: dict[tuple[str, int], Token]) -> DictEntry:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorpusFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise CorpusFormatError("record is not an object")

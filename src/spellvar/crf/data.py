@@ -10,8 +10,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from spellvar.corpus import CorpusFormatError, read_blocks, read_lines
-
-TAGS = ("I", "O")
+from spellvar.crf.model import LABELS
 
 LabeledBlock = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -20,9 +19,9 @@ def read_labeled_file(path: str | Path) -> list[LabeledBlock]:
     blocks: list[LabeledBlock] = []
     for rows in read_blocks(path, read_lines(path), 2):
         for line_no, (_, tag) in rows:
-            if tag not in TAGS:
+            if tag not in LABELS:
                 raise CorpusFormatError(
-                    f"{path}: line {line_no}: tag must be one of {TAGS}, got {tag!r}"
+                    f"{path}: line {line_no}: tag must be one of {LABELS}, got {tag!r}"
                 )
         surfaces, tags = zip(*(fields for _, fields in rows))
         blocks.append((surfaces, tags))

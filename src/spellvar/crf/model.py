@@ -150,7 +150,7 @@ def save_model(model: CrfModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CrfModel:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} model file")
@@ -166,6 +166,8 @@ def load_model(path: str | Path) -> CrfModel:
         if type(window) is not int or window < 1:
             raise ValueError(f"window {window!r} is not a positive integer")
         states: dict[str, list[float]] = payload["states"]
+        if not isinstance(states, dict):
+            raise ValueError("states is not an object")
         feature_index = {feature: row for row, feature in enumerate(states)}
         n_labels = len(LABELS)
         state = np.array(list(states.values()) or np.empty((0, n_labels)), dtype=float)
@@ -190,5 +192,5 @@ def load_model(path: str | Path) -> CrfModel:
             converged=converged,
             iterations=iterations,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: corrupt model payload: {exc}") from exc

@@ -320,18 +320,23 @@ def evaluate_pairs(
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation; rejects mismatched, short, or constant input."""
+    """Sample Pearson correlation; rejects mismatched, short, non-finite or
+    constant input."""
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two points")
+    if not all(map(math.isfinite, [*xs, *ys])):
+        raise ValueError("non-finite input")
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     dx = [x - mean_x for x in xs]
     dy = [y - mean_y for y in ys]
     var_x = sum(d * d for d in dx)
     var_y = sum(d * d for d in dy)
+    if not (math.isfinite(var_x) and math.isfinite(var_y)):
+        raise ValueError("input too large to correlate")
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("zero variance input")
     # Two square roots, not the root of the product: the product of two tiny

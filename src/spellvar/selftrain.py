@@ -134,20 +134,13 @@ def random_search(
     rng = random.Random(space.seed)
     order = list(range(len(data)))
     rng.shuffle(order)
-    base_size, remainder = divmod(len(order), space.folds)
-    folds: list[list[int]] = []
-    start = 0
-    for k in range(space.folds):
-        size = base_size + (1 if k < remainder else 0)
-        folds.append(order[start:start + size])
-        start += size
+    folds = np.array_split(order, space.folds)
 
     # Every trial trains on the same splits, so each is encoded once.
     sequences = FeatureIds().intern(features for features, _ in data)
     splits = []
-    for held_out in folds:
-        held_set = set(held_out)
-        kept = [i for i in order if i not in held_set]
+    for k, held_out in enumerate(folds):
+        kept = np.concatenate(folds[:k] + folds[k + 1:])
         training = TaggedIds(sequences.take(kept), [data[i][1] for i in kept])
         gold_tags = [tag for i in held_out for tag in data[i][1]]
         splits.append((encode_dataset(training), sequences.take(held_out), gold_tags))
@@ -220,28 +213,22 @@ def self_train(
 
     A token counts as confident when Viterbi labels it I and its marginal
     P(I) strictly exceeds ``confidence_tau``; entries with at least one
-    confident token are promoted whole, everything else tagged O.  Both sets
-    go through :func:`annotate`, which fills only missing lemmas and UPOS tags.
+    confident token are promoted whole, everything else tagged O.  Gold and
+    unlabeled entries go through :func:`annotate` as one corpus, which fills
+    only missing lemmas and UPOS tags and rejects a repeated entry id.
     """
     if not gold:
         raise ValueError("self-training needs gold data")
-    gold_corpus = annotate(Corpus(entries=tuple(entry for entry, _ in gold)))
-    gold_entries = [(entry, tuple(tags)) for entry, (_, tags) in zip(gold_corpus, gold)]
-    for entry, tags in gold_entries:
+    entries = annotate(Corpus(entries=(*(entry for entry, _ in gold), *unlabeled))).entries
+    labeled_tags = [tuple(tags) for _, tags in gold]
+    for entry, tags in zip(entries, labeled_tags):
         if len(tags) != len(entry.definition):
             raise ValueError(f"entry {entry.entry_id!r}: {len(tags)} tags for "
                              f"{len(entry.definition)} tokens")
-    unlabeled = annotate(unlabeled)
-    gold_ids = {entry.entry_id for entry, _ in gold_entries}
-    clash = gold_ids & {entry.entry_id for entry in unlabeled}
-    if clash:
-        raise ValueError(f"entries present in both gold and unlabeled sets: {sorted(clash)}")
 
-    entries = [entry for entry, _ in gold_entries] + list(unlabeled.entries)
     corpus = FeatureIds().intern(extract_features(entry, config.window) for entry in entries)
-    labeled = list(range(len(gold_entries)))
-    labeled_tags = [tags for _, tags in gold_entries]
-    remaining = np.arange(len(gold_entries), len(entries))
+    labeled = list(range(len(gold)))
+    remaining = np.arange(len(gold), len(entries))
     is_i = LABELS.index("I")
     pairs: list[VariantPair] = []
     trace: list[dict] = []

@@ -77,6 +77,23 @@ class TestExtractBaseline:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_deeply_nested_line_names_file_and_line(self, tmp_path, baseline_corpus, capsys):
+        corpus = tmp_path / "nested.jsonl"
+        corpus.write_text(baseline_corpus.read_text(encoding="utf-8") + "[" * 100_000 + "\n",
+                          encoding="utf-8")
+        code = main(["extract", "--method", "baseline", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {corpus}: line 4: invalid JSON: ")
+
+    def test_bad_rule_pattern_names_file_and_line(self, tmp_path, baseline_corpus, capsys):
+        rules = write_lines(tmp_path / "rules.tsv", ["# rules", "r1\t(?P<Spelling>[unclosed"])
+        code = main(["extract", "--method", "baseline", "--corpus", str(baseline_corpus),
+                     "--rules", str(rules), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {rules}: line 2: rule 'r1': invalid pattern: ")
+
     def test_undecodable_rules_name_file_and_line(self, tmp_path, baseline_corpus, capsys):
         rules = tmp_path / "rules.tsv"
         rules.write_bytes(b"# rules\nr1\tcaf\xe9 for (?P<Spelling>\\w+)\n")
@@ -645,8 +662,22 @@ INI_LINES = ["[correlate]", "[DEFAULT]", "[extract]", "keys = name", "out: elsew
              "foo = 1", "% = 2", "v = %(v)s", "v = 100%", "v = %(w)s", "#c", ";c",
              "  indented", "[", "name", "keys"]
 
+# JSON-lines records, each field a drawn JSON value, or a line nested too deep to parse.
+JSON_KEYS = ['"word"', '"definition"', '"entry_id"', '"example"', '"upvotes"', '"x"']
+JSON_VALUES = ['"aye"', '"saying yes"', '"short for \'mate\'"', '""', '"\\u00e9"', '"\\ud800"',
+               '"e1"', "0", "-1.5", "1e999", "NaN", "null", "true", "[]", "{}", '["yes"]']
+JSON_FIELDS = st.tuples(st.sampled_from(JSON_KEYS), st.sampled_from(JSON_VALUES)).map(": ".join)
+JSON_RECORDS = st.lists(JSON_FIELDS, max_size=5).map(lambda fields: "{" + ", ".join(fields) + "}")
+JSON_LINES = JSON_RECORDS | st.sampled_from(["[" * 100_000, '{"word": ' * 2_000])
+PAIR_CELLS = (["informal", "inf0", "inf1", "frm0", "INF0", "x", ""],
+              ["formal", "frm0", "frm1", "x"], ["score", "1.0", "0.5", "-1", "nan", "1e999", "x"],
+              ["method", "baseline", "bootstrap", "crf", "x"], ["origin", "r", "0", "12", "\u00b2"],
+              ["entry_id", "e1", ""])
+SEED_CELLS = (["aye", "m8", "AYE ", "#aye", "", "yes"], ["yes", "mate", "Yes", "", "x\ty"])
+
 # Each reader's fuzzed files and the exit codes they may end in: a bad
-# config is a usage error, and so is a table without the join column.
+# config is a usage error, and so is a table without the join column and a
+# seed list that the bootstrap configuration rejects (empty, or an identity).
 FUZZ_FILES = {
     "rules": (file_bytes(lines_of(tab_row(["r1", "r2", "#r3", " r1"], RULE_PATTERNS)),
                          runs_of(RULE_PIECES), splice=NOT_UTF8), (0, 2)),
@@ -662,6 +693,12 @@ FUZZ_FILES = {
                              ANY_TEXT, ANY_BYTES, splice=PIECE_OR_BYTES), (0, 2)),
     "word_list": (file_bytes(lines_of(st.sampled_from(WORDS)), ANY_TEXT, ANY_BYTES,
                              splice=PIECE_OR_BYTES), (0, 2)),
+    "corpus": (file_bytes(lines_of(JSON_LINES), runs_of(JSON_KEYS + JSON_VALUES + LINE_ENDS),
+                          ANY_TEXT, ANY_BYTES, splice=PIECE_OR_BYTES), (0, 2)),
+    "pairs": (file_bytes(lines_of(tab_row(*PAIR_CELLS)), ANY_TEXT, ANY_BYTES,
+                         splice=PIECE_OR_BYTES), (0, 2)),
+    "seeds": (file_bytes(lines_of(tab_row(*SEED_CELLS)), ANY_TEXT, ANY_BYTES,
+                         splice=PIECE_OR_BYTES), (0, 1, 2)),
     "config": (file_bytes(lines_of(st.sampled_from(INI_LINES)), runs_of(INI_LINES + LINE_ENDS),
                           ANY_TEXT, ANY_BYTES, splice=PIECE_OR_BYTES), (0, 1)),
 }
@@ -673,6 +710,11 @@ def fuzz_command(reader, root, fuzzed):
     corpus = write_corpus(root, [{"word": "aye", "definition": "saying yes"},
                                  {"word": "m8", "definition": "mate"}])
     out = ["--out", str(root / "out")]
+    if reader == "corpus":
+        return ["extract", "--method", "baseline", "--corpus", str(fuzzed), *out]
+    if reader == "seeds":
+        return ["extract", "--method", "bootstrap", "--corpus", str(corpus), "--seeds",
+                str(fuzzed), *out]
     if reader in ("rules", "conllu"):
         flag = "--rules" if reader == "rules" else "--annotations"
         return ["extract", "--method", "baseline", "--corpus", str(corpus), flag, str(fuzzed),
@@ -684,10 +726,14 @@ def fuzz_command(reader, root, fuzzed):
         return ["extract", "--method", "selftrain", "--corpus", str(corpus),
                 "--gold-corpus", str(gold), "--gold-tags", str(fuzzed), "--iterations", "1",
                 "--l1", "0.02", "--l2", "0.03", *out]
-    if reader == "word_list":
-        pairs, embeddings, _ = write_eval_inputs(root)
+    if reader in ("word_list", "pairs"):
+        pairs, embeddings, vocab = write_eval_inputs(root)
+        if reader == "pairs":
+            pairs = fuzzed
+        else:
+            vocab = fuzzed
         return ["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
-                "--formal-vocab", str(fuzzed), *out]
+                "--formal-vocab", str(vocab), *out]
     table = write_lines(root / "table.tsv", ["name\tval", "a\t0.1", "b\t0.3", "c\t0.2"])
     if reader == "table":
         return ["correlate", "--intrinsic", str(fuzzed), "--extrinsic", str(table),
@@ -792,6 +838,16 @@ class TestCorrelate:
         assert self._correlate(tmp_path, table, extrinsic) == 2
         assert capsys.readouterr().err == (
             f"error: {table}: line 5: row width does not match header\n")
+
+    def test_non_finite_value_is_a_data_error(self, tmp_path, capsys):
+        intrinsic = write_lines(tmp_path / "intrinsic.tsv",
+                                ["name\ttop1", "a\tnan", "b\t0.5", "c\t-2"])
+        extrinsic = write_lines(tmp_path / "extrinsic.tsv",
+                                ["name\tval", "a\t0.1", "b\t0.3", "c\t0.2"])
+        assert self._correlate(tmp_path, intrinsic, extrinsic) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {intrinsic}: column 'top1' holds a non-finite value\n"
 
     def test_oversized_field_is_a_data_error(self, tmp_path, correlate_inputs, capsys):
         intrinsic, extrinsic = correlate_inputs

@@ -1176,6 +1176,34 @@ class TestMinimize:
             minimize(deferred(fun), np.zeros(2))
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10 ** 400, -(10 ** 400), "f0", "I", "O"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+MODEL_KEYS = ["format", "version", "labels", "window", "degenerate", "final_objective",
+              "converged", "iterations", "transitions", "states"]
+MODEL_EDITS = st.tuples(st.sampled_from(["set", "delete", "state", "weight"]),
+                        st.sampled_from(MODEL_KEYS + ["f0", "f1", "f2"]), JSON_VALUES)
+MODEL_SPLICES = ["[" * 2_000, "}", ",", '"', "\\ud800", "NaN", "\x00", "\ufeff", "1" * 5_000]
+
+
+def edit_payload(payload, kind, key, value):
+    """Set or delete a top-level key, or set a state row or the first
+    transition weight, wherever the payload still has one."""
+    if kind == "set":
+        payload[key] = value
+    elif kind == "delete":
+        payload.pop(key, None)
+    elif kind == "state" and isinstance(payload.get("states"), dict):
+        payload["states"][key] = value
+    elif kind == "weight":
+        rows = payload.get("transitions")
+        if isinstance(rows, list) and rows and isinstance(rows[0], list) and rows[0]:
+            rows[0][0] = value
+
+
 class TestModelIo:
     def test_round_trip_preserves_decoding(self, tmp_path):
         data = separable_data(30)
@@ -1227,11 +1255,15 @@ class TestModelIo:
         lambda p: p.__setitem__("window", 0),
         lambda p: p.__setitem__("window", True),
         lambda p: p.__setitem__("window", "3"),
+        lambda p: p.__setitem__("states", []),
+        lambda p: p.__setitem__("states", "f0"),
+        lambda p: p["states"]["f0"].__setitem__(0, 10 ** 400),
+        lambda p: p.__setitem__("final_objective", 10 ** 400),
     ], ids=["nan-state", "inf-state", "inf-transition", "long-state-row", "scalar-state-row",
             "extra-transition-row", "short-transition-row", "converged-string",
             "negative-iterations", "fractional-iterations", "swapped-labels", "label-string",
             "extra-label", "fractional-window", "zero-window", "boolean-window",
-            "string-window"])
+            "string-window", "states-array", "states-string", "huge-state", "huge-objective"])
     def test_malformed_weights_rejected(self, tmp_path, edit):
         path = tmp_path / "model.json"
         save_model(CrfModel.from_weights({("f0", "I"): 1.0}), path)
@@ -1248,6 +1280,33 @@ class TestModelIo:
         path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
         with pytest.raises(ModelFormatError, match="unreadable"):
             load_model(path)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5_000],
+                             ids=["deeply-nested", "long-integer"])
+    def test_unparseable_json_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="unreadable"):
+            load_model(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_model_file_loads_or_is_a_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(CrfModel.from_weights({("f0", "I"): 1.0, ("f1", "O"): -0.5}), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for edit in data.draw(st.lists(MODEL_EDITS, max_size=3)):
+            edit_payload(payload, *edit)
+        text = json.dumps(payload)
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(MODEL_SPLICES)) + text[at:]
+        path.write_text(text, encoding="utf-8")
+        try:
+            model = load_model(path)
+        except ModelFormatError:
+            return
+        assert model.state.shape == (len(model.feature_index), len(LABELS))
 
     def test_unknown_version_rejected(self, tmp_path):
         model = CrfModel.from_weights({("f0", "I"): 1.0})

@@ -522,6 +522,18 @@ class TestPearson:
         with pytest.raises(ValueError, match="variance"):
             pearson([3, 3, 3], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson([bad, 0.5, -2.0], [0.1, 0.3, 0.2])
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson([0.1, 0.3, 0.2], [0.5, bad, -2.0])
+
+    @pytest.mark.parametrize("xs", [[1e308, -1e308, 1e308], [1e200, -1e200, 0.0]])
+    def test_overflowing_input(self, xs):
+        with pytest.raises(ValueError, match="too large"):
+            pearson(xs, [0.1, 0.3, 0.2])
+
     @given(
         st.lists(
             st.floats(min_value=-100, max_value=100, allow_nan=False),

@@ -137,6 +137,23 @@ class TestRandomSearch:
         result = random_search(data, space)
         assert sum(result.fold_scores) / len(result.fold_scores) == 1.0
 
+    def test_seeded_result_is_pinned(self):
+        # Eleven noisy sequences in three folds of 4, 4 and 3 that each score
+        # differently, so the values pin which sequences go to which fold.
+        definitions = ["way of saying yes", "short for mate", "yes mate", "saying mate yes",
+                       "short way to say yes", "mate of mine", "for yes", "way to say mate",
+                       "say yes for short", "saying of mine", "mate"]
+        data = []
+        for i, text in enumerate(definitions):
+            tags = tuple("I" if (word in ("yes", "mate")) != (j == i % 3) else "O"
+                         for j, word in enumerate(text.split()))
+            data.append((extract_features(make_entry("x", text, entry_id=f"s{i}"), 1), tags))
+        result = random_search(data, SearchSpace(trials=3, folds=3, seed=3))
+        assert (result.l1, result.l2) == (0.4491112409343899, 0.03760385003046944)
+        assert result.fold_scores == (7 / 8, 10 / 13, 6 / 11)
+        assert [mean for _, _, mean in result.trials] == [
+            0.0, 0.7298951048951049, 0.6011695906432748]
+
     def test_too_few_sequences_rejected(self):
         data = separable_tagging_data(2)
         with pytest.raises(ValueError, match="3-fold"):
