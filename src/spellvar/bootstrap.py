@@ -354,58 +354,15 @@ class _ContextIndex:
         order = np.argsort(position, kind="stable")
         return _Matches(position[order], context[order], contexts)
 
-    def _tuple_codes(self, position: np.ndarray) -> np.ndarray:
+    def tuple_codes(self, position: np.ndarray) -> np.ndarray:
         """One number per (informal, formal) tuple of the slots at ``position``."""
         return self.headword[self.row[position]] * len(self.words) + self.ids[position]
 
-    def _pool_codes(self, tuple_pool: set[tuple[str, str]]) -> np.ndarray:
+    def pool_codes(self, tuple_pool: set[tuple[str, str]]) -> np.ndarray:
         """Sorted codes of the pooled tuples that a slot of the corpus can hold."""
         return _distinct(np.array(
             [self.headword_ids[i] * len(self.words) + self.vocab[f] for i, f in tuple_pool
              if i in self.headword_ids and f in self.vocab], dtype=np.int64))
-
-    def pattern_stats(
-        self,
-        matches: _Matches,
-        patterns: Iterable[tuple[str, SurfacePattern]],
-        tuple_pool: set[tuple[str, str]],
-    ) -> dict[str, PatternStats]:
-        """RlogF statistics per pattern id over the distinct tuples it extracts."""
-        tuples, tuple_of = np.unique(self._tuple_codes(matches.position), return_inverse=True)
-        pairs = _distinct(matches.context * len(tuples) + tuple_of)
-        context_of, tuple_of = np.divmod(pairs, len(tuples))
-        pooled = _find(self._pool_codes(tuple_pool), tuples)[1][tuple_of]
-        extracted = np.bincount(context_of, minlength=len(matches.contexts)).tolist()
-        recovered = np.bincount(context_of[pooled], minlength=len(matches.contexts)).tolist()
-        stats: dict[str, PatternStats] = {}
-        for pid, pattern in patterns:
-            c = matches.contexts[(pattern.left, pattern.right)]
-            stats[pid] = PatternStats(pattern, recovered[c], extracted[c],
-                                      rlogf(recovered[c], extracted[c]))
-        return stats
-
-    def candidates(self, matches: _Matches, pools: Pools) -> list[TupleStats]:
-        """Unpooled tuples extracted by pooled patterns, in order of first site."""
-        pooled: dict[int, list[str]] = {}
-        for pid, pattern in pools.pattern_pool.items():
-            if (c := matches.contexts.get((pattern.left, pattern.right))) is not None:
-                pooled.setdefault(c, []).append(pid)
-        is_pooled = np.zeros(len(matches.contexts), dtype=bool)
-        is_pooled[list(pooled)] = True
-        codes = self._tuple_codes(matches.position)
-        keep = is_pooled[matches.context] & ~_find(self._pool_codes(pools.tuple_pool), codes)[1]
-        position, context, codes = matches.position[keep], matches.context[keep], codes[keep]
-        _, first, tuple_of = np.unique(codes, return_index=True, return_inverse=True)
-        # Hits are ordered by position, so each site's first hit starts a run.
-        sites = np.bincount(tuple_of[np.diff(position, prepend=-1) != 0], minlength=len(first))
-        at = position[first]
-        stats = [TupleStats(self.informals[row], self.words[formal], set(), n, self.entry_ids[row])
-                 for row, formal, n in zip(self.row[at].tolist(), self.ids[at].tolist(),
-                                           sites.tolist())]
-        pairs = _distinct(tuple_of * len(matches.contexts) + context)
-        for t, c in zip(*(a.tolist() for a in np.divmod(pairs, len(matches.contexts)))):
-            stats[t].matching_patterns.update(pooled[c])
-        return [stats[t] for t in np.argsort(first).tolist()]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -425,24 +382,55 @@ def _find(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return at, table[at] == values
 
 
-def score_pattern(pattern: SurfacePattern, pools: Pools, corpus: Corpus) -> PatternStats:
-    """Score one pattern with RlogF over the distinct tuples it extracts."""
-    index = _ContextIndex(corpus)
-    stats = index.pattern_stats(index.match([pattern]), [(pattern.pattern_id, pattern)],
-                                pools.tuple_pool)
-    return stats[pattern.pattern_id]
+def score_pattern(
+    index: _ContextIndex,
+    matches: _Matches,
+    patterns: Iterable[tuple[str, SurfacePattern]],
+    tuple_pool: set[tuple[str, str]],
+) -> dict[str, PatternStats]:
+    """RlogF statistics per pattern id over the distinct tuples it extracts,
+    for ``patterns`` that ``matches`` (from ``index.match``) covers."""
+    tuples, tuple_of = np.unique(index.tuple_codes(matches.position), return_inverse=True)
+    pairs = _distinct(matches.context * len(tuples) + tuple_of)
+    context_of, tuple_of = np.divmod(pairs, len(tuples))
+    pooled = _find(index.pool_codes(tuple_pool), tuples)[1][tuple_of]
+    extracted = np.bincount(context_of, minlength=len(matches.contexts)).tolist()
+    recovered = np.bincount(context_of[pooled], minlength=len(matches.contexts)).tolist()
+    stats: dict[str, PatternStats] = {}
+    for pid, pattern in patterns:
+        c = matches.contexts[(pattern.left, pattern.right)]
+        stats[pid] = PatternStats(pattern, recovered[c], extracted[c],
+                                  rlogf(recovered[c], extracted[c]))
+    return stats
 
 
-def match_tuples(pools: Pools, corpus: Corpus) -> list[TupleStats]:
-    """Collect candidate tuples extracted by pooled patterns.
+def match_tuples(index: _ContextIndex, matches: _Matches, pools: Pools) -> list[TupleStats]:
+    """Unpooled tuples extracted by pooled patterns, in order of first site;
+    ``matches`` (from ``index.match``) covers the pooled patterns.
 
-    Tuples already pooled are excluded.  ``occurrence_count`` counts distinct
-    (entry, position) sites, however many patterns fire there.
+    ``occurrence_count`` counts distinct (entry, position) sites, however
+    many patterns fire there.
     """
-    if not pools.pattern_pool:
-        raise ValueError("empty pool")
-    index = _ContextIndex(corpus)
-    return index.candidates(index.match(pools.pattern_pool.values()), pools)
+    pooled: dict[int, list[str]] = {}
+    for pid, pattern in pools.pattern_pool.items():
+        if (c := matches.contexts.get((pattern.left, pattern.right))) is not None:
+            pooled.setdefault(c, []).append(pid)
+    is_pooled = np.zeros(len(matches.contexts), dtype=bool)
+    is_pooled[list(pooled)] = True
+    codes = index.tuple_codes(matches.position)
+    keep = is_pooled[matches.context] & ~_find(index.pool_codes(pools.tuple_pool), codes)[1]
+    position, context, codes = matches.position[keep], matches.context[keep], codes[keep]
+    _, first, tuple_of = np.unique(codes, return_index=True, return_inverse=True)
+    # Hits are ordered by position, so each site's first hit starts a run.
+    sites = np.bincount(tuple_of[np.diff(position, prepend=-1) != 0], minlength=len(first))
+    at = position[first]
+    stats = [TupleStats(index.informals[row], index.words[formal], set(), n, index.entry_ids[row])
+             for row, formal, n in zip(index.row[at].tolist(), index.ids[at].tolist(),
+                                       sites.tolist())]
+    pairs = _distinct(tuple_of * len(matches.contexts) + context)
+    for t, c in zip(*(a.tolist() for a in np.divmod(pairs, len(matches.contexts)))):
+        stats[t].matching_patterns.update(pooled[c])
+    return [stats[t] for t in np.argsort(first).tolist()]
 
 
 def apply_constraints(
@@ -508,7 +496,7 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
         # tuple matching: the tuple pool only changes at the end of the round.
         wanted = [*((p.pattern_id, p) for p in fresh), *pools.pattern_pool.items()]
         matches = index.match(p for _, p in wanted)
-        pattern_stats = index.pattern_stats(matches, wanted, pools.tuple_pool)
+        pattern_stats = score_pattern(index, matches, wanted, pools.tuple_pool)
         scored = [pattern_stats[p.pattern_id] for p in fresh]
         max_pattern = max((st.score for st in scored), default=0.0)
         accepted_patterns: list[PatternStats] = []
@@ -522,7 +510,7 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
         accepted_tuples: list[TupleStats] = []
         if pools.pattern_pool:
             pool_match_counts = {pid: pattern_stats[pid].pool_matches for pid in pools.pattern_pool}
-            candidates = apply_constraints(index.candidates(matches, pools), config.stopwords,
+            candidates = apply_constraints(match_tuples(index, matches, pools), config.stopwords,
                                            config.levenshtein_tau, config.strict_constraint)
             for candidate in candidates:
                 score_tuple(candidate, pool_match_counts, config.use_tuple_count_variant)

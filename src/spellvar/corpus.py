@@ -213,6 +213,13 @@ def _entry_from_json(line: str, default_id: str, built: dict[tuple[str, int], To
     text = record["definition"]
     if not isinstance(record["word"], str) or not isinstance(text, str):
         raise CorpusFormatError("'word' and 'definition' must be strings")
+    # A JSON escape can spell a lone surrogate, which no output can encode.
+    for field, value in record.items():
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise CorpusFormatError(f"field {field!r} is not UTF-8 text: {exc}") from exc
     entry_id = record.get("entry_id")
     if entry_id == "":
         raise CorpusFormatError("empty entry_id")

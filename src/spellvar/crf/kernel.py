@@ -108,11 +108,6 @@ class FeatureIds:
                            count=len(self._ids))
 
 
-def intern(sequences: Iterable[Sequence[Sequence[str]]]) -> IdSequences:
-    """Feature lists interned on their own, for callers holding strings."""
-    return FeatureIds().intern(sequences)
-
-
 class IdSequences:
     """Sequences of positions, each a run of distinct feature ids of
     ``vocabulary``: ``ids`` holds every position's ids in order, ``counts``

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from spellvar.crf.kernel import IdSequences, backward, forward, intern, posteriors, viterbi
+from spellvar.crf.kernel import FeatureIds, IdSequences, backward, forward, posteriors, viterbi
 
 LABELS = ("I", "O")
 FORMAT_NAME = "spellvar-crf"
@@ -61,7 +61,7 @@ class CrfModel:
 
     def emission_scores(self, features: Sequence[Sequence[str]]) -> np.ndarray:
         """Sum state weights of the known features at each position."""
-        sequences = intern([features])
+        sequences = FeatureIds().intern([features])
         batch = sequences.encode(sequences.vocabulary.columns(self.feature_index),
                                  len(self.feature_index))
         return batch.emissions(self.state)[0, :len(features)]
@@ -109,21 +109,15 @@ def decode_batch(
     return labels, scores, probs
 
 
-def _decode_one(
-    model: CrfModel, features: Sequence[Sequence[str]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return decode_batch(model, intern([features]))
-
-
 def viterbi_decode(model: CrfModel, features: Sequence[Sequence[str]]) -> tuple[list[str], float]:
     """Best label path and its unnormalized score; ties resolve toward O."""
-    labels, scores, _ = _decode_one(model, features)
+    labels, scores, _ = decode_batch(model, FeatureIds().intern([features]))
     return [LABELS[i] for i in labels.tolist()], float(scores[0])
 
 
 def marginals(model: CrfModel, features: Sequence[Sequence[str]]) -> list[dict[str, float]]:
     """Per-position posterior label probabilities via forward-backward."""
-    _, _, probs = _decode_one(model, features)
+    _, _, probs = decode_batch(model, FeatureIds().intern([features]))
     return [dict(zip(LABELS, row)) for row in probs.tolist()]
 
 

@@ -17,11 +17,11 @@ import numpy as np
 
 from spellvar.crf.kernel import (
     Batch,
+    FeatureIds,
     IdSequences,
     backward,
     expected_transitions,
     forward,
-    intern,
     posteriors,
     time_major,
 )
@@ -86,7 +86,8 @@ def encode_dataset(data: TrainingData) -> EncodedDataset:
     """Index features in first-seen order and flatten sequences to arrays;
     (features, tags) pairs of strings are interned first."""
     if not isinstance(data, TaggedIds):
-        data = TaggedIds(intern(features for features, _ in data), [tags for _, tags in data])
+        data = TaggedIds(FeatureIds().intern(features for features, _ in data),
+                         [tags for _, tags in data])
     if not len(data.sequences):
         raise ValueError("no training data")
     label_index = {label: i for i, label in enumerate(LABELS)}

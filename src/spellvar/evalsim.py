@@ -22,18 +22,6 @@ class EmbeddingFormatError(ValueError):
     """Malformed embedding file."""
 
 
-class MissingWordError(KeyError):
-    """A word required for ranking is not in the table."""
-
-    def __init__(self, word: str, role: str) -> None:
-        super().__init__(word)
-        self.word = word
-        self.role = role
-
-    def __str__(self) -> str:
-        return f"{self.role} word {self.word!r} not in table"
-
-
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Words, their vectors, and precomputed norms."""
@@ -200,7 +188,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 RANK_CHUNK = 64
 
 
-def _rank_rows(table: EmbeddingTable, queries: np.ndarray, formals: np.ndarray) -> np.ndarray:
+def rank_of_formal(table: EmbeddingTable, queries: np.ndarray, formals: np.ndarray) -> np.ndarray:
     """1-based cosine rank of each ``formals[i]`` row for ``queries[i]``.
 
     A word ranks above the formal word only when its cosine is strictly
@@ -224,25 +212,6 @@ def _rank_rows(table: EmbeddingTable, queries: np.ndarray, formals: np.ndarray) 
         better[copied] &= groups != groups[f[copied]][:, None]
         ranks[start:start + len(q)] = 1 + better.sum(axis=1)
     return ranks
-
-
-def _pair_rows(table: EmbeddingTable, informal: str, formal: str) -> tuple[int, int]:
-    if informal not in table:
-        raise MissingWordError(informal, "informal")
-    if formal not in table:
-        raise MissingWordError(formal, "formal")
-    return table.index[informal], table.index[formal]
-
-
-def rank_of_formal(table: EmbeddingTable, informal: str, formal: str) -> int:
-    """1-based cosine rank of ``formal`` among all words except ``informal``.
-
-    Words tying with the formal word, and exact copies of its vector, do not
-    push it down (the optimistic reading).  Raises :class:`MissingWordError`
-    when either word is absent.
-    """
-    query, target = _pair_rows(table, informal, formal)
-    return int(_rank_rows(table, np.array([query]), np.array([target]))[0])
 
 
 #: Why a pair was left out of the accuracy denominator, in report order.
@@ -295,21 +264,22 @@ def evaluate_pairs(
     for pair in pairs:
         informal = pair.informal.casefold()
         formal = pair.formal.casefold()
+        outcome = PairOutcome(informal, formal, None)
         if formal not in formal_vocab:
-            outcomes.append(PairOutcome(informal, formal, None, "formal-not-in-vocab"))
-            continue
-        try:
-            rows.append(_pair_rows(table, informal, formal))
-        except MissingWordError as exc:
-            outcomes.append(PairOutcome(informal, formal, None, f"{exc.role}-not-in-table"))
-            continue
-        scored.append(PairOutcome(informal, formal, None))
-        outcomes.append(scored[-1])
+            outcome.miss = "formal-not-in-vocab"
+        elif informal not in table:
+            outcome.miss = "informal-not-in-table"
+        elif formal not in table:
+            outcome.miss = "formal-not-in-table"
+        else:
+            rows.append((table.index[informal], table.index[formal]))
+            scored.append(outcome)
+        outcomes.append(outcome)
     if not scored:
         raise ValueError("no evaluable pairs")
     queries, targets = np.array(rows).T
     hits = {k: 0 for k in ks}
-    for outcome, rank in zip(scored, _rank_rows(table, queries, targets).tolist()):
+    for outcome, rank in zip(scored, rank_of_formal(table, queries, targets).tolist()):
         outcome.rank = rank
         for k in ks:
             if rank <= k:

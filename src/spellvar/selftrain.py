@@ -118,7 +118,6 @@ def _log_uniform(rng: random.Random, low: float, high: float) -> float:
 def random_search(
     data: Sequence[tuple[FeatureSet, Sequence[str]]],
     space: SearchSpace,
-    base: TrainConfig = TrainConfig(),
 ) -> SearchResult:
     """Cross-validated random search over (l1, l2).
 
@@ -151,7 +150,7 @@ def random_search(
     for _ in range(space.trials):
         l1 = _log_uniform(rng, *space.l1_range)
         l2 = _log_uniform(rng, *space.l2_range)
-        config = replace(base, l1=l1, l2=l2)
+        config = TrainConfig(l1=l1, l2=l2)
         scores: list[float] = []
         for train_split, held_out, gold_tags in splits:
             labels, _, _ = decode_batch(train(train_split, config), held_out)

@@ -16,6 +16,7 @@ from spellvar.bootstrap import (
     Pools,
     SurfacePattern,
     TupleStats,
+    _ContextIndex,
     apply_constraints,
     averaged_log_score,
     bootstrap_run,
@@ -237,6 +238,18 @@ class TestGeneratePatterns:
         assert len(ids) == len(set(ids))
 
 
+def run_stages(corpus, pools, pattern=None):
+    """``score_pattern``'s statistics for ``pattern`` (None without one) and
+    ``match_tuples``'s candidates for ``pools``, from one index and one
+    matching pass over ``pattern`` and the pooled patterns, as a round of
+    ``bootstrap_run`` takes them."""
+    index = _ContextIndex(corpus)
+    wanted = [*pools.pattern_pool.items(), *([(pattern.pattern_id, pattern)] if pattern else [])]
+    matches = index.match(p for _, p in wanted)
+    stats = score_pattern(index, matches, wanted, pools.tuple_pool)
+    return stats[pattern.pattern_id] if pattern else None, match_tuples(index, matches, pools)
+
+
 class TestScorePattern:
     def test_four_of_five_end_to_end(self):
         corpus = make_corpus(
@@ -248,7 +261,7 @@ class TestScorePattern:
         )
         pool = {("h1", "alpha"), ("h2", "bravo"), ("h3", "carol"), ("h4", "delta")}
         pools = Pools(tuple_pool=set(pool), pattern_pool={}, seeds=frozenset(pool))
-        stats = score_pattern(SurfacePattern(left=("means",), right=()), pools, corpus)
+        stats, _ = run_stages(corpus, pools, SurfacePattern(left=("means",), right=()))
         assert stats.pool_matches == 4
         assert stats.candidate_count == 5
         assert stats.score == pytest.approx(1.6, abs=1e-12)
@@ -256,7 +269,7 @@ class TestScorePattern:
     def test_counts_distinct_tuples_not_sites(self):
         corpus = make_corpus(("h1", "means alpha and means alpha"))
         pools = Pools(tuple_pool={("h1", "alpha")}, pattern_pool={}, seeds=frozenset())
-        stats = score_pattern(SurfacePattern(left=("means",), right=()), pools, corpus)
+        stats, _ = run_stages(corpus, pools, SurfacePattern(left=("means",), right=()))
         assert stats.candidate_count == 1
         assert stats.pool_matches == 1
 
@@ -270,13 +283,8 @@ class TestMatchTuples:
             pattern_pool={pattern.pattern_id: pattern},
             seeds=frozenset(),
         )
-        (candidate,) = match_tuples(pools, corpus)
+        _, (candidate,) = run_stages(corpus, pools)
         assert (candidate.informal, candidate.formal) == ("ur", "your")
-
-    def test_empty_pool_rejected(self):
-        pools = Pools(tuple_pool=set(), pattern_pool={}, seeds=frozenset())
-        with pytest.raises(ValueError, match="empty pool"):
-            match_tuples(pools, make_corpus(("a", "b c")))
 
     def test_two_patterns_three_sites(self):
         corpus = make_corpus(
@@ -291,7 +299,7 @@ class TestMatchTuples:
             pattern_pool={p1.pattern_id: p1, p2.pattern_id: p2},
             seeds=frozenset(),
         )
-        (candidate,) = match_tuples(pools, corpus)
+        _, (candidate,) = run_stages(corpus, pools)
         assert candidate.matching_patterns == {p1.pattern_id, p2.pattern_id}
         assert candidate.occurrence_count == 3
 
@@ -303,7 +311,7 @@ class TestMatchTuples:
             pattern_pool={pattern.pattern_id: pattern},
             seeds=frozenset(),
         )
-        assert match_tuples(pools, corpus) == []
+        assert run_stages(corpus, pools)[1] == []
 
     def test_identity_slots_skipped(self):
         corpus = make_corpus(("your", "way of saying your"))
@@ -313,7 +321,7 @@ class TestMatchTuples:
             pattern_pool={pattern.pattern_id: pattern},
             seeds=frozenset(),
         )
-        assert match_tuples(pools, corpus) == []
+        assert run_stages(corpus, pools)[1] == []
 
 
 def _candidate(informal: str, formal: str, patterns=("p",), occ: int = 1) -> TupleStats:
@@ -608,14 +616,14 @@ class TestSweepAgainstOracle:
     @given(corpus_and_pools(), small_patterns)
     def test_score_pattern(self, corpus_pools, pattern):
         corpus, pools = corpus_pools
-        assert score_pattern(pattern, pools, corpus) == oracle_score_pattern(pattern, pools, corpus)
+        assert run_stages(corpus, pools, pattern)[0] == oracle_score_pattern(pattern, pools, corpus)
 
     @settings(max_examples=200)
     @given(corpus_and_pools())
     def test_match_tuples(self, corpus_pools):
         corpus, pools = corpus_pools
         assume(pools.pattern_pool)
-        assert match_tuples(pools, corpus) == oracle_match_tuples(pools, corpus)
+        assert run_stages(corpus, pools)[1] == oracle_match_tuples(pools, corpus)
 
     @settings(max_examples=100)
     @given(
@@ -640,7 +648,7 @@ class TestSweepAgainstOracle:
                         SurfacePattern(left=("a",), right=()),
                         SurfacePattern(left=("a",), right=("a",))):
             expected = oracle_score_pattern(pattern, pools, corpus)
-            assert score_pattern(pattern, pools, corpus) == expected
+            assert run_stages(corpus, pools, pattern)[0] == expected
 
     # Three words a, b, c: packed as (first key) * 3 + (second key), a
     # context with a word the corpus lacks (-1) or a slot lacking the right
@@ -653,16 +661,18 @@ class TestSweepAgainstOracle:
         corpus = make_corpus(*rows)
         pools = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
                       seeds=frozenset())
-        assert score_pattern(pattern, pools, corpus) == oracle_score_pattern(pattern, pools, corpus)
-        assert match_tuples(pools, corpus) == oracle_match_tuples(pools, corpus)
+        stats, candidates = run_stages(corpus, pools, pattern)
+        assert stats == oracle_score_pattern(pattern, pools, corpus)
+        assert candidates == oracle_match_tuples(pools, corpus)
 
     def test_pattern_longer_than_every_definition(self):
         corpus = make_corpus(("x", "a b c"), ("y", "a b c d"))
         pattern = SurfacePattern(left=("a", "b", "c", "d"), right=("e",))
         pools = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
                       seeds=frozenset())
-        assert score_pattern(pattern, pools, corpus).candidate_count == 0
-        assert match_tuples(pools, corpus) == []
+        stats, candidates = run_stages(corpus, pools, pattern)
+        assert stats.candidate_count == 0
+        assert candidates == []
 
 
 def varied_corpus(seed: int, n_pairs: int = 30, n_filler: int = 80):
@@ -772,14 +782,14 @@ class TestWideVocabularyAgainstOracle:
         pools = Pools(tuple_pool={("i0", "w0"), ("i1", "w1"), ("j0", "v0"), ("h8999", "f71994")},
                       pattern_pool={}, seeds=frozenset())
         expected = oracle_score_pattern(pattern, pools, wide_corpus)
-        assert score_pattern(pattern, pools, wide_corpus) == expected
+        assert run_stages(wide_corpus, pools, pattern)[0] == expected
 
     def test_match_tuples(self, wide_corpus):
         pools = Pools(tuple_pool={("i0", "w0")},
                       pattern_pool={p.pattern_id: p for p in WIDE_PATTERNS}, seeds=frozenset())
         expected = oracle_match_tuples(pools, wide_corpus)
         assert len(expected) >= 8
-        assert match_tuples(pools, wide_corpus) == expected
+        assert run_stages(wide_corpus, pools)[1] == expected
 
     def test_bootstrap_run(self, wide_corpus):
         config = BootstrapConfig(seeds=(("i0", "w0"), ("i1", "w1")), max_iterations=3,

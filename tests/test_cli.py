@@ -86,6 +86,19 @@ class TestExtractBaseline:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {corpus}: line 4: invalid JSON: ")
 
+    def test_lone_surrogate_names_file_and_line(self, tmp_path, baseline_corpus, capsys):
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_text(baseline_corpus.read_text(encoding="utf-8")
+                          + '{"word": "\\ud800", "definition": "short for \'mate\'"}\n',
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["extract", "--method", "baseline", "--corpus", str(corpus),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {corpus}: line 4: field 'word' is not UTF-8 text: ")
+        assert not (out / "pairs.tsv").exists()
+
     def test_bad_rule_pattern_names_file_and_line(self, tmp_path, baseline_corpus, capsys):
         rules = write_lines(tmp_path / "rules.tsv", ["# rules", "r1\t(?P<Spelling>[unclosed"])
         code = main(["extract", "--method", "baseline", "--corpus", str(baseline_corpus),
@@ -1165,8 +1178,8 @@ class TestStartup:
 # Imports the CLI in a fresh interpreter, installs the benchmark's span
 # recorder (which wraps program names by attribute and fails on a missing
 # one), runs a small self-training and a bootstrap extraction on the stock
-# fixtures and prints the traced calls.
-_TRACER_CHILD = """
+# fixtures and an eval of one pair, and prints the traced calls.
+_TRACER_CHILD = r"""
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import spellvar.cli
@@ -1183,6 +1196,15 @@ assert spellvar.cli.main(["gen-synthetic", "--kind", "bootstrap", "--out", out +
 assert spellvar.cli.main([
     "extract", "--method", "bootstrap", "--corpus", out + "/bs/corpus.jsonl",
     "--seeds", out + "/bs/seeds.tsv", "--out", out + "/y"]) == 0
+for name, lines in (("pairs.tsv", ["informal\tformal\tscore\tmethod\torigin\tentry_id",
+                                   "inf0\tfrm0\t1.0\tbaseline\tr\te1"]),
+                    ("vectors.txt", ["inf0 1 0", "frm0 1 0", "bg0 0 1"]),
+                    ("vocab.txt", ["frm0"])):
+    with open(out + "/" + name, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+assert spellvar.cli.main([
+    "eval", "--pairs", out + "/pairs.tsv", "--embeddings", out + "/vectors.txt",
+    "--formal-vocab", out + "/vocab.txt", "--out", out + "/z"]) == 0
 print(json.dumps(tracer.self_times(recorder.spans)[1]))
 """
 
@@ -1195,11 +1217,12 @@ def test_benchmark_tracer_finds_every_name(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     calls = json.loads(child.stdout.splitlines()[-1])
-    # Training and bootstrapping reach the wrapped names through their
-    # modules' globals.
+    # Training, bootstrapping and ranking reach the wrapped names through
+    # their modules' globals.
     for name in ("crf.train.train", "crf.objective.encode_dataset",
                  "crf.objective.log_likelihood_and_gradient", "crf.optimizer.minimize",
                  "corpus.load_jsonl", "bootstrap.bootstrap_run", "bootstrap.label_occurrences",
-                 "bootstrap.generate_patterns", "bootstrap.apply_constraints",
-                 "bootstrap.score_tuple"):
+                 "bootstrap.generate_patterns", "bootstrap.score_pattern",
+                 "bootstrap.match_tuples", "bootstrap.apply_constraints",
+                 "bootstrap.score_tuple", "evalsim.evaluate_pairs", "evalsim.rank_of_formal"):
         assert calls.get(name, 0) >= 1, name

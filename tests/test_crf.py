@@ -40,7 +40,6 @@ from spellvar.crf.kernel import (
     backward,
     expected_transitions,
     forward,
-    intern,
     posteriors,
     viterbi,
 )
@@ -341,7 +340,7 @@ def oracle_encode(sequences, feature_index) -> Batch:
 
 def encode(sequences, feature_index) -> Batch:
     """String sequences interned, then mapped through ``feature_index``."""
-    interned = intern(sequences)
+    interned = FeatureIds().intern(sequences)
     return interned.encode(interned.vocabulary.columns(feature_index), len(feature_index))
 
 
@@ -356,7 +355,7 @@ def forward_backward(emissions, padding, transitions):
 def decode_strings(model: CrfModel, batch) -> list[tuple[list[str], float, list[dict]]]:
     """``decode_batch`` of string sequences, split into each sequence's
     labels, score and per-position posterior dicts."""
-    labels, scores, probs = decode_batch(model, intern(batch))
+    labels, scores, probs = decode_batch(model, FeatureIds().intern(batch))
     out, start = [], 0
     for features, score in zip(batch, scores.tolist()):
         stop = start + len(features)
@@ -926,7 +925,7 @@ class TestDecodeBatch:
 
     def test_empty_batch(self):
         model = random_model(np.random.default_rng(43))
-        labels, scores, probs = decode_batch(model, intern([]))
+        labels, scores, probs = decode_batch(model, FeatureIds().intern([]))
         assert labels.shape == scores.shape == (0,) and probs.shape == (0, len(LABELS))
 
     @settings(max_examples=100, deadline=None)
