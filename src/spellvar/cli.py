@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from spellvar import __version__
 from spellvar.baseline import extract_baseline, load_rules
@@ -183,27 +183,37 @@ def _packaged_stopwords() -> frozenset[str]:
         return read_word_list(path)
 
 
-def _write_trace(path: Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+def _lines(rows: Iterable[str]) -> Callable[[Path], None]:
+    """A writer of one line per row; the text is built now, before any file is opened."""
+    text = "".join(row + "\n" for row in rows)
+    return lambda path: path.write_text(text, encoding="utf-8")
 
 
-def _write_manifest(out_dir: Path, command: str, options: dict, outputs: list[str]) -> None:
+def _publish(out_dir: Path, command: str, options: dict,
+             files: dict[str, Callable[[Path], None]]) -> None:
+    """Write ``files`` (output name -> writer taking a path) and ``manifest.json``
+    into ``out_dir`` under hidden temporary names, then rename them into place,
+    the manifest last: a failed write leaves every file in ``out_dir`` as it was."""
     manifest = {
         "command": command,
         "version": __version__,
         "options": options,
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
-
-
-def _write_word_pairs(path: Path, pairs: Iterable[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for informal, formal in pairs:
-            handle.write(f"{informal}\t{formal}\n")
+    files = {**files, "manifest.json": _lines([json.dumps(manifest, indent=2, sort_keys=True)])}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temporary = {name: out_dir / f".{name}.partial" for name in files}
+    try:
+        for name, write in files.items():
+            write(temporary[name])
+        for name, path in temporary.items():
+            path.replace(out_dir / name)
+    except OSError as exc:
+        exc.filename = str(out_dir / name)
+        raise
+    finally:
+        for path in temporary.values():
+            path.unlink(missing_ok=True)
 
 
 def _load_extract_corpus(corpus_path: Path, annotations: Path | None) -> Corpus:
@@ -313,14 +323,11 @@ def _cmd_extract(opts: _Options) -> None:
         options["gold_corpus"] = str(gold_corpus_path)
         options["gold_tags"] = str(gold_tags_path)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_pairs_tsv(pairs, out_dir / "pairs.tsv")
-    _write_trace(out_dir / "trace.jsonl", trace)
-    outputs = ["pairs.tsv", "trace.jsonl"]
+    files = {"pairs.tsv": functools.partial(write_pairs_tsv, pairs),
+             "trace.jsonl": _lines(json.dumps(record, sort_keys=True) for record in trace)}
     if model is not None:
-        save_model(model, out_dir / "model.json")
-        outputs.append("model.json")
-    _write_manifest(out_dir, "extract", options, outputs)
+        files["model.json"] = functools.partial(save_model, model)
+    _publish(out_dir, "extract", options, files)
     print(f"extract: wrote {len(pairs)} pairs to {out_dir / 'pairs.tsv'}")
 
 
@@ -341,20 +348,11 @@ def _cmd_eval(opts: _Options) -> None:
 
     pairs = read_pairs_tsv(pairs_path)
     vocab = read_word_list(vocab_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    outputs: list[str] = []
+    # Nothing is written until every table is ranked; each is freed before the next loads.
+    files = {}
     for index, name in enumerate(embeddings):
         table = load_embeddings(name)
         report = evaluate_pairs(table, pairs, vocab, ks)
-        stem = f"{index:02d}_{Path(name).stem}"
-        report_path = out_dir / f"{stem}.report.tsv"
-        with open(report_path, "w", encoding="utf-8") as handle:
-            handle.write("informal\tformal\trank\tnote\n")
-            for outcome in report.per_pair:
-                rank = "" if outcome.rank is None else str(outcome.rank)
-                note = outcome.miss or ""
-                handle.write(f"{outcome.informal}\t{outcome.formal}\t{rank}\t{note}\n")
         summary = {
             "embeddings": str(name),
             "dimension": table.dimension,
@@ -362,11 +360,15 @@ def _cmd_eval(opts: _Options) -> None:
             "hits": {str(k): v for k, v in report.hits.items()},
             "accuracy": {str(k): v for k, v in report.accuracy.items()},
         }
-        summary_path = out_dir / f"{stem}.summary.json"
-        summary_path.write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        outputs.extend([report_path.name, summary_path.name])
+        del table
+        stem = f"{index:02d}_{Path(name).stem}"
+        rows = [
+            f"{outcome.informal}\t{outcome.formal}\t{'' if outcome.rank is None else outcome.rank}"
+            f"\t{outcome.miss or ''}"
+            for outcome in report.per_pair
+        ]
+        files[f"{stem}.report.tsv"] = _lines(["informal\tformal\trank\tnote", *rows])
+        files[f"{stem}.summary.json"] = _lines([json.dumps(summary, indent=2, sort_keys=True)])
         bits = " ".join(f"accuracy@{k}={report.accuracy[k]:.4f}" for k in sorted(report.accuracy))
         print(f"{name}: matched={report.matched_pairs} {bits}")
         misses = " ".join(f"{reason}={n}" for reason, n in report.miss_counts().items())
@@ -378,7 +380,7 @@ def _cmd_eval(opts: _Options) -> None:
         "formal_vocab": str(vocab_path),
         "ks": ks,
     }
-    _write_manifest(out_dir, "eval", options, outputs)
+    _publish(out_dir, "eval", options, files)
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -469,15 +471,12 @@ def _cmd_correlate(opts: _Options) -> None:
     if not int_cols or not ext_cols:
         raise ValueError("no usable numeric columns to correlate")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid_path = out_dir / "correlations.tsv"
-    with open(grid_path, "w", encoding="utf-8") as handle:
-        handle.write("intrinsic\textrinsic\tpearson_r\n")
-        for int_name, xs in int_cols.items():
-            for ext_name, ys in ext_cols.items():
-                r = pearson(xs, ys)
-                handle.write(f"{int_name}\t{ext_name}\t{r!r}\n")
-                print(f"{int_name} x {ext_name}: r={r:+.4f}")
+    grid = ["intrinsic\textrinsic\tpearson_r"]
+    for int_name, xs in int_cols.items():
+        for ext_name, ys in ext_cols.items():
+            r = pearson(xs, ys)
+            grid.append(f"{int_name}\t{ext_name}\t{r!r}")
+            print(f"{int_name} x {ext_name}: r={r:+.4f}")
 
     options = {
         "intrinsic": str(intrinsic_path),
@@ -485,7 +484,7 @@ def _cmd_correlate(opts: _Options) -> None:
         "keys": keys,
         "joined_rows": len(joined),
     }
-    _write_manifest(out_dir, "correlate", options, ["correlations.tsv"])
+    _publish(out_dir, "correlate", options, {"correlations.tsv": _lines(grid)})
 
 
 def _cmd_annotate(opts: _Options) -> None:
@@ -498,12 +497,11 @@ def _cmd_annotate(opts: _Options) -> None:
         corpus = load_conllu(corpus_path, annotations)
     else:
         corpus = annotate(load_jsonl(corpus_path))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_conllu(corpus, out_dir / "annotated.conllu")
     options = {"corpus": str(corpus_path)}
     if annotations is not None:
         options["annotations"] = str(annotations)
-    _write_manifest(out_dir, "annotate", options, ["annotated.conllu"])
+    _publish(out_dir, "annotate", options,
+             {"annotated.conllu": functools.partial(write_conllu, corpus)})
     print(f"annotate: wrote {len(corpus)} entries to {out_dir / 'annotated.conllu'}")
 
 
@@ -518,29 +516,25 @@ def _cmd_gen_synthetic(opts: _Options) -> None:
 
     if kind == "bootstrap":
         planted = opts.build(_FIXTURE, knobs, seed=seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_jsonl(planted.corpus, out_dir / "corpus.jsonl")
-        _write_word_pairs(out_dir / "seeds.tsv", planted.seeds)
-        _write_word_pairs(out_dir / "truth.tsv", planted.truth)
-        _write_word_pairs(out_dir / "traps.tsv", planted.traps)
-        outputs = ["corpus.jsonl", "seeds.tsv", "truth.tsv", "traps.tsv"]
+        files = {"corpus.jsonl": functools.partial(write_jsonl, planted.corpus),
+                 "seeds.tsv": _lines(map("\t".join, planted.seeds)),
+                 "truth.tsv": _lines(map("\t".join, planted.truth)),
+                 "traps.tsv": _lines(map("\t".join, planted.traps))}
     else:
         fixture = selftrain_fixture(seed=seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_jsonl(fixture.unlabeled, out_dir / "unlabeled.jsonl")
         gold_corpus = Corpus(entries=tuple(entry for entry, _ in fixture.gold))
-        write_jsonl(gold_corpus, out_dir / "gold.jsonl")
         blocks = [
             (tuple(tok.surface for tok in entry.definition), tags)
             for entry, tags in fixture.gold
         ]
-        write_labeled_file(blocks, out_dir / "gold.tags")
-        _write_word_pairs(out_dir / "truth.tsv", fixture.truth)
-        outputs = ["unlabeled.jsonl", "gold.jsonl", "gold.tags", "truth.tsv"]
+        files = {"unlabeled.jsonl": functools.partial(write_jsonl, fixture.unlabeled),
+                 "gold.jsonl": functools.partial(write_jsonl, gold_corpus),
+                 "gold.tags": functools.partial(write_labeled_file, blocks),
+                 "truth.tsv": _lines(map("\t".join, fixture.truth))}
 
     options: dict = {"kind": kind, "seed": seed}
     options.update(knobs)
-    _write_manifest(out_dir, "gen-synthetic", options, outputs)
+    _publish(out_dir, "gen-synthetic", options, files)
     print(f"gen-synthetic: wrote {kind} fixture to {out_dir}")
 
 
@@ -639,6 +633,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else str(exc)
         print(f"error: file not found: {name}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import codecs
 import contextlib
+import errno
 import io
 import json
 import re
@@ -348,6 +349,28 @@ class TestExtractSelftrain:
         assert self._run_tags(tmp_path, staged, tags) == 0
         assert read_pairs_tsv(tmp_path / "out" / "pairs.tsv")
 
+    def test_failed_write_leaves_the_last_run_in_place(self, tmp_path, staged, monkeypatch,
+                                                       capsys):
+        out = tmp_path / "out"
+        assert self._run_tags(tmp_path, staged, staged / "gold.tags") == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def disk_full(model, path):
+            Path(path).write_text("{", encoding="utf-8")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("spellvar.cli.save_model", disk_full)
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"),
+                     "--gold-tags", str(staged / "gold.tags"),
+                     "--iterations", "2", "--l1", "0.02", "--l2", "0.03", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: {out / 'model.json'}: No space left on device\n")
+        # Every file is as the first run left it, and no temporary name is left.
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
 
 class TestAnnotationsFile:
     @pytest.fixture()
@@ -451,6 +474,24 @@ class TestEval:
         assert (out / "01_other.summary.json").is_file()
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert len(manifest["outputs"]) == 4
+
+    def test_bad_table_after_a_good_one_writes_nothing(self, tmp_path, eval_inputs, capsys):
+        pairs, embeddings, vocab = eval_inputs
+        broken = write_lines(tmp_path / "broken.txt", ["a 1 0", "b 1 oops"])
+        out = tmp_path / "out"
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     str(broken), "--formal-vocab", str(vocab), "--out", str(out)])
+        assert code == 2
+        assert f"{broken}: line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_is_a_one_line_error(self, tmp_path, eval_inputs, capsys):
+        pairs, embeddings, vocab = eval_inputs
+        out = pairs / "x"
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
 
     def test_bad_embedding_line_is_a_data_error(self, tmp_path, eval_inputs, capsys):
         pairs, _, vocab = eval_inputs
@@ -862,6 +903,18 @@ class TestCorrelate:
         assert captured.out == ""
         assert captured.err == f"error: {intrinsic}: column 'top1' holds a non-finite value\n"
 
+    def test_overflowing_column_writes_nothing(self, tmp_path, capsys):
+        # top1 correlates; the sum of squares of top20 overflows.
+        intrinsic = write_lines(tmp_path / "intrinsic.tsv", [
+            "name\ttop1\ttop20", "a\t0.1\t1e200", "b\t0.2\t-1e200", "c\t0.4\t5"])
+        extrinsic = write_lines(tmp_path / "extrinsic.tsv",
+                                ["name\tval", "a\t0.1", "b\t0.3", "c\t0.2"])
+        assert self._correlate(tmp_path, intrinsic, extrinsic) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("top1 x val: r=")
+        assert captured.err == "error: input too large to correlate\n"
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_field_is_a_data_error(self, tmp_path, correlate_inputs, capsys):
         intrinsic, extrinsic = correlate_inputs
         table = write_lines(tmp_path / "huge.tsv", ["name\ttop1", "a\t" + "9" * 200_000])
@@ -1093,7 +1146,11 @@ def pinned_manifests(tmp_path_factory):
         out = {"gen-selftrain": st, "gen-bootstrap": bs}.get(name, root / name)
         assert main([*argv, "--out", str(out)]) == 0, name
         text = (out / "manifest.json").read_text(encoding="utf-8")
-        manifests[name] = json.loads(text.replace(f"{root}/", ""))["options"]
+        manifest = json.loads(text.replace(f"{root}/", ""))
+        # Hidden names count too, so a temporary file left behind fails here.
+        assert manifest["outputs"] == sorted(
+            path.name for path in out.iterdir() if path.name != "manifest.json"), name
+        manifests[name] = manifest["options"]
     return manifests
 
 
