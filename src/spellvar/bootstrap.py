@@ -38,15 +38,6 @@ class SurfacePattern:
             raise ValueError("pattern needs context on at least one side")
         object.__setattr__(self, "pattern_id", " ".join((*self.left, SLOT, *self.right)))
 
-    def matches_at(self, lowers: Sequence[str], v: int) -> bool:
-        l, r = len(self.left), len(self.right)
-        if v - l < 0 or v + r > len(lowers) - 1:
-            return False
-        return (
-            tuple(lowers[v - l:v]) == self.left
-            and tuple(lowers[v + 1:v + 1 + r]) == self.right
-        )
-
 
 @dataclass
 class PatternStats:
@@ -180,40 +171,28 @@ def averaged_log_score(
     return base
 
 
-def label_occurrences(corpus: Corpus, pools: Pools) -> list[tuple[str, int]]:
-    """Find definition positions whose token is the formal side of a pooled
+def label_occurrences(index: _ContextIndex, pools: Pools) -> np.ndarray:
+    """Positions of ``index`` whose token is the formal side of a pooled
     tuple whose informal side equals the entry headword (case-insensitive)."""
-    formals: dict[str, set[str]] = {}
-    for informal, formal in pools.tuple_pool:
-        formals.setdefault(informal, set()).add(formal)
-    occurrences: list[tuple[str, int]] = []
-    for entry in corpus:
-        wanted = formals.get(entry.headword.casefold())
-        if wanted:
-            occurrences.extend((entry.entry_id, v) for v, tok in enumerate(entry.definition)
-                               if tok.lower in wanted)
-    return occurrences
+    codes = index.tuple_codes(np.arange(len(index.ids)))
+    return np.flatnonzero(_find(index.pool_codes(pools.tuple_pool), codes)[1])
 
 
-def generate_patterns(
-    corpus: Corpus,
-    occurrences: Iterable[tuple[str, int]],
-    window: int,
-) -> list[SurfacePattern]:
+def generate_patterns(index: _ContextIndex, positions: np.ndarray,
+                      window: int) -> list[SurfacePattern]:
     """Emit every (left, right) context of up to ``window`` tokens per side
-    around each occurrence, deduplicated in first-seen order."""
-    by_id = {entry.entry_id: entry for entry in corpus}
+    around each of ``positions``, deduplicated in first-seen order."""
     patterns: dict[str, SurfacePattern] = {}
-    for entry_id, v in occurrences:
-        entry = by_id[entry_id]
-        lowers = tuple(tok.lower for tok in entry.definition)
-        max_left = min(window, v)
-        max_right = min(window, len(lowers) - 1 - v)
-        for l in range(max_left + 1):
-            for r in range(max_right + 1):
+    words = index.words
+    for v, before, after in zip(positions.tolist(), index.room[-1][positions].tolist(),
+                                index.room[1][positions].tolist()):
+        left = tuple(words[i] for i in index.ids[v - min(window, before):v].tolist())
+        right = tuple(words[i] for i in index.ids[v + 1:v + 1 + min(window, after)].tolist())
+        for l in range(len(left) + 1):
+            for r in range(len(right) + 1):
                 if l + r == 0:
                     continue
-                pattern = SurfacePattern(left=lowers[v - l:v], right=lowers[v + 1:v + 1 + r])
+                pattern = SurfacePattern(left=left[len(left) - l:], right=right[:r])
                 patterns.setdefault(pattern.pattern_id, pattern)
     return list(patterns.values())
 
@@ -261,7 +240,7 @@ class _ContextIndex:
         self.row = np.repeat(np.arange(len(lengths)), lengths)
         offset = np.arange(len(ids)) - (np.cumsum(lengths) - lengths)[self.row]
         # Tokens a position has before it (side -1) and after it (side 1).
-        self._room = {-1: offset, 1: lengths[self.row] - 1 - offset}
+        self.room = {-1: offset, 1: lengths[self.row] - 1 - offset}
         # Whether each position's token differs from its entry's headword.
         as_token = np.array([vocab.get(word, -1) for word in self.informals], dtype=np.int64)
         self.free = self.ids != as_token[self.row]
@@ -276,7 +255,7 @@ class _ContextIndex:
         levels = self._levels[side]
         while len(levels) < n:
             k = len(levels) + 1
-            at = np.flatnonzero(self._room[side] >= k)
+            at = np.flatnonzero(self.room[side] >= k)
             token = self.ids[at + side * k]
             keys = np.full(len(self.ids), -1, dtype=np.int64)
             if k == 1:
@@ -480,16 +459,17 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
     pairs: list[VariantPair] = []
     trace: list[dict] = []
     index = _ContextIndex(corpus)
-    labelled: set[tuple[str, int]] = set()
+    labelled = np.zeros(len(index.ids), dtype=bool)
     generated: dict[str, SurfacePattern] = {}
 
     for iteration in range(1, config.max_iterations + 1):
         # The pools only grow, so the occurrences do too, and each round
         # harvests patterns around its new ones only.  The order of ``fresh``
         # does not reach the results: promotion sorts by score, then id.
-        new = [o for o in label_occurrences(corpus, pools) if o not in labelled]
-        labelled.update(new)
-        for pattern in generate_patterns(corpus, new, config.window):
+        found = label_occurrences(index, pools)
+        new = found[~labelled[found]]
+        labelled[new] = True
+        for pattern in generate_patterns(index, new, config.window):
             generated.setdefault(pattern.pattern_id, pattern)
         fresh = [p for pid, p in generated.items() if pid not in pools.pattern_pool]
         # One matching pass serves pattern scoring, pool-match counts and

@@ -142,6 +142,12 @@ class VariantPair:
             raise ValueError("crf scores are marginal probabilities in [0, 1]")
 
 
+#: One token: a run from an alphanumeric character to the last one before
+#: whitespace (``[^\W_]`` is ``str.isalnum``), or any other single
+#: non-whitespace character.
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
+
+
 def tokenize(text: str, built: dict[tuple[str, int], Token] | None = None) -> tuple[Token, ...]:
     """Split ``text`` on whitespace, peeling punctuation off chunk edges.
 
@@ -153,20 +159,7 @@ def tokenize(text: str, built: dict[tuple[str, int], Token] | None = None) -> tu
     (surface, position) to a token made earlier, and a caller tokenizing
     many texts passes one dict so that each distinct token is built once.
     """
-    surfaces: list[str] = []
-    for chunk in text.split():
-        left: list[str] = []
-        right: list[str] = []
-        while chunk and not chunk[0].isalnum():
-            left.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and not chunk[-1].isalnum():
-            right.append(chunk[-1])
-            chunk = chunk[:-1]
-        surfaces.extend(left)
-        if chunk:
-            surfaces.append(chunk)
-        surfaces.extend(reversed(right))
+    surfaces = _TOKEN.findall(text)
     built = {} if built is None else built
     tokens: list[Token] = []
     for key in zip(surfaces, range(len(surfaces))):
@@ -310,19 +303,27 @@ def annotate(corpus: Corpus) -> Corpus:
 def merge_conllu(corpus: Corpus, annotations_path: str | Path) -> Corpus:
     """Merge pre-parsed annotations into ``corpus`` by position.
 
-    The file holds one block per corpus entry, in order, with the usual
-    10-column rows; ``#`` comment lines are skipped.  Head indices are
-    1-based in the file with 0 for the root; internally the root points at
-    itself.
+    The file holds one block per corpus entry that has tokens, in order,
+    with the usual 10-column rows; ``#`` comment lines are skipped.  CoNLL-U
+    has no empty sentence, so an entry without tokens has no block and
+    passes through unchanged.  Head indices are 1-based in the file with 0
+    for the root; internally the root points at itself.
     """
     lines = (item for item in read_lines(annotations_path) if not item[1].startswith("#"))
     blocks = list(read_blocks(annotations_path, lines, 10))
-    if len(blocks) != len(corpus):
+    tokened = sum(1 for entry in corpus if entry.definition)
+    if len(blocks) != tokened:
         raise CorpusFormatError(
-            f"{annotations_path}: {len(blocks)} annotation blocks for {len(corpus)} entries"
+            f"{annotations_path}: {len(blocks)} annotation blocks for {tokened} entries"
+            " with tokens"
         )
+    rows_of = iter(blocks)
     entries = []
-    for entry, rows in zip(corpus, blocks):
+    for entry in corpus:
+        if not entry.definition:
+            entries.append(entry)
+            continue
+        rows = next(rows_of)
         n = len(rows)
         if n != len(entry.definition):
             raise CorpusFormatError(
@@ -408,8 +409,16 @@ def read_seed_pairs(path: str | Path) -> list[tuple[str, str]]:
         parts = line.split("\t")
         if len(parts) < 2:
             raise CorpusFormatError(f"{path}: line {line_no}: expected two tab-separated fields")
-        seeds.append((parts[0].strip().casefold(), parts[1].strip().casefold()))
+        informal, formal = parts[0].strip().casefold(), parts[1].strip().casefold()
+        _check_sides(path, line_no, informal, formal)
+        seeds.append((informal, formal))
     return seeds
+
+
+def _check_sides(path: str | Path, line_no: int, informal: str, formal: str) -> None:
+    for side, value in (("informal", informal), ("formal", formal)):
+        if not value.strip():
+            raise CorpusFormatError(f"{path}: line {line_no}: empty {side} side")
 
 
 #: What ``errors="surrogateescape"`` makes of a byte that does not decode.
@@ -492,6 +501,7 @@ def read_pairs_tsv(path: str | Path) -> list[VariantPair]:
         if len(parts) < 2:
             raise CorpusFormatError(f"{path}: line {line_no}: expected tab-separated pair row")
         informal, formal = parts[0], parts[1]
+        _check_sides(path, line_no, informal, formal)
         method = parts[3] if len(parts) > 3 else "baseline"
         origin = parts[4] if len(parts) > 4 else ""
         source = parts[5] if len(parts) > 5 else ""

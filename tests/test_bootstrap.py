@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -163,17 +164,20 @@ class TestSurfacePattern:
         pattern = SurfacePattern(left=("way", "of", "saying"), right=())
         assert pattern.pattern_id == "way of saying <SLOT>"
 
-    def test_matches_at(self):
-        pattern = SurfacePattern(left=("way", "of", "saying"), right=())
-        lowers = ("scottish", "way", "of", "saying", "yes")
-        assert pattern.matches_at(lowers, 4)
-        assert not pattern.matches_at(lowers, 3)
-        assert not pattern.matches_at(("way", "of"), 1)
 
-    def test_right_context_needs_following_tokens(self):
-        pattern = SurfacePattern(left=(), right=("innit",))
-        assert pattern.matches_at(("mate", "innit"), 0)
-        assert not pattern.matches_at(("mate", "innit"), 1)
+def labelled(corpus, pools):
+    """``label_occurrences``'s positions as (entry id, token offset)."""
+    index = _ContextIndex(corpus)
+    return [(index.entry_ids[index.row[v]], int(index.room[-1][v]))
+            for v in label_occurrences(index, pools)]
+
+
+def patterns_around(corpus, occurrences, window):
+    """``generate_patterns`` around (entry id, token offset) occurrences."""
+    starts = itertools.accumulate((len(entry.definition) for entry in corpus), initial=0)
+    start_of = dict(zip((entry.entry_id for entry in corpus), starts))
+    positions = np.array([start_of[entry_id] + v for entry_id, v in occurrences], dtype=np.int64)
+    return generate_patterns(_ContextIndex(corpus), positions, window)
 
 
 class TestLabelOccurrences:
@@ -183,16 +187,16 @@ class TestLabelOccurrences:
 
     def test_single_occurrence(self):
         corpus = make_corpus(("aye", "scottish way of saying yes"))
-        occurrences = label_occurrences(corpus, self._pools(("aye", "yes")))
+        occurrences = labelled(corpus, self._pools(("aye", "yes")))
         assert occurrences == [("e1", 4)]
 
     def test_unmatched_informal(self):
         corpus = make_corpus(("nay", "scottish way of saying yes"))
-        assert label_occurrences(corpus, self._pools(("aye", "yes"))) == []
+        assert labelled(corpus, self._pools(("aye", "yes"))) == []
 
     def test_repeated_formal_reports_every_position(self):
         corpus = make_corpus(("aye", "yes just yes"))
-        occurrences = label_occurrences(corpus, self._pools(("aye", "yes")))
+        occurrences = labelled(corpus, self._pools(("aye", "yes")))
         positions = [
             ("e1", v)
             for v, tok in enumerate(corpus.entries[0].definition)
@@ -203,37 +207,37 @@ class TestLabelOccurrences:
 
     def test_headword_match_is_case_insensitive(self):
         corpus = make_corpus(("Aye", "saying Yes"))
-        assert label_occurrences(corpus, self._pools(("aye", "yes"))) == [("e1", 1)]
+        assert labelled(corpus, self._pools(("aye", "yes"))) == [("e1", 1)]
 
 
 class TestGeneratePatterns:
     def test_full_left_context_present(self):
         corpus = make_corpus(("aye", "scottish way of saying yes"))
-        patterns = generate_patterns(corpus, [("e1", 4)], window=3)
+        patterns = patterns_around(corpus, [("e1", 4)], window=3)
         ids = {p.pattern_id for p in patterns}
         assert "way of saying <SLOT>" in ids
 
     def test_slot_at_start_gives_right_only(self):
         corpus = make_corpus(("aye", "yes is scottish"))
-        patterns = generate_patterns(corpus, [("e1", 0)], window=3)
+        patterns = patterns_around(corpus, [("e1", 0)], window=3)
         assert patterns
         for pattern in patterns:
             assert pattern.left == ()
 
     def test_another_word_for(self):
         corpus = make_corpus(("dank", "another word for weed"))
-        patterns = generate_patterns(corpus, [("e1", 3)], window=3)
+        patterns = patterns_around(corpus, [("e1", 3)], window=3)
         ids = {p.pattern_id for p in patterns}
         assert "another word for <SLOT>" in ids
 
     def test_interior_slot_emits_all_subwindows(self):
         corpus = make_corpus(("x", "a b c d e f g"))
-        patterns = generate_patterns(corpus, [("e1", 3)], window=3)
+        patterns = patterns_around(corpus, [("e1", 3)], window=3)
         assert len(patterns) == (3 + 1) * (3 + 1) - 1
 
     def test_deduplicates_across_occurrences(self):
         corpus = make_corpus(("aye", "way of saying yes"), ("ja", "way of saying yes"))
-        patterns = generate_patterns(corpus, [("e1", 3), ("e2", 3)], window=3)
+        patterns = patterns_around(corpus, [("e1", 3), ("e2", 3)], window=3)
         ids = [p.pattern_id for p in patterns]
         assert len(ids) == len(set(ids))
 
@@ -484,7 +488,66 @@ class TestBootstrapRun:
         assert emitted & set(fixture.traps)
 
 
-# --- Oracle: one corpus scan per pattern, built on SurfacePattern.matches_at ---
+# --- Oracle: one corpus scan per pattern, on each definition's lowered tokens ---
+
+
+def oracle_matches_at(pattern, lowers, v):
+    """Whether ``pattern``'s context surrounds position ``v`` of ``lowers``."""
+    l, r = len(pattern.left), len(pattern.right)
+    if v - l < 0 or v + r > len(lowers) - 1:
+        return False
+    return (
+        tuple(lowers[v - l:v]) == pattern.left
+        and tuple(lowers[v + 1:v + 1 + r]) == pattern.right
+    )
+
+
+class TestOracleMatchesAt:
+    def test_matches_at(self):
+        pattern = SurfacePattern(left=("way", "of", "saying"), right=())
+        lowers = ("scottish", "way", "of", "saying", "yes")
+        assert oracle_matches_at(pattern, lowers, 4)
+        assert not oracle_matches_at(pattern, lowers, 3)
+        assert not oracle_matches_at(pattern, ("way", "of"), 1)
+
+    def test_right_context_needs_following_tokens(self):
+        pattern = SurfacePattern(left=(), right=("innit",))
+        assert oracle_matches_at(pattern, ("mate", "innit"), 0)
+        assert not oracle_matches_at(pattern, ("mate", "innit"), 1)
+
+
+def oracle_label_occurrences(corpus, pools):
+    """(entry_id, position) of every definition token that is the formal
+    side of a pooled tuple whose informal side is the entry headword."""
+    formals = {}
+    for informal, formal in pools.tuple_pool:
+        formals.setdefault(informal, set()).add(formal)
+    occurrences = []
+    for entry in corpus:
+        wanted = formals.get(entry.headword.casefold())
+        if wanted:
+            occurrences.extend((entry.entry_id, v) for v, tok in enumerate(entry.definition)
+                               if tok.lower in wanted)
+    return occurrences
+
+
+def oracle_generate_patterns(corpus, occurrences, window):
+    """Every (left, right) context of up to ``window`` tokens per side around
+    each occurrence, deduplicated in first-seen order."""
+    by_id = {entry.entry_id: entry for entry in corpus}
+    patterns = {}
+    for entry_id, v in occurrences:
+        entry = by_id[entry_id]
+        lowers = tuple(tok.lower for tok in entry.definition)
+        max_left = min(window, v)
+        max_right = min(window, len(lowers) - 1 - v)
+        for l in range(max_left + 1):
+            for r in range(max_right + 1):
+                if l + r == 0:
+                    continue
+                pattern = SurfacePattern(left=lowers[v - l:v], right=lowers[v + 1:v + 1 + r])
+                patterns.setdefault(pattern.pattern_id, pattern)
+    return list(patterns.values())
 
 
 def oracle_extractions(pattern, corpus):
@@ -494,7 +557,7 @@ def oracle_extractions(pattern, corpus):
         informal = entry.headword.casefold()
         lowers = tuple(tok.lower for tok in entry.definition)
         for v in range(len(lowers)):
-            if lowers[v] != informal and pattern.matches_at(lowers, v):
+            if lowers[v] != informal and oracle_matches_at(pattern, lowers, v):
                 yield informal, lowers[v], entry.entry_id, v
 
 
@@ -515,7 +578,7 @@ def oracle_match_tuples(pools, corpus):
             if formal == informal or key in pools.tuple_pool:
                 continue
             for pattern_id, pattern in pools.pattern_pool.items():
-                if pattern.matches_at(lowers, v):
+                if oracle_matches_at(pattern, lowers, v):
                     if key not in stats:
                         stats[key] = TupleStats(informal, formal, set(), 0, entry.entry_id)
                         sites[key] = set()
@@ -532,8 +595,8 @@ def oracle_bootstrap_run(corpus, config):
     pools = Pools(tuple_pool=set(seeds), pattern_pool={}, seeds=seeds)
     pairs, trace = [], []
     for iteration in range(1, config.max_iterations + 1):
-        occurrences = label_occurrences(corpus, pools)
-        fresh = [p for p in generate_patterns(corpus, occurrences, config.window)
+        occurrences = oracle_label_occurrences(corpus, pools)
+        fresh = [p for p in oracle_generate_patterns(corpus, occurrences, config.window)
                  if p.pattern_id not in pools.pattern_pool]
         scored = [oracle_score_pattern(p, pools, corpus) for p in fresh]
         top = max((s.score for s in scored), default=0.0)
@@ -640,6 +703,15 @@ class TestSweepAgainstOracle:
         pools, pairs, trace = oracle_bootstrap_run(corpus, config)
         assert (result.pairs, result.trace) == (pairs, trace)
         assert result.pools == pools
+
+    @settings(max_examples=200)
+    @given(corpus_and_pools(), st.integers(min_value=1, max_value=4))
+    def test_label_occurrences_and_generate_patterns(self, corpus_pools, window):
+        corpus, pools = corpus_pools
+        occurrences = oracle_label_occurrences(corpus, pools)
+        assert labelled(corpus, pools) == occurrences
+        assert (patterns_around(corpus, occurrences, window)
+                == oracle_generate_patterns(corpus, occurrences, window))
 
     def test_pattern_at_definition_edges(self):
         corpus = make_corpus(("x", "yes a"), ("x", "a yes"), ("x", "a"))

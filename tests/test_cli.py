@@ -58,7 +58,8 @@ class TestExtractBaseline:
         assert code == 0
         pairs = read_pairs_tsv(out / "pairs.tsv")
         assert {(p.informal, p.formal) for p in pairs} == {("aye", "yes"), ("inet", "internet")}
-        trace = [json.loads(line) for line in (out / "trace.jsonl").open(encoding="utf-8")]
+        lines = (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        trace = [json.loads(line) for line in lines]
         assert len(trace) == 10
         assert sum(r["matches"] for r in trace) == 2
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -182,6 +183,16 @@ class TestExtractBootstrap:
                      "--seeds", str(seeds), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {seeds}: line 4: not UTF-8: byte 0xff\n"
+
+    @pytest.mark.parametrize("row, side", [("aye\t", "formal"), (" \tyes", "informal")])
+    def test_seed_with_an_empty_side_names_file_and_line(self, tmp_path, planted, row, side,
+                                                         capsys):
+        seeds = write_lines(tmp_path / "seeds.tsv", ["ur\tyour", row])
+        code = main(["extract", "--method", "bootstrap",
+                     "--corpus", str(planted / "corpus.jsonl"),
+                     "--seeds", str(seeds), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {seeds}: line 2: empty {side} side\n"
 
     def test_out_of_range_alpha(self, tmp_path, planted, capsys):
         code = main(["extract", "--method", "bootstrap", "--alpha", "0.2",
@@ -401,6 +412,18 @@ class TestAnnotationsFile:
         assert len(read_pairs_tsv(tmp_path / "out" / "pairs.tsv")) == 2
 
 
+    def test_empty_definition_reads_back(self, tmp_path):
+        corpus = write_corpus(tmp_path, [
+            {"word": "aye", "definition": 'scottish way of saying "yes"'},
+            {"word": "blank", "definition": ""},
+            {"word": "inet", "definition": "short for 'internet'"},
+        ])
+        assert main(["annotate", "--corpus", str(corpus), "--out", str(tmp_path / "parsed")]) == 0
+        assert self._extract(tmp_path, corpus, tmp_path / "parsed" / "annotated.conllu") == 0
+        pairs = read_pairs_tsv(tmp_path / "out" / "pairs.tsv")
+        assert {(p.informal, p.formal) for p in pairs} == {("aye", "yes"), ("inet", "internet")}
+
+
 def write_eval_inputs(root):
     pairs = write_lines(root / "pairs.tsv", [
         "informal\tformal\tscore\tmethod\torigin\tentry_id",
@@ -514,6 +537,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(pairs) in err
         assert "line 3" in err
+
+    def test_pair_with_an_empty_side_names_file_and_line(self, tmp_path, eval_inputs, capsys):
+        _, embeddings, vocab = eval_inputs
+        pairs = write_lines(tmp_path / "bad_pairs.tsv", [
+            "informal\tformal\tscore\tmethod\torigin\tentry_id",
+            "inf0\tfrm0\t1.0\tbaseline\tr\te1",
+            "\tfrm1\t1.0\tbaseline\tr\te2",
+        ])
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {pairs}: line 3: empty informal side\n"
 
     def test_nan_vector_is_a_data_error(self, tmp_path, eval_inputs, capsys):
         pairs, embeddings, vocab = eval_inputs

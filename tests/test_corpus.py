@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spellvar.corpus import (
+    _TOKEN,
     Corpus,
     CorpusFormatError,
     DictEntry,
@@ -29,7 +31,50 @@ from spellvar.corpus import (
 from conftest import make_corpus, make_entry
 
 
+def peel_oracle(text):
+    """Surfaces by splitting on whitespace and peeling non-alphanumeric
+    characters off each chunk's edges one at a time."""
+    surfaces = []
+    for chunk in text.split():
+        left = []
+        right = []
+        while chunk and not chunk[0].isalnum():
+            left.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and not chunk[-1].isalnum():
+            right.append(chunk[-1])
+            chunk = chunk[:-1]
+        surfaces.extend(left)
+        if chunk:
+            surfaces.append(chunk)
+        surfaces.extend(reversed(right))
+    return surfaces
+
+
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+tricky_text = st.text(st.one_of(
+    st.sampled_from(WHITESPACE + "_"),
+    st.characters(categories=["P", "Nd", "No", "M", "Cs"]),
+    st.sampled_from("aZ9"),
+), max_size=40)
+
+
 class TestTokenize:
+    def test_every_code_point_against_oracle(self):
+        # Each character leads, trails and sits inside a chunk.  Building a
+        # Token for each of the three million surfaces takes ten times as
+        # long as the split, so this checks the pattern ``tokenize`` splits
+        # with; the property below runs ``tokenize`` itself.
+        for start in range(0, sys.maxunicode + 1, 4096):
+            stop = min(start + 4096, sys.maxunicode + 1)
+            text = " ".join(f"{c}a{c}b{c}" for c in map(chr, range(start, stop)))
+            assert _TOKEN.findall(text) == peel_oracle(text), hex(start)
+
+    @settings(max_examples=500)
+    @given(tricky_text)
+    def test_surfaces_match_oracle(self, text):
+        assert [t.surface for t in tokenize(text)] == peel_oracle(text)
+
     def test_plain_sentence(self):
         tokens = tokenize("scottish way of saying yes")
         assert [t.lower for t in tokens] == ["scottish", "way", "of", "saying", "yes"]
