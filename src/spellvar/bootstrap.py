@@ -174,15 +174,14 @@ def averaged_log_score(
 def label_occurrences(index: _ContextIndex, pools: Pools) -> np.ndarray:
     """Positions of ``index`` whose token is the formal side of a pooled
     tuple whose informal side equals the entry headword (case-insensitive)."""
-    codes = index.tuple_codes(np.arange(len(index.ids)))
-    return np.flatnonzero(_find(index.pool_codes(pools.tuple_pool), codes)[1])
+    return np.flatnonzero(_find(index.pool_codes(pools.tuple_pool), index.codes)[1])
 
 
 def generate_patterns(index: _ContextIndex, positions: np.ndarray,
                       window: int) -> list[SurfacePattern]:
     """Emit every (left, right) context of up to ``window`` tokens per side
     around each of ``positions``, deduplicated in first-seen order."""
-    patterns: dict[str, SurfacePattern] = {}
+    contexts: dict[Context, None] = {}
     words = index.words
     for v, before, after in zip(positions.tolist(), index.room[-1][positions].tolist(),
                                 index.room[1][positions].tolist()):
@@ -190,11 +189,9 @@ def generate_patterns(index: _ContextIndex, positions: np.ndarray,
         right = tuple(words[i] for i in index.ids[v + 1:v + 1 + min(window, after)].tolist())
         for l in range(len(left) + 1):
             for r in range(len(right) + 1):
-                if l + r == 0:
-                    continue
-                pattern = SurfacePattern(left=left[len(left) - l:], right=right[:r])
-                patterns.setdefault(pattern.pattern_id, pattern)
-    return list(patterns.values())
+                if l + r:
+                    contexts.setdefault((left[len(left) - l:], right[:r]))
+    return [SurfacePattern(left=left, right=right) for left, right in contexts]
 
 
 Context = tuple[tuple[str, ...], tuple[str, ...]]
@@ -234,10 +231,12 @@ class _ContextIndex:
         self.informals = [entry.headword.casefold() for entry in corpus]
         self.entry_ids = [entry.entry_id for entry in corpus]
         self.headword_ids: dict[str, int] = {}
-        self.headword = np.array([self.headword_ids.setdefault(word, len(self.headword_ids))
-                                  for word in self.informals], dtype=np.int64)
+        headword = np.array([self.headword_ids.setdefault(word, len(self.headword_ids))
+                             for word in self.informals], dtype=np.int64)
         self.ids = np.array(ids, dtype=np.int64)
         self.row = np.repeat(np.arange(len(lengths)), lengths)
+        # One number per (headword, token) tuple, for each position's slot.
+        self.codes = headword[self.row] * len(vocab) + self.ids
         offset = np.arange(len(ids)) - (np.cumsum(lengths) - lengths)[self.row]
         # Tokens a position has before it (side -1) and after it (side 1).
         self.room = {-1: offset, 1: lengths[self.row] - 1 - offset}
@@ -296,7 +295,9 @@ class _ContextIndex:
 
         Patterns are matched in groups of one (left, right) length: each
         group's keys are sorted once and every position's key is looked up
-        in them with one ``np.searchsorted``."""
+        in them with one ``np.searchsorted``.  Each side's key is shifted up
+        by one before the two are combined, so a slot lacking a side's
+        context (key -1) has digit 0 there, unlike every usable wanted key."""
         contexts: dict[Context, int] = {}
         for pattern in patterns:
             contexts.setdefault((pattern.left, pattern.right), len(contexts))
@@ -310,32 +311,20 @@ class _ContextIndex:
             members = np.array(members)
             usable = np.ones(len(members), dtype=bool)
             slot_keys = wanted_keys = 0
-            sides = [(side, n) for side, n in zip((-1, 1), shape) if n]
-            for side, n in sides:
-                level_keys, _, count = self._level(side, n)
-                usable &= keys[side][members] >= 0
-                slot_keys = slot_keys * count + level_keys
-                wanted_keys = wanted_keys * count + keys[side][members]
-            order = np.argsort(wanted_keys[usable])
-            if not len(order):
-                continue
-            wanted_keys, members = wanted_keys[usable][order], members[usable][order]
-            found, hit = _find(wanted_keys, slot_keys)
-            at = np.flatnonzero(hit)
-            # A slot lacking the context on one side (key -1) can still
-            # combine into a wanted key.
-            ok = self.free[at]
-            for side, n in sides:
-                ok &= self._level(side, n)[0][at] >= 0
-            positions.append(at[ok])
-            matched.append(members[found[at[ok]]])
+            for side, n in zip((-1, 1), shape):
+                if n:
+                    level_keys, _, count = self._level(side, n)
+                    usable &= keys[side][members] >= 0
+                    slot_keys = slot_keys * (count + 1) + level_keys + 1
+                    wanted_keys = wanted_keys * (count + 1) + keys[side][members] + 1
+            order = np.flatnonzero(usable)[np.argsort(wanted_keys[usable])]
+            found, hit = _find(wanted_keys[order], slot_keys)
+            at = np.flatnonzero(hit & self.free)
+            positions.append(at)
+            matched.append(members[order][found[at]])
         position, context = np.concatenate(positions), np.concatenate(matched)
         order = np.argsort(position, kind="stable")
         return _Matches(position[order], context[order], contexts)
-
-    def tuple_codes(self, position: np.ndarray) -> np.ndarray:
-        """One number per (informal, formal) tuple of the slots at ``position``."""
-        return self.headword[self.row[position]] * len(self.words) + self.ids[position]
 
     def pool_codes(self, tuple_pool: set[tuple[str, str]]) -> np.ndarray:
         """Sorted codes of the pooled tuples that a slot of the corpus can hold."""
@@ -364,22 +353,22 @@ def _find(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def score_pattern(
     index: _ContextIndex,
     matches: _Matches,
-    patterns: Iterable[tuple[str, SurfacePattern]],
+    patterns: Iterable[SurfacePattern],
     tuple_pool: set[tuple[str, str]],
 ) -> dict[str, PatternStats]:
     """RlogF statistics per pattern id over the distinct tuples it extracts,
     for ``patterns`` that ``matches`` (from ``index.match``) covers."""
-    tuples, tuple_of = np.unique(index.tuple_codes(matches.position), return_inverse=True)
+    tuples, tuple_of = np.unique(index.codes[matches.position], return_inverse=True)
     pairs = _distinct(matches.context * len(tuples) + tuple_of)
     context_of, tuple_of = np.divmod(pairs, len(tuples))
     pooled = _find(index.pool_codes(tuple_pool), tuples)[1][tuple_of]
     extracted = np.bincount(context_of, minlength=len(matches.contexts)).tolist()
     recovered = np.bincount(context_of[pooled], minlength=len(matches.contexts)).tolist()
     stats: dict[str, PatternStats] = {}
-    for pid, pattern in patterns:
+    for pattern in patterns:
         c = matches.contexts[(pattern.left, pattern.right)]
-        stats[pid] = PatternStats(pattern, recovered[c], extracted[c],
-                                  rlogf(recovered[c], extracted[c]))
+        stats[pattern.pattern_id] = PatternStats(pattern, recovered[c], extracted[c],
+                                                 rlogf(recovered[c], extracted[c]))
     return stats
 
 
@@ -390,13 +379,11 @@ def match_tuples(index: _ContextIndex, matches: _Matches, pools: Pools) -> list[
     ``occurrence_count`` counts distinct (entry, position) sites, however
     many patterns fire there.
     """
-    pooled: dict[int, list[str]] = {}
-    for pid, pattern in pools.pattern_pool.items():
-        if (c := matches.contexts.get((pattern.left, pattern.right))) is not None:
-            pooled.setdefault(c, []).append(pid)
+    # A pattern's id names its context, so each context has one pooled id.
+    pooled = {matches.contexts[(p.left, p.right)]: pid for pid, p in pools.pattern_pool.items()}
     is_pooled = np.zeros(len(matches.contexts), dtype=bool)
     is_pooled[list(pooled)] = True
-    codes = index.tuple_codes(matches.position)
+    codes = index.codes[matches.position]
     keep = is_pooled[matches.context] & ~_find(index.pool_codes(pools.tuple_pool), codes)[1]
     position, context, codes = matches.position[keep], matches.context[keep], codes[keep]
     _, first, tuple_of = np.unique(codes, return_index=True, return_inverse=True)
@@ -408,7 +395,7 @@ def match_tuples(index: _ContextIndex, matches: _Matches, pools: Pools) -> list[
                                        sites.tolist())]
     pairs = _distinct(tuple_of * len(matches.contexts) + context)
     for t, c in zip(*(a.tolist() for a in np.divmod(pairs, len(matches.contexts)))):
-        stats[t].matching_patterns.update(pooled[c])
+        stats[t].matching_patterns.add(pooled[c])
     return [stats[t] for t in np.argsort(first).tolist()]
 
 
@@ -464,20 +451,18 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
 
     for iteration in range(1, config.max_iterations + 1):
         # The pools only grow, so the occurrences do too, and each round
-        # harvests patterns around its new ones only.  The order of ``fresh``
-        # does not reach the results: promotion sorts by score, then id.
+        # harvests patterns around its new ones only.
         found = label_occurrences(index, pools)
         new = found[~labelled[found]]
         labelled[new] = True
         for pattern in generate_patterns(index, new, config.window):
             generated.setdefault(pattern.pattern_id, pattern)
-        fresh = [p for pid, p in generated.items() if pid not in pools.pattern_pool]
-        # One matching pass serves pattern scoring, pool-match counts and
-        # tuple matching: the tuple pool only changes at the end of the round.
-        wanted = [*((p.pattern_id, p) for p in fresh), *pools.pattern_pool.items()]
-        matches = index.match(p for _, p in wanted)
-        pattern_stats = score_pattern(index, matches, wanted, pools.tuple_pool)
-        scored = [pattern_stats[p.pattern_id] for p in fresh]
+        # One matching pass over every generated pattern, the pooled ones
+        # among them, serves pattern scoring, pool-match counts and tuple
+        # matching: the tuple pool only changes at the end of the round.
+        matches = index.match(generated.values())
+        pattern_stats = score_pattern(index, matches, generated.values(), pools.tuple_pool)
+        scored = [st for pid, st in pattern_stats.items() if pid not in pools.pattern_pool]
         max_pattern = max((st.score for st in scored), default=0.0)
         accepted_patterns: list[PatternStats] = []
         if max_pattern > 0.0:

@@ -396,6 +396,9 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row plus at least one data row")
+    for j, name in enumerate(rows[0]):
+        if name in rows[0][:j]:
+            raise ValueError(f"{path}: line 1: column {name!r} appears twice")
     return rows[0], rows[1:]
 
 

@@ -19,6 +19,9 @@ SENTINEL = "_"
 
 METHODS = ("baseline", "bootstrap", "crf")
 
+#: Characters that would split a field of a TSV row, or the row itself.
+_TSV_BREAKS = frozenset("\t\r\n")
+
 
 class CorpusFormatError(ValueError):
     """Malformed corpus, annotation, or word-list input."""
@@ -134,6 +137,9 @@ class VariantPair:
             raise ValueError(f"unknown method {self.method!r}")
         if self.informal.casefold() == self.formal.casefold():
             raise ValueError(f"identity pair {self.informal!r}")
+        for name in ("informal", "formal", "source_entry", "rule_id"):
+            if not _TSV_BREAKS.isdisjoint(getattr(self, name)):
+                raise ValueError(f"field {name!r} holds a tab or line break")
         if self.method == "baseline" and self.score != 1.0:
             raise ValueError("baseline pairs carry score 1.0")
         if self.method == "bootstrap" and self.score < 0.0:
@@ -213,6 +219,9 @@ def _entry_from_json(line: str, default_id: str, built: dict[tuple[str, int], To
                 value.encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise CorpusFormatError(f"field {field!r} is not UTF-8 text: {exc}") from exc
+            # Both are written to pairs.tsv; ``str`` of a non-string id holds no break.
+            if field in ("word", "entry_id") and not _TSV_BREAKS.isdisjoint(value):
+                raise CorpusFormatError(f"field {field!r} holds a tab or line break")
     entry_id = record.get("entry_id")
     if entry_id == "":
         raise CorpusFormatError("empty entry_id")
@@ -411,6 +420,8 @@ def read_seed_pairs(path: str | Path) -> list[tuple[str, str]]:
             raise CorpusFormatError(f"{path}: line {line_no}: expected two tab-separated fields")
         informal, formal = parts[0].strip().casefold(), parts[1].strip().casefold()
         _check_sides(path, line_no, informal, formal)
+        if informal == formal:
+            raise CorpusFormatError(f"{path}: line {line_no}: identity pair {informal!r}")
         seeds.append((informal, formal))
     return seeds
 

@@ -248,8 +248,8 @@ def run_stages(corpus, pools, pattern=None):
     matching pass over ``pattern`` and the pooled patterns, as a round of
     ``bootstrap_run`` takes them."""
     index = _ContextIndex(corpus)
-    wanted = [*pools.pattern_pool.items(), *([(pattern.pattern_id, pattern)] if pattern else [])]
-    matches = index.match(p for _, p in wanted)
+    wanted = [*pools.pattern_pool.values(), *([pattern] if pattern else [])]
+    matches = index.match(wanted)
     stats = score_pattern(index, matches, wanted, pools.tuple_pool)
     return stats[pattern.pattern_id] if pattern else None, match_tuples(index, matches, pools)
 
@@ -722,9 +722,9 @@ class TestSweepAgainstOracle:
             expected = oracle_score_pattern(pattern, pools, corpus)
             assert run_stages(corpus, pools, pattern)[0] == expected
 
-    # Three words a, b, c: packed as (first key) * 3 + (second key), a
-    # context with a word the corpus lacks (-1) or a slot lacking the right
-    # context (-1) lands on another context's number.
+    # Three words a, b, c: packed without the shift by one, as (first key)
+    # * 3 + (second key), a context with a word the corpus lacks (-1) or a
+    # slot lacking the right context (-1) lands on another context's number.
     @pytest.mark.parametrize("rows, pattern", [
         ((("h", "a b c"),), SurfacePattern(left=(), right=("c", "nope"))),
         ((("h", "a b c"), ("g", "b a")), SurfacePattern(left=("a",), right=("c",))),

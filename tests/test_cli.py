@@ -117,6 +117,30 @@ class TestExtractBaseline:
         assert code == 2
         assert capsys.readouterr().err == f"error: {rules}: line 2: not UTF-8: byte 0xe9\n"
 
+    @pytest.mark.parametrize("field, value", [
+        ("word", "m8\tfoo"), ("word", "u\nr"), ("word", "u\rr"), ("entry_id", "p\t1")])
+    def test_field_with_a_tab_or_line_break_names_file_and_line(self, tmp_path, field, value,
+                                                                capsys):
+        record = {"word": "m8", "definition": "short for 'mate'", field: value}
+        corpus = write_corpus(tmp_path, [{"word": "aye", "definition": "x"}, record])
+        out = tmp_path / "out"
+        code = main(["extract", "--method", "baseline", "--corpus", str(corpus),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: line 2: field {field!r} holds a tab or line break\n")
+        assert not out.exists()
+
+    def test_rule_capturing_a_tab_writes_nothing(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, [{"word": "m8", "definition": "short for 'ma\tte'"}])
+        rules = write_lines(tmp_path / "rules.tsv", ["r1\tshort for '(?P<Spelling>[^']+)'"])
+        out = tmp_path / "out"
+        code = main(["extract", "--method", "baseline", "--corpus", str(corpus),
+                     "--rules", str(rules), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: field 'formal' holds a tab or line break\n"
+        assert not out.exists()
+
     def test_unknown_flag(self, tmp_path, baseline_corpus):
         code = main(["extract", "--method", "baseline", "--corpus", str(baseline_corpus),
                      "--out", str(tmp_path / "out"), "--bogus"])
@@ -193,6 +217,14 @@ class TestExtractBootstrap:
                      "--seeds", str(seeds), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {seeds}: line 2: empty {side} side\n"
+
+    def test_identity_seed_names_file_and_line(self, tmp_path, planted, capsys):
+        seeds = write_lines(tmp_path / "seeds.tsv", ["ur\tyour", "Mate\tmate"])
+        code = main(["extract", "--method", "bootstrap",
+                     "--corpus", str(planted / "corpus.jsonl"),
+                     "--seeds", str(seeds), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {seeds}: line 2: identity pair 'mate'\n"
 
     def test_out_of_range_alpha(self, tmp_path, planted, capsys):
         code = main(["extract", "--method", "bootstrap", "--alpha", "0.2",
@@ -949,6 +981,15 @@ class TestCorrelate:
         assert captured.out.startswith("top1 x val: r=")
         assert captured.err == "error: input too large to correlate\n"
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_column_names_file_and_line(self, tmp_path, correlate_inputs, capsys):
+        _, extrinsic = correlate_inputs
+        table = write_lines(tmp_path / "twice.tsv", [
+            "name\ttop1\ttop1", "a\t0.1\t0.4", "b\t0.2\t0.2", "c\t0.4\t0.1"])
+        assert self._correlate(tmp_path, table, extrinsic) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {table}: line 1: column 'top1' appears twice\n"
 
     def test_oversized_field_is_a_data_error(self, tmp_path, correlate_inputs, capsys):
         intrinsic, extrinsic = correlate_inputs

@@ -394,6 +394,14 @@ class TestVariantPair:
         with pytest.raises(ValueError):
             VariantPair(informal="a", formal="b", score=score, method="crf")
 
+    @pytest.mark.parametrize("field", ["informal", "formal", "source_entry", "rule_id"])
+    @pytest.mark.parametrize("breaking", ["\t", "\n", "\r"])
+    def test_field_with_a_tab_or_line_break_rejected(self, field, breaking):
+        fields = {"informal": "a", "formal": "b", "source_entry": "e1", "rule_id": "r1"}
+        fields[field] += breaking + "x"
+        with pytest.raises(ValueError, match=f"field '{field}' holds a tab or line break"):
+            VariantPair(score=1.0, method="baseline", **fields)
+
 
 class TestPairsTsv:
     def test_round_trip(self, tmp_path):
