@@ -149,13 +149,22 @@ class _Options:
         except ValueError:
             raise UsageError(f"{_flag(name)}: cannot parse {value!r}") from None
 
-    def path(self, name: str, required: bool = False, must_exist: bool = True) -> Path | None:
+    def path(self, name: str, required: bool = False) -> Path | None:
         value = self.take(name, required=required)
         if value is None:
             return None
         path = Path(value)
-        if must_exist and not path.exists():
+        if not path.exists():
             raise UsageError(f"{_flag(name)}: path does not exist: {path}")
+        return path
+
+    def out_dir(self) -> Path:
+        """``--out``, refused now, before any input is read, when it or its
+        nearest existing parent is not a directory."""
+        path = Path(self.take("out", required=True))
+        existing = next((p for p in (path, *path.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise UsageError(f"{path}: Not a directory")
         return path
 
     def knobs(self, source) -> dict:
@@ -248,7 +257,7 @@ def _cmd_extract(opts: _Options) -> None:
         raise UsageError(f"extract: unknown method {method!r} (choose from {_METHODS})")
     context = f"extract --method {method}"
     corpus_path = opts.path("corpus", required=True)
-    out_dir = opts.path("out", required=True, must_exist=False)
+    out_dir = opts.out_dir()
     annotations = opts.path("annotations")
     seed = opts.take("seed", 0)
     options: dict = {"method": method, "corpus": str(corpus_path), "seed": seed}
@@ -334,7 +343,7 @@ def _cmd_extract(opts: _Options) -> None:
 def _cmd_eval(opts: _Options) -> None:
     pairs_path = opts.path("pairs", required=True)
     vocab_path = opts.path("formal_vocab", required=True)
-    out_dir = opts.path("out", required=True, must_exist=False)
+    out_dir = opts.out_dir()
     ks = sorted(set(opts.knobs(_EVAL)["ks"]))
     embeddings = opts.take("embeddings", required=True)
     if isinstance(embeddings, str):  # an INI value lists the tables on one line
@@ -422,7 +431,7 @@ def _numeric_columns(
 def _cmd_correlate(opts: _Options) -> None:
     intrinsic_path = opts.path("intrinsic", required=True)
     extrinsic_path = opts.path("extrinsic", required=True)
-    out_dir = opts.path("out", required=True, must_exist=False)
+    out_dir = opts.out_dir()
     keys_raw = opts.take("keys", required=True)
     opts.done("correlate")
     keys = [part.strip() for part in keys_raw.split(",") if part.strip()]
@@ -493,7 +502,7 @@ def _cmd_correlate(opts: _Options) -> None:
 def _cmd_annotate(opts: _Options) -> None:
     corpus_path = opts.path("corpus", required=True)
     annotations = opts.path("annotations")
-    out_dir = opts.path("out", required=True, must_exist=False)
+    out_dir = opts.out_dir()
     opts.done("annotate")
 
     if annotations is not None:
@@ -512,7 +521,7 @@ def _cmd_gen_synthetic(opts: _Options) -> None:
     kind = opts.take("kind")
     if kind not in _KINDS:
         raise UsageError("gen-synthetic: --kind must be bootstrap or selftrain")
-    out_dir = opts.path("out", required=True, must_exist=False)
+    out_dir = opts.out_dir()
     seed = opts.take("seed", 0)
     knobs = opts.knobs(_FIXTURE) if kind == "bootstrap" else {}
     opts.done(f"gen-synthetic --kind {kind}")

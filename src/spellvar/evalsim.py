@@ -3,11 +3,18 @@
 For each (informal, formal) pair the formal word is ranked among all table
 words by cosine similarity to the informal word's vector; accuracy at k is
 the fraction of evaluable pairs whose formal word ranks within the top k.
+
+Memory is bounded by the table, not by its text or the number of pairs: a
+table is parsed :data:`LOAD_BLOCK` lines at a time into one float64 array,
+and every pair is ranked against blocks of unit-norm rows, one product of at
+most :data:`RANK_CELLS` cells at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -47,16 +54,29 @@ class EmbeddingTable:
     @cached_property
     def copy_groups(self) -> np.ndarray:
         """Per row, an id shared by exactly the rows whose vectors are equal
-        (``-0.0`` equal to ``0.0``)."""
-        ids: dict[bytes, int] = {}
-        return np.array(
-            [ids.setdefault(row.tobytes(), len(ids)) for row in self.vectors + 0.0], dtype=np.intp
-        )
+        (``-0.0`` equal to ``0.0``).
+
+        Equal vectors have equal norm bits, so only the rows whose norm
+        another row shares are compared, component by component; every
+        other row is a group of its own."""
+        groups = np.arange(len(self.norms))
+        order = np.argsort(self.norms, kind="stable")
+        shared = np.flatnonzero(np.diff(self.norms[order]) == 0.0)
+        candidates = np.unique(order[np.concatenate((shared, shared + 1))])
+        if candidates.size:
+            _, first, inverse = np.unique(self.vectors[candidates] + 0.0, axis=0,
+                                          return_index=True, return_inverse=True)
+            groups[candidates] = candidates[first][inverse.ravel()]
+        return groups
 
 
 def make_table(words: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
     vectors = np.asarray(vectors, dtype=float)
-    norms = np.linalg.norm(vectors, axis=1)
+    # Block by block, so that no temporary as large as the table is made; each
+    # row's norm has the same bits as in one call over the whole table.
+    norms = np.empty(len(vectors))
+    for start in range(0, len(vectors), LOAD_BLOCK):
+        norms[start:start + LOAD_BLOCK] = np.linalg.norm(vectors[start:start + LOAD_BLOCK], axis=1)
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
     if bad.size:
         row = int(bad[0])
@@ -69,6 +89,10 @@ def make_table(words: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
         norms=norms,
         index={word: i for i, word in enumerate(words)},
     )
+
+
+#: Lines of component text parsed per NumPy call while loading a table.
+LOAD_BLOCK = 8192
 
 
 def _parse_components(
@@ -108,8 +132,8 @@ def _header(line_no: int, fields: list[str]) -> tuple[int, int] | None:
 
 
 def _parse_bulk(texts: list[str], dimension: int | None) -> np.ndarray | None:
-    """Every line's component text parsed in one ``np.loadtxt`` call, or None
-    unless that is sure to equal ``float()`` on each ``str.split()`` token.
+    """A block of lines' component text parsed in one ``np.loadtxt`` call, or
+    None unless that is sure to equal ``float()`` on each ``str.split()`` token.
 
     NumPy's reader turns a field into a float as ``float()`` does
     (``PyOS_string_to_double``) and splits ASCII text where ``str.split()``
@@ -146,25 +170,48 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     A first line of exactly two integer tokens is treated as a
     ``count dimension`` header, and its count must equal the number of
     vector lines.  Duplicate words keep their first vector.  One pass keeps
-    each line's word and component text, which are then parsed in one NumPy
-    call; a file that call cannot parse exactly as ``float()`` would is read
-    again and parsed token by token, which accepts what Python accepts and
-    names the line otherwise.
+    each line's word and parses the component text of every
+    :data:`LOAD_BLOCK` lines in one NumPy call, into one float64 array.
+    That array is allocated for the header's count, but for no more rows
+    than the file can hold at two bytes a component, or for one block
+    without a header, and doubles in place when a block does not fit.  A
+    file with a block that call cannot parse exactly as ``float()`` would is
+    read again and parsed token by token, which accepts what Python accepts
+    and names the line otherwise.
     """
-    header: tuple[int, int] | None = None
-    words: list[str] = []
-    texts: list[str] = []
-    for line_no, fields in _split_lines(path):
-        if (found := _header(line_no, fields)) is not None:
-            header = found
-            continue
-        words.append(fields[0])
-        texts.append(fields[1] if len(fields) == 2 else "")
+    lines = _split_lines(path)
+    opening = next(lines, None)
+    header = None if opening is None else _header(*opening)
+    if opening is not None and header is None:
+        lines = itertools.chain([opening], lines)
     dimension = None if header is None else header[1]
-    vectors = _parse_bulk(texts, dimension)
-    del texts
-    if vectors is None:
-        vectors = _parse_each_line(path, dimension)
+    words: list[str] = []
+    vectors = np.empty((0, 0))
+    filled = 0
+    refused = False
+    while block := list(itertools.islice(lines, LOAD_BLOCK)):
+        words += [fields[0] for _, fields in block]
+        if refused:
+            continue
+        values = _parse_bulk([fields[1] if len(fields) == 2 else "" for _, fields in block],
+                             dimension)
+        if values is None:
+            refused, vectors = True, np.empty((0, 0))
+            continue
+        dimension = values.shape[1]
+        if not filled:
+            rows = LOAD_BLOCK if header is None else min(
+                header[0], os.path.getsize(path) // (2 * dimension))
+            vectors = np.empty((max(rows, len(values)), dimension))
+        elif filled + len(values) > len(vectors):
+            rows = max(2 * len(vectors), filled + len(values))
+            vectors.resize((rows, dimension), refcheck=False)
+        vectors[filled:filled + len(values)] = values
+        filled += len(values)
+    if refused:
+        vectors = _parse_each_line(path, None if header is None else header[1])
+    else:
+        vectors.resize((filled, vectors.shape[1]), refcheck=False)
     if header is not None and header[0] != len(words):
         raise EmbeddingFormatError(
             f"{path}: line 1: header says {header[0]} vectors, found {len(words)}"
@@ -175,17 +222,23 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     for row, word in enumerate(words):
         first.setdefault(word, row)
     if len(first) < len(words):
-        words, vectors = list(first), vectors[list(first.values())]
+        # Compacted in place, a block at a time: a kept row only moves to a
+        # lower index, so no row is overwritten before it is read.
+        keep = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        for start in range(0, len(keep), LOAD_BLOCK):
+            taken = keep[start:start + LOAD_BLOCK]
+            vectors[start:start + len(taken)] = vectors[taken]
+        vectors.resize((len(keep), vectors.shape[1]), refcheck=False)
+        words = list(first)
     try:
         return make_table(words, vectors)
     except EmbeddingFormatError as exc:
         raise EmbeddingFormatError(f"{path}: {exc}") from exc
 
 
-#: Queries ranked per matrix product.  The product and its norm divisor are
-#: RANK_CHUNK x table rows each (10 MiB apiece at 64 x 20,000), so memory
-#: stays bounded whatever the number of pairs.
-RANK_CHUNK = 64
+#: Cells of one ranking product, a block of unit rows times the query
+#: vectors: 8 MiB of float64, however many pairs or table rows there are.
+RANK_CELLS = 1 << 20
 
 
 def rank_of_formal(table: EmbeddingTable, queries: np.ndarray, formals: np.ndarray) -> np.ndarray:
@@ -196,21 +249,49 @@ def rank_of_formal(table: EmbeddingTable, queries: np.ndarray, formals: np.ndarr
     counts, and neither does a row whose vector equals the formal's exactly:
     BLAS may round bitwise-equal rows differently by where they sit in the
     table, and such a copy must tie however the product was blocked.
+
+    The table is walked in blocks of ``RANK_CELLS // (queries + dimension)``
+    rows (at least one, at most 65,535), each divided by its norms and
+    multiplied once against the query vectors, so a product and its block
+    hold at most :data:`RANK_CELLS` cells together; past ``RANK_CELLS``
+    queries, the queries are taken in chunks as well.  A query's threshold
+    is the row-wise dot of its vector with the formal's unit row, and the
+    cells above it are counted.  Which cells count is the same whatever the
+    block and chunk sizes, except where a row's cosine lies within a few
+    ulps of the formal's: a product of another shape may round such a cell
+    to the other side of the threshold, moving the rank by one per such row.
     """
     vectors, norms, groups = table.vectors, table.norms, table.copy_groups
-    has_copy = np.bincount(groups)[groups] > 1
-    ranks = np.empty(len(queries), dtype=np.int64)
-    for start in range(0, len(queries), RANK_CHUNK):
-        q = queries[start:start + RANK_CHUNK]
-        f = formals[start:start + RANK_CHUNK]
+    # Queries whose formal has an exact copy come first, so that their cells
+    # are the leading columns of each product.
+    copied = np.bincount(groups)[groups[formals]] > 1
+    order = np.argsort(~copied, kind="stable")
+    queries, formals = queries[order], formals[order]
+    n_copied = int(copied.sum())
+    # A block's counts are summed as uint16, which is faster than a wider sum.
+    rows = min(max(1, RANK_CELLS // (len(queries) + table.dimension)), 0xFFFF)
+    chunk = max(1, RANK_CELLS // rows - table.dimension)
+    above = np.zeros(len(queries), dtype=np.int64)
+    for start in range(0, len(queries), chunk):
+        q, f = queries[start:start + chunk], formals[start:start + chunk]
         at = np.arange(len(q))
-        cosines = vectors[q] @ vectors.T
-        cosines /= np.multiply.outer(norms[q], norms)
-        better = cosines > cosines[at, f][:, None]
-        better[at, q] = False
-        copied = np.flatnonzero(has_copy[f])
-        better[copied] &= groups != groups[f[copied]][:, None]
-        ranks[start:start + len(q)] = 1 + better.sum(axis=1)
+        query_vectors = vectors[q]
+        thresholds = np.einsum("ij,ij->i", query_vectors, vectors[f] / norms[f, None])
+        copy_of = groups[f[:max(0, n_copied - start)]]
+        for low in range(0, len(vectors), rows):
+            high = low + rows
+            cells = (vectors[low:high] / norms[low:high, None]) @ query_vectors.T
+            for own in (q, f):
+                hit = (own >= low) & (own < high)
+                cells[own[hit] - low, at[hit]] = -np.inf
+            if len(copy_of):
+                np.copyto(cells[:, :len(copy_of)], -np.inf,
+                          where=groups[low:high, None] == copy_of)
+            above[start:start + chunk] += np.add.reduce(
+                (cells > thresholds).view(np.uint8), axis=0, dtype=np.uint16)
+            del cells  # before the next product is made
+    ranks = np.empty_like(above)
+    ranks[order] = above + 1
     return ranks
 
 
@@ -253,7 +334,7 @@ def evaluate_pairs(
     Both pair sides are lowercased before lookup.  Pairs whose formal side is
     outside ``formal_vocab`` or whose words are missing from the table are
     recorded as misses and excluded from the accuracy denominator.  The
-    evaluable pairs are ranked together, :data:`RANK_CHUNK` at a time.
+    evaluable pairs are ranked together, in one :func:`rank_of_formal` call.
     """
     ks = sorted(set(ks))
     if any(k < 1 for k in ks):

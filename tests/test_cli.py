@@ -308,6 +308,30 @@ class TestOptionsCheckedFirst:
         assert not (tmp_path / "out").exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["extract", "--method", "baseline", "--corpus", "{corpus}"],
+        ["correlate", "--intrinsic", "{corpus}", "--extrinsic", "{corpus}", "--keys", "k"],
+        ["annotate", "--corpus", "{corpus}"],
+        ["gen-synthetic", "--kind", "bootstrap"],
+        ["eval", "--pairs", "{pairs}", "--embeddings", "{embeddings}",
+         "--formal-vocab", "{vocab}"],
+    ])
+    def test_out_naming_a_file_is_refused_before_any_input_is_read(
+            self, tmp_path, baseline_corpus, eval_inputs, no_input_read, monkeypatch, command,
+            capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("input read before --out was checked")
+        for name in ("load_embeddings", "read_pairs_tsv", "_read_table", "bootstrap_fixture"):
+            monkeypatch.setattr(f"spellvar.cli.{name}", forbidden)
+        pairs, embeddings, vocab = eval_inputs
+        names = {"corpus": baseline_corpus, "pairs": pairs, "embeddings": embeddings,
+                 "vocab": vocab}
+        out = write_lines(tmp_path / "out", ["kept"])
+        code = main([arg.format(**names) for arg in command] + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
     def test_negative_search_trials(self, tmp_path, staged, capsys):
         code = main(["extract", "--method", "selftrain",
                      "--corpus", str(staged / "unlabeled.jsonl"),

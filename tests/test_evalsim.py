@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spellvar import evalsim
+from spellvar.cli import main
 from spellvar.corpus import VariantPair, read_word_list
 from spellvar.evalsim import (
     MISS_REASONS,
-    RANK_CHUNK,
+    RANK_CELLS,
     EmbeddingFormatError,
     evaluate_pairs,
     load_embeddings,
@@ -73,6 +75,15 @@ def write_embeddings(tmp_path, text, name="vectors.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def load_outcome(path):
+    """The loaded table's words and bits, or the message it was refused with."""
+    try:
+        table = load_embeddings(path)
+    except EmbeddingFormatError as exc:
+        return str(exc)
+    return table.words, table.vectors.shape, table.vectors.tobytes(), table.norms.tobytes()
 
 
 class TestLoadEmbeddings:
@@ -219,17 +230,20 @@ class TestLoadEmbeddings:
     def test_bulk_and_per_line_paths_agree(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
         path.write_bytes(text.encode("utf-8"))
-
-        def outcome():
-            try:
-                table = load_embeddings(path)
-            except EmbeddingFormatError as exc:
-                return str(exc)
-            return table.words, table.vectors.shape, table.vectors.tobytes(), table.norms.tobytes()
-
-        bulk = outcome()
+        bulk = load_outcome(path)
         with patch.object(evalsim, "_parse_bulk", return_value=None):
-            assert outcome() == bulk
+            assert load_outcome(path) == bulk
+
+    @settings(max_examples=200, deadline=None)
+    @given(embedding_files(), st.integers(1, 3))
+    @example("1 2\na 1 0\nb 0 1\nc 1 1\n", 1)
+    @example("a 1 0\nb 0 1\nc 1 1\nd 1 2\ne 2 1\n", 2)
+    def test_blocks_do_not_change_the_outcome(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+        path.write_bytes(text.encode("utf-8"))
+        whole = load_outcome(path)
+        with patch.object(evalsim, "LOAD_BLOCK", block):
+            assert load_outcome(path) == whole
 
 
 def rank_oracle(table, informal, formal):
@@ -311,10 +325,17 @@ class TestRankOfFormal:
         assert rank_pair(table, "q", "a") == rank_pair(table, "q", "b") == 1
 
 
+def cells_for_block(rows, n_queries, table):
+    """A ``RANK_CELLS`` under which ``rank_of_formal`` walks ``table`` ``rows``
+    rows at a time for ``n_queries`` queries, all in one chunk."""
+    return rows * (n_queries + table.dimension)
+
+
 @st.composite
 def tables_with_copies(draw):
     """A random table in which one row's vector is copied to several rows,
-    and pairs that mostly ask for one of those copies."""
+    pairs that mostly ask for one of those copies, and a ``RANK_CELLS`` that
+    cuts the table into blocks of 1-5 rows or the queries into chunks."""
     n_rows = draw(st.integers(9, 40))
     dim = draw(st.integers(2, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -330,9 +351,7 @@ def tables_with_copies(draw):
     if rows[source, 0] == 0.0:
         rows[copies[-1], 0] = -0.0
     words = [f"w{i}" for i in range(n_rows)]
-    # Pair counts around the chunk size, so chunks end mid-list and copies
-    # fall on either side of a chunk edge.
-    n_pairs = draw(st.sampled_from([1, RANK_CHUNK - 1, RANK_CHUNK + 1, 2 * RANK_CHUNK + 3]))
+    n_pairs = draw(st.integers(1, 12))
     group = [source, *copies]
     pairs = []
     for _ in range(n_pairs):
@@ -340,32 +359,125 @@ def tables_with_copies(draw):
         informal = (formal + rng.integers(1, n_rows)) % n_rows
         pairs.append(VariantPair(informal=words[informal], formal=words[formal],
                                  score=1.0, method="baseline"))
-    return make_table(words, rows), pairs
+    table = make_table(words, rows)
+    # Blocks end mid-table and chunks mid-list, so copies fall on either side
+    # of a block edge and queries with copied formals on either side of a
+    # chunk edge.
+    if n_pairs > 1 and draw(st.booleans()):
+        cells = draw(st.integers(1, n_pairs - 1)) + dim
+    else:
+        cells = cells_for_block(draw(st.integers(1, 5)), n_pairs, table)
+    return table, pairs, cells
+
+
+def rank_table_with_copies(seed, n_rows=200, dim=20, n_queries=300):
+    """A table of rounded rows in which a few rows are copied many times, and
+    queries that mostly ask for a copied row."""
+    rng = np.random.default_rng(seed)
+    rows = np.round(rng.normal(size=(n_rows, dim)), 3)
+    for source in range(5):
+        rows[rng.choice(np.arange(5, n_rows), size=7, replace=False)] = rows[source]
+    table = make_table([f"w{i}" for i in range(n_rows)], rows)
+    formals = np.where(rng.random(n_queries) < 0.5, rng.integers(5, size=n_queries),
+                       rng.integers(n_rows, size=n_queries))
+    queries = (formals + rng.integers(1, n_rows, size=n_queries)) % n_rows
+    return table, queries, formals
 
 
 class TestBatchedRanking:
     @settings(max_examples=50, deadline=None)
     @given(tables_with_copies())
     def test_matches_oracle_with_exact_copies(self, case):
-        table, pairs = case
-        report = evaluate_pairs(table, pairs, frozenset(table.words), ks=(1,))
-        for pair, outcome in zip(pairs, report.per_pair):
-            expected = rank_oracle(table, pair.informal, pair.formal)
-            assert outcome.rank == expected
-            assert rank_pair(table, pair.informal, pair.formal) == expected
+        table, pairs, cells = case
+        with patch.object(evalsim, "RANK_CELLS", cells):
+            report = evaluate_pairs(table, pairs, frozenset(table.words), ks=(1,))
+            for pair, outcome in zip(pairs, report.per_pair):
+                expected = rank_oracle(table, pair.informal, pair.formal)
+                assert outcome.rank == expected
+                assert rank_pair(table, pair.informal, pair.formal) == expected
 
-    def test_matches_per_pair_ranks_across_chunks(self):
+    def test_matches_per_pair_ranks_across_blocks(self):
         rng = np.random.default_rng(61)
         table = random_table(rng, n_words=50, dimension=6)
         pairs = [
             VariantPair(informal=f"w{a}", formal=f"w{b}", score=1.0, method="baseline")
-            for a, b in rng.integers(50, size=(3 * RANK_CHUNK + 7, 2))
+            for a, b in rng.integers(50, size=(199, 2))
             if a != b
         ]
-        report = evaluate_pairs(table, pairs, frozenset(table.words), ks=(1,))
-        assert [o.rank for o in report.per_pair] == [
-            rank_pair(table, p.informal, p.formal) for p in pairs
-        ]
+        per_pair = [rank_pair(table, p.informal, p.formal) for p in pairs]
+        caps = [cells_for_block(rows, len(pairs), table) for rows in range(1, 6)]
+        # One row at a time against chunks of 64 and of 1 query.
+        caps += [64 + table.dimension, 1]
+        for cells in caps:
+            with patch.object(evalsim, "RANK_CELLS", cells):
+                report = evaluate_pairs(table, pairs, frozenset(table.words), ks=(1,))
+            assert [o.rank for o in report.per_pair] == per_pair
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ranks_do_not_depend_on_the_block_size(self, seed):
+        table, queries, formals = rank_table_with_copies(seed)
+        ranks = rank_of_formal(table, queries, formals)
+        for rows in (1, 7):
+            with patch.object(evalsim, "RANK_CELLS",
+                              cells_for_block(rows, len(queries), table)):
+                assert rank_of_formal(table, queries, formals).tolist() == ranks.tolist()
+
+
+def traced_peak(call):
+    """Bytes allocated at the peak of ``call()`` beyond what was held before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_ranking_peak_is_bounded_by_the_product_cap(self):
+        n_rows, dim, n_queries = 5000, 50, 3000
+        rng = np.random.default_rng(5)
+        table = random_table(rng, n_words=n_rows, dimension=dim)
+        queries = rng.integers(n_rows, size=n_queries)
+        formals = (queries + rng.integers(1, n_rows, size=n_queries)) % n_rows
+        peak = traced_peak(lambda: rank_of_formal(table, queries, formals))
+        # A float64 product and its boolean comparison, 9 bytes a cell, plus
+        # arrays sized by the queries (their vectors, the formals' unit rows,
+        # indices and counts) and by the rows (norm order and copy groups).
+        bound = RANK_CELLS * 9 + n_queries * (3 * dim * 8 + 128) + n_rows * 64
+        assert peak <= bound
+        # The whole product would be far larger.
+        assert n_queries * n_rows * 8 > 8 * bound
+
+    def test_duplicate_words_do_not_copy_the_table(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = [" ".join(f"{x:.3f}" for x in row) for row in rng.normal(size=(20000, 20))]
+        lines = [f"w{i} {row}" for i, row in enumerate(rows)]
+        plain = write_embeddings(tmp_path, "\n".join(lines) + "\n", "plain.txt")
+        # The first row's word again at the end: the table keeps its first vector.
+        repeated = write_embeddings(tmp_path, "\n".join([*lines, f"w0 {rows[1]}"]) + "\n",
+                                    "repeated.txt")
+        table = load_embeddings(repeated)
+        assert table.vectors.tobytes() == load_embeddings(plain).vectors.tobytes()
+        # Small blocks, so that the array, not a block's text, sets the peak.
+        with patch.object(evalsim, "LOAD_BLOCK", 512):
+            peaks = [traced_peak(lambda: load_embeddings(path)) for path in (plain, repeated)]
+        assert peaks[1] < peaks[0] + table.vectors.nbytes // 4
+
+    def test_header_count_does_not_size_the_array(self, tmp_path, capsys):
+        path = write_embeddings(tmp_path, "1000000000 3\na 1 0 0\nb 0 1 0\n")
+        peak = traced_peak(lambda: pytest.raises(EmbeddingFormatError, load_embeddings, path))
+        assert peak < 1 << 20
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("informal\tformal\tscore\tmethod\torigin\tentry_id\n"
+                         "a\tb\t1.0\tbaseline\tr\te1\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("b\n", encoding="utf-8")
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(path),
+                     "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: header says 1000000000 vectors, found 2\n")
 
 
 def planted_pairs(n=20):
