@@ -233,6 +233,8 @@ def _load_extract_corpus(corpus_path: Path, annotations: Path | None) -> Corpus:
 
 def _read_gold(gold_corpus_path: Path, gold_tags_path: Path):
     corpus = annotate(load_jsonl(gold_corpus_path))
+    if not corpus.entries:
+        raise CorpusFormatError(f"{gold_corpus_path}: self-training needs gold data")
     blocks = read_labeled_file(gold_tags_path)
     if len(blocks) != len(corpus.entries):
         raise CorpusFormatError(
@@ -317,7 +319,10 @@ def _cmd_extract(opts: _Options) -> None:
         corpus = _load_extract_corpus(corpus_path, annotations)
         if space is not None:
             data = [(extract_features(entry, config.window), tags) for entry, tags in gold]
-            searched = random_search(data, space)
+            try:
+                searched = random_search(data, space)
+            except ValueError as exc:
+                raise CorpusFormatError(f"{gold_corpus_path}: {exc}") from None
             penalties = {"l1": searched.l1, "l2": searched.l2}
             config = replace(config, train=opts.build(_TRAIN, penalties))
         result = self_train(gold, corpus, config)
@@ -361,7 +366,10 @@ def _cmd_eval(opts: _Options) -> None:
     files = {}
     for index, name in enumerate(embeddings):
         table = load_embeddings(name)
-        report = evaluate_pairs(table, pairs, vocab, ks)
+        try:
+            report = evaluate_pairs(table, pairs, vocab, ks)
+        except ValueError as exc:
+            raise ValueError(f"{pairs_path} against {name}: {exc}") from None
         summary = {
             "embeddings": str(name),
             "dimension": table.dimension,

@@ -9,6 +9,7 @@ matches untokenized text.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -140,6 +141,8 @@ class VariantPair:
         for name in ("informal", "formal", "source_entry", "rule_id"):
             if not _TSV_BREAKS.isdisjoint(getattr(self, name)):
                 raise ValueError(f"field {name!r} holds a tab or line break")
+        if not math.isfinite(self.score):
+            raise ValueError(f"score {self.score!r} is not finite")
         if self.method == "baseline" and self.score != 1.0:
             raise ValueError("baseline pairs carry score 1.0")
         if self.method == "bootstrap" and self.score < 0.0:
@@ -423,6 +426,8 @@ def read_seed_pairs(path: str | Path) -> list[tuple[str, str]]:
         if informal == formal:
             raise CorpusFormatError(f"{path}: line {line_no}: identity pair {informal!r}")
         seeds.append((informal, formal))
+    if not seeds:
+        raise CorpusFormatError(f"{path}: no seed pairs")
     return seeds
 
 
@@ -516,13 +521,17 @@ def read_pairs_tsv(path: str | Path) -> list[VariantPair]:
         method = parts[3] if len(parts) > 3 else "baseline"
         origin = parts[4] if len(parts) > 4 else ""
         source = parts[5] if len(parts) > 5 else ""
+        # A bootstrap or self-training origin is the round; an absent one reads as 0.
+        iterated = method in ("bootstrap", "crf") and origin != ""
         try:
+            if iterated and not (origin.isascii() and origin.isdigit()):
+                raise ValueError(f"origin {origin!r} is not an iteration number")
             pairs.append(VariantPair(
                 informal=informal,
                 formal=formal,
                 score=float(parts[2]) if len(parts) > 2 else 1.0,
                 method=method,
-                iteration=int(origin) if origin.isdigit() else 0,
+                iteration=int(origin) if iterated else 0,
                 source_entry=source,
                 rule_id=origin if method == "baseline" else "",
             ))

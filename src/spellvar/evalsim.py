@@ -5,9 +5,10 @@ words by cosine similarity to the informal word's vector; accuracy at k is
 the fraction of evaluable pairs whose formal word ranks within the top k.
 
 Memory is bounded by the table, not by its text or the number of pairs: a
-table is parsed :data:`LOAD_BLOCK` lines at a time into one float64 array,
-and every pair is ranked against blocks of unit-norm rows, one product of at
-most :data:`RANK_CELLS` cells at a time.
+table is read once and parsed :data:`LOAD_BLOCK` lines at a time into one
+float64 array, whichever parser a block needs, and every pair is ranked
+against blocks of unit-norm rows, one product of at most :data:`RANK_CELLS`
+cells at a time.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ class EmbeddingTable:
         return groups
 
 
-def make_table(words: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
-    vectors = np.asarray(vectors, dtype=float)
+def _table(words: tuple[str, ...], vectors: np.ndarray, index: dict[str, int],
+           where: str = "") -> EmbeddingTable:
+    """``words`` with their float64 ``vectors``, ``index`` and norms.  A zero
+    or non-finite vector raises naming its word, prefixed by ``where``."""
     # Block by block, so that no temporary as large as the table is made; each
     # row's norm has the same bits as in one call over the whole table.
     norms = np.empty(len(vectors))
@@ -81,37 +84,18 @@ def make_table(words: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
     if bad.size:
         row = int(bad[0])
         if not np.isfinite(norms[row]):
-            raise EmbeddingFormatError(f"non-finite vector norm for word {words[row]!r}")
-        raise EmbeddingFormatError(f"zero vector for word {words[row]!r}")
-    return EmbeddingTable(
-        words=tuple(words),
-        vectors=vectors,
-        norms=norms,
-        index={word: i for i, word in enumerate(words)},
-    )
+            raise EmbeddingFormatError(f"{where}non-finite vector norm for word {words[row]!r}")
+        raise EmbeddingFormatError(f"{where}zero vector for word {words[row]!r}")
+    return EmbeddingTable(words, vectors, norms, index)
+
+
+def make_table(words: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
+    return _table(tuple(words), np.asarray(vectors, dtype=float),
+                  {word: i for i, word in enumerate(words)})
 
 
 #: Lines of component text parsed per NumPy call while loading a table.
 LOAD_BLOCK = 8192
-
-
-def _parse_components(
-    path: str | Path, line_no: int, components: list[str], dimension: int | None
-) -> np.ndarray:
-    """One line's components, one ``float()`` each; raises naming the line."""
-    if not components:
-        raise EmbeddingFormatError(f"{path}: line {line_no}: no vector components")
-    if dimension is not None and len(components) != dimension:
-        raise EmbeddingFormatError(
-            f"{path}: line {line_no}: expected {dimension} components, "
-            f"got {len(components)}"
-        )
-    try:
-        return np.array([float(c) for c in components])
-    except ValueError as exc:
-        raise EmbeddingFormatError(
-            f"{path}: line {line_no}: non-numeric component: {exc}"
-        ) from exc
 
 
 def _split_lines(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -152,88 +136,85 @@ def _parse_bulk(texts: list[str], dimension: int | None) -> np.ndarray | None:
     return values if values.shape == (len(texts), width) else None
 
 
-def _parse_each_line(path: str | Path, dimension: int | None) -> np.ndarray:
-    """The file's vectors read again, one ``float()`` per component, raising
-    at the first line that does not parse."""
+def _parse_each_line(
+    path: str | Path, block: list[tuple[int, list[str]]], dimension: int | None
+) -> np.ndarray:
+    """A block's vectors, one ``float()`` per component, raising at the first
+    line that does not parse."""
     rows: list[np.ndarray] = []
-    for line_no, fields in _split_lines(path):
-        if _header(line_no, fields) is None:
-            components = fields[1].split() if len(fields) == 2 else []
-            rows.append(_parse_components(path, line_no, components, dimension))
-            dimension = len(rows[-1])
+    for line_no, fields in block:
+        components = fields[1].split() if len(fields) == 2 else []
+        if not components:
+            raise EmbeddingFormatError(f"{path}: line {line_no}: no vector components")
+        if dimension is not None and len(components) != dimension:
+            raise EmbeddingFormatError(
+                f"{path}: line {line_no}: expected {dimension} components, "
+                f"got {len(components)}"
+            )
+        try:
+            rows.append(np.array([float(c) for c in components]))
+        except ValueError as exc:
+            raise EmbeddingFormatError(
+                f"{path}: line {line_no}: non-numeric component: {exc}"
+            ) from exc
+        dimension = len(components)
     return np.array(rows)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read whitespace-separated text embeddings.
+    """Read whitespace-separated text embeddings in one pass.
 
     A first line of exactly two integer tokens is treated as a
     ``count dimension`` header, and its count must equal the number of
-    vector lines.  Duplicate words keep their first vector.  One pass keeps
-    each line's word and parses the component text of every
-    :data:`LOAD_BLOCK` lines in one NumPy call, into one float64 array.
-    That array is allocated for the header's count, but for no more rows
+    vector lines.  The component text of every :data:`LOAD_BLOCK` lines is
+    parsed in one NumPy call or, for a block that call cannot parse exactly
+    as ``float()`` would, token by token, which accepts what Python accepts
+    and names the line otherwise.  Either way the block's rows go into one
+    float64 array, allocated for the header's count, but for no more rows
     than the file can hold at two bytes a component, or for one block
-    without a header, and doubles in place when a block does not fit.  A
-    file with a block that call cannot parse exactly as ``float()`` would is
-    read again and parsed token by token, which accepts what Python accepts
-    and names the line otherwise.
+    without a header, and doubled in place when a block does not fit.  A
+    repeated word keeps its first vector: its later rows are dropped before
+    they are stored, and the dict that numbers the words becomes the
+    table's index.
     """
     lines = _split_lines(path)
-    opening = next(lines, None)
-    header = None if opening is None else _header(*opening)
-    if opening is not None and header is None:
-        lines = itertools.chain([opening], lines)
+    opening = list(itertools.islice(lines, 1))
+    header = _header(*opening[0]) if opening else None
+    lines = itertools.chain(opening if header is None else [], lines)
     dimension = None if header is None else header[1]
-    words: list[str] = []
+    index: dict[str, int] = {}
     vectors = np.empty((0, 0))
-    filled = 0
-    refused = False
+    count = 0
     while block := list(itertools.islice(lines, LOAD_BLOCK)):
-        words += [fields[0] for _, fields in block]
-        if refused:
-            continue
         values = _parse_bulk([fields[1] if len(fields) == 2 else "" for _, fields in block],
                              dimension)
         if values is None:
-            refused, vectors = True, np.empty((0, 0))
-            continue
+            values = _parse_each_line(path, block, dimension)
         dimension = values.shape[1]
+        count += len(block)
+        # A word keeps its first row; a later row of it is parsed, then dropped.
+        filled, kept = len(index), []
+        for row, (_, fields) in enumerate(block):
+            if fields[0] not in index:
+                index[fields[0]] = len(index)
+                kept.append(row)
+        if len(kept) < len(values):
+            values = values[kept]
         if not filled:
             rows = LOAD_BLOCK if header is None else min(
                 header[0], os.path.getsize(path) // (2 * dimension))
             vectors = np.empty((max(rows, len(values)), dimension))
-        elif filled + len(values) > len(vectors):
-            rows = max(2 * len(vectors), filled + len(values))
-            vectors.resize((rows, dimension), refcheck=False)
-        vectors[filled:filled + len(values)] = values
-        filled += len(values)
-    if refused:
-        vectors = _parse_each_line(path, None if header is None else header[1])
-    else:
-        vectors.resize((filled, vectors.shape[1]), refcheck=False)
-    if header is not None and header[0] != len(words):
+        elif len(index) > len(vectors):
+            vectors.resize((max(2 * len(vectors), len(index)), dimension), refcheck=False)
+        vectors[filled:len(index)] = values
+    if header is not None and header[0] != count:
         raise EmbeddingFormatError(
-            f"{path}: line 1: header says {header[0]} vectors, found {len(words)}"
+            f"{path}: line 1: header says {header[0]} vectors, found {count}"
         )
-    if not words:
+    if not index:
         raise EmbeddingFormatError(f"{path}: no vectors found")
-    first: dict[str, int] = {}
-    for row, word in enumerate(words):
-        first.setdefault(word, row)
-    if len(first) < len(words):
-        # Compacted in place, a block at a time: a kept row only moves to a
-        # lower index, so no row is overwritten before it is read.
-        keep = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-        for start in range(0, len(keep), LOAD_BLOCK):
-            taken = keep[start:start + LOAD_BLOCK]
-            vectors[start:start + len(taken)] = vectors[taken]
-        vectors.resize((len(keep), vectors.shape[1]), refcheck=False)
-        words = list(first)
-    try:
-        return make_table(words, vectors)
-    except EmbeddingFormatError as exc:
-        raise EmbeddingFormatError(f"{path}: {exc}") from exc
+    vectors.resize((len(index), dimension), refcheck=False)
+    return _table(tuple(index), vectors, index, f"{path}: ")
 
 
 #: Cells of one ranking product, a block of unit rows times the query

@@ -226,6 +226,16 @@ class TestExtractBootstrap:
         assert code == 2
         assert capsys.readouterr().err == f"error: {seeds}: line 2: identity pair 'mate'\n"
 
+    @pytest.mark.parametrize("lines", [[], ["# no seeds yet", ""]])
+    def test_seed_file_without_a_pair_is_a_data_error(self, tmp_path, planted, lines, capsys):
+        seeds = tmp_path / "seeds.tsv"
+        seeds.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code = main(["extract", "--method", "bootstrap",
+                     "--corpus", str(planted / "corpus.jsonl"),
+                     "--seeds", str(seeds), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {seeds}: no seed pairs\n"
+
     def test_out_of_range_alpha(self, tmp_path, planted, capsys):
         code = main(["extract", "--method", "bootstrap", "--alpha", "0.2",
                      "--corpus", str(planted / "corpus.jsonl"),
@@ -394,6 +404,30 @@ class TestExtractSelftrain:
         assert code == 2
         assert "tag blocks" in capsys.readouterr().err
 
+
+    def test_empty_gold_corpus_names_the_file(self, tmp_path, staged, capsys):
+        gold = write_lines(tmp_path / "gold.jsonl", [""])
+        tags = write_lines(tmp_path / "gold.tags", [""])
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(gold), "--gold-tags", str(tags),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {gold}: self-training needs gold data\n"
+
+    def test_fewer_gold_entries_than_folds_names_the_file(self, tmp_path, staged, capsys):
+        gold = write_lines(tmp_path / "gold.jsonl",
+                           (staged / "gold.jsonl").read_text(encoding="utf-8").splitlines()[:2])
+        blocks = (staged / "gold.tags").read_text(encoding="utf-8").split("\n\n")
+        tags = write_lines(tmp_path / "gold.tags", ["\n\n".join(blocks[:2])])
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(gold), "--gold-tags", str(tags),
+                     "--search-trials", "1", "--search-folds", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {gold}: need at least 3 sequences for 3-fold search, got 2\n")
 
     def _run_tags(self, tmp_path, staged, tags):
         return main(["extract", "--method", "selftrain",
@@ -623,6 +657,49 @@ class TestEval:
                      "--formal-vocab", str(empty_vocab), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "no evaluable pairs" in capsys.readouterr().err
+
+    def test_no_evaluable_pair_names_the_pairs_and_the_table(self, tmp_path, eval_inputs,
+                                                             capsys):
+        pairs, embeddings, _ = eval_inputs
+        vocab = write_lines(tmp_path / "other.txt", ["unrelated"])
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pairs} against {embeddings}: no evaluable pairs\n")
+
+    @pytest.mark.parametrize("method", ["bootstrap", "crf"])
+    @pytest.mark.parametrize("origin", ["r", "-3"])
+    def test_bad_origin_names_file_and_line(self, tmp_path, eval_inputs, method, origin,
+                                            capsys):
+        _, embeddings, vocab = eval_inputs
+        pairs = write_lines(tmp_path / "bad_pairs.tsv", [
+            "informal\tformal\tscore\tmethod\torigin\tentry_id",
+            f"inf0\tfrm0\t0.5\t{method}\t1\te1",
+            f"inf1\tfrm1\t0.5\t{method}\t{origin}\te2",
+        ])
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: line 3: origin {origin!r} is not an iteration number\n")
+
+    @pytest.mark.parametrize("method, score, shown", [
+        ("bootstrap", "nan", "nan"), ("bootstrap", "1e999", "inf"), ("crf", "nan", "nan"),
+    ])
+    def test_non_finite_score_names_file_and_line(self, tmp_path, eval_inputs, method, score,
+                                                  shown, capsys):
+        _, embeddings, vocab = eval_inputs
+        pairs = write_lines(tmp_path / "bad_pairs.tsv", [
+            "informal\tformal\tscore\tmethod\torigin\tentry_id",
+            f"inf0\tfrm0\t0.5\t{method}\t1\te1",
+            f"inf1\tfrm1\t{score}\t{method}\t1\te2",
+        ])
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: line 3: score {shown} is not finite\n")
 
     def test_missing_pairs_option(self, tmp_path, eval_inputs):
         _, embeddings, vocab = eval_inputs
@@ -1334,8 +1411,9 @@ class TestStartup:
 
 # Imports the CLI in a fresh interpreter, installs the benchmark's span
 # recorder (which wraps program names by attribute and fails on a missing
-# one), runs a small self-training and a bootstrap extraction on the stock
-# fixtures and an eval of one pair, and prints the traced calls.
+# one), runs a small self-training with fixed penalties and one with a
+# penalty search, a bootstrap extraction on the stock fixtures and an eval
+# of one pair, and prints the traced calls.
 _TRACER_CHILD = r"""
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -1349,6 +1427,11 @@ assert spellvar.cli.main([
     "extract", "--method", "selftrain", "--corpus", out + "/st/unlabeled.jsonl",
     "--gold-corpus", out + "/st/gold.jsonl", "--gold-tags", out + "/st/gold.tags",
     "--iterations", "1", "--l1", "0.02", "--l2", "0.03", "--out", out + "/x"]) == 0
+assert spellvar.cli.main([
+    "extract", "--method", "selftrain", "--corpus", out + "/st/unlabeled.jsonl",
+    "--gold-corpus", out + "/st/gold.jsonl", "--gold-tags", out + "/st/gold.tags",
+    "--iterations", "1", "--search-trials", "1", "--search-folds", "2",
+    "--out", out + "/x2"]) == 0
 assert spellvar.cli.main(["gen-synthetic", "--kind", "bootstrap", "--out", out + "/bs"]) == 0
 assert spellvar.cli.main([
     "extract", "--method", "bootstrap", "--corpus", out + "/bs/corpus.jsonl",
@@ -1374,12 +1457,16 @@ def test_benchmark_tracer_finds_every_name(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     calls = json.loads(child.stdout.splitlines()[-1])
-    # Training, bootstrapping and ranking reach the wrapped names through
+    # The CLI, annotation, feature extraction, the penalty search, training,
+    # bootstrapping, loading and ranking reach the wrapped names through
     # their modules' globals.
-    for name in ("crf.train.train", "crf.objective.encode_dataset",
+    for name in ("cli.main", "corpus.annotate", "crf.features.extract_features",
+                 "selftrain.self_train", "selftrain.random_search",
+                 "crf.train.train", "crf.objective.encode_dataset",
                  "crf.objective.log_likelihood_and_gradient", "crf.optimizer.minimize",
                  "corpus.load_jsonl", "bootstrap.bootstrap_run", "bootstrap.label_occurrences",
                  "bootstrap.generate_patterns", "bootstrap.score_pattern",
                  "bootstrap.match_tuples", "bootstrap.apply_constraints",
-                 "bootstrap.score_tuple", "evalsim.evaluate_pairs", "evalsim.rank_of_formal"):
+                 "bootstrap.score_tuple", "evalsim.load_embeddings", "evalsim.evaluate_pairs",
+                 "evalsim.rank_of_formal"):
         assert calls.get(name, 0) >= 1, name

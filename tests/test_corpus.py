@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -394,6 +395,14 @@ class TestVariantPair:
         with pytest.raises(ValueError):
             VariantPair(informal="a", formal="b", score=score, method="crf")
 
+    @pytest.mark.parametrize("method, score", [
+        ("bootstrap", math.nan), ("bootstrap", math.inf), ("crf", math.nan),
+        ("baseline", math.nan),
+    ])
+    def test_score_must_be_finite(self, method, score):
+        with pytest.raises(ValueError, match=f"score {score!r} is not finite"):
+            VariantPair(informal="a", formal="b", score=score, method=method)
+
     @pytest.mark.parametrize("field", ["informal", "formal", "source_entry", "rule_id"])
     @pytest.mark.parametrize("breaking", ["\t", "\n", "\r"])
     def test_field_with_a_tab_or_line_break_rejected(self, field, breaking):
@@ -418,6 +427,30 @@ class TestPairsTsv:
         again = read_pairs_tsv(path)
         assert again == pairs
 
+    @pytest.mark.parametrize("method", ["bootstrap", "crf"])
+    @pytest.mark.parametrize("origin", ["r", "-3", "1.0", "+1", "\u00b2"])
+    def test_origin_must_be_an_iteration_number(self, tmp_path, method, origin):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"ur\tyour\t0.5\t{method}\t1\te1\n"
+                        f"m8\tmate\t0.5\t{method}\t{origin}\te2\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as info:
+            read_pairs_tsv(path)
+        assert str(info.value) == (
+            f"{path}: line 2: origin {origin!r} is not an iteration number")
+
+    def test_absent_origin_reads_as_zero(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("ur\tyour\t0.5\tcrf\nm8\tmate\t2.5\tbootstrap\t\te2\n",
+                        encoding="utf-8")
+        assert [pair.iteration for pair in read_pairs_tsv(path)] == [0, 0]
+
+    def test_numeric_rule_id_round_trips(self, tmp_path):
+        pairs = [VariantPair(informal="aye", formal="yes", score=1.0, method="baseline",
+                             rule_id="7", source_entry="e1")]
+        path = tmp_path / "pairs.tsv"
+        write_pairs_tsv(pairs, path)
+        assert read_pairs_tsv(path) == pairs
+
     def test_read_rejects_bad_row(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("only-one-column\n", encoding="utf-8")
@@ -441,6 +474,15 @@ class TestWordLists:
         path.write_text("solo\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="line 1"):
             read_seed_pairs(path)
+
+
+    @pytest.mark.parametrize("text", ["", "# seeds\n\n"])
+    def test_seed_file_without_a_pair_rejected(self, tmp_path, text):
+        path = tmp_path / "seeds.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as info:
+            read_seed_pairs(path)
+        assert str(info.value) == f"{path}: no seed pairs"
 
 
 # Each loader with two good lines and what it makes of them.

@@ -222,6 +222,53 @@ class TestLoadEmbeddings:
         assert each.call_count == 1
         np.testing.assert_array_equal(table.vectors, [[1.0, 0.5], [0.0, 1.0], [1000.0, 2.0]])
 
+    def test_a_refused_block_alone_is_parsed_line_by_line(self, tmp_path):
+        lines = [f"w{i} {i + 1} 0.5" for i in range(7)]
+        lines[3] = "w3 1_000 0.5"
+        path = write_embeddings(tmp_path, "\n".join(lines) + "\n")
+        with patch.object(evalsim, "LOAD_BLOCK", 2), \
+                patch.object(evalsim, "_parse_each_line", wraps=evalsim._parse_each_line) as each:
+            table = load_embeddings(path)
+        assert each.call_count == 1
+        assert [line_no for line_no, _ in each.call_args.args[1]] == [3, 4]
+        expected = [[float(token) for token in line.split()[1:]] for line in lines]
+        assert table.vectors.tobytes() == np.array(expected).tobytes()
+
+    def test_a_file_with_a_refused_block_is_read_once(self, tmp_path):
+        path = write_embeddings(tmp_path, "".join(f"w{i} {i + 1} 0\n" for i in range(6))
+                                + "w6 1_000 0.5\n")
+        with patch.object(evalsim, "LOAD_BLOCK", 2), \
+                patch.object(evalsim, "read_lines", wraps=evalsim.read_lines) as read:
+            load_embeddings(path)
+        assert read.call_count == 1
+
+    def test_a_refused_block_costs_no_second_copy_of_the_table(self, tmp_path):
+        # Four decimals, as in fastText's published tables.
+        rows = np.random.default_rng(0).normal(size=(5000, 50))
+        lines = ["5000 50", *(f"w{i} " + " ".join(f"{x:.4f}" for x in row.tolist())
+                              for i, row in enumerate(rows))]
+        lines[-1] = lines[-1].rsplit(" ", 1)[0] + " 1_000"
+        path = write_embeddings(tmp_path, "\n".join(lines) + "\n")
+        with patch.object(evalsim, "LOAD_BLOCK", 256):
+            tracemalloc.start()
+            try:
+                table = load_embeddings(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert table.vectors[-1, -1] == 1000.0
+        assert peak <= table.vectors.nbytes + 2**20
+
+    def test_one_dict_indexes_a_loaded_table(self, tmp_path):
+        path = write_embeddings(tmp_path, "5 2\na 1 0\nb 0 1\na 5 5\nc 1_000 2\nb 7 7\n")
+        with patch.object(evalsim, "LOAD_BLOCK", 2), \
+                patch.object(evalsim, "make_table", side_effect=AssertionError):
+            table = load_embeddings(path)
+        assert table.words == ("a", "b", "c")
+        assert table.vectors.tobytes() == np.array([[1.0, 0.0], [0.0, 1.0],
+                                                    [1000.0, 2.0]]).tobytes()
+        assert table.index == {word: table.words.index(word) for word in table.words}
+
     @settings(max_examples=300, deadline=None)
     @given(embedding_files())
     @example("a 0.5 1#2\nb 1 2\n")
