@@ -178,34 +178,36 @@ def label_occurrences(index: _ContextIndex, pools: Pools) -> np.ndarray:
 
 
 def generate_patterns(index: _ContextIndex, positions: np.ndarray,
-                      window: int) -> list[SurfacePattern]:
-    """Emit every (left, right) context of up to ``window`` tokens per side
-    around each of ``positions``, deduplicated in first-seen order."""
-    contexts: dict[Context, None] = {}
+                      window: int) -> dict[Context, SurfacePattern]:
+    """Every (left, right) context of up to ``window`` tokens per side around
+    each of ``positions``, deduplicated in first-seen order, with its pattern."""
+    shapes = [(l, r) for l in range(window + 1) for r in range(window + 1) if l + r]
+    keys = [index.slot_keys(l, r, positions).tolist() for l, r in shapes]
+    patterns: dict[Context, SurfacePattern] = {}
     words = index.words
-    for v, before, after in zip(positions.tolist(), index.room[-1][positions].tolist(),
-                                index.room[1][positions].tolist()):
+    for v, before, after, *slot_keys in zip(positions.tolist(), index.room[-1][positions].tolist(),
+                                            index.room[1][positions].tolist(), *keys):
         left = tuple(words[i] for i in index.ids[v - min(window, before):v].tolist())
         right = tuple(words[i] for i in index.ids[v + 1:v + 1 + min(window, after)].tolist())
-        for l in range(len(left) + 1):
-            for r in range(len(right) + 1):
-                if l + r:
-                    contexts.setdefault((left[len(left) - l:], right[:r]))
-    return [SurfacePattern(left=left, right=right) for left, right in contexts]
+        for (l, r), key in zip(shapes, slot_keys):
+            if l <= len(left) and r <= len(right) and (l, r, key) not in patterns:
+                patterns[l, r, key] = SurfacePattern(left[len(left) - l:], right[:r])
+    return patterns
 
 
-Context = tuple[tuple[str, ...], tuple[str, ...]]
-Level = tuple[np.ndarray, np.ndarray | None, int]
+#: A slot's context: its left and right lengths and its key
+#: (:meth:`_ContextIndex.slot_keys`).
+Context = tuple[int, int, int]
 
 
 class _Matches(NamedTuple):
     """Every slot a matching pass found, as parallel arrays ordered by
-    position: the corpus position and the number of the matched (left,
-    right) context in ``contexts``."""
+    position: the corpus position and the number of the matched context in
+    ``contexts``, whose patterns the pass was asked to match."""
 
     position: np.ndarray
     context: np.ndarray
-    contexts: dict[Context, int]
+    contexts: Mapping[Context, SurfacePattern]
 
 
 class _ContextIndex:
@@ -244,13 +246,11 @@ class _ContextIndex:
         as_token = np.array([vocab.get(word, -1) for word in self.informals], dtype=np.int64)
         self.free = self.ids != as_token[self.row]
         # Per side, per context length n: each position's key, -1 where the
-        # definition has fewer than n tokens on that side; the sorted packed
-        # (shorter key, token id) pairs the keys number, None for n = 1; and
-        # the number of keys.
-        self._levels: dict[int, list[Level]] = {-1: [], 1: []}
-        self._keys: dict[int, dict[tuple[str, ...], int]] = {-1: {(): -1}, 1: {(): -1}}
+        # definition has fewer than n tokens on that side, and the number of
+        # keys.
+        self._levels: dict[int, list[tuple[np.ndarray, int]]] = {-1: [], 1: []}
 
-    def _level(self, side: int, n: int) -> Level:
+    def _level(self, side: int, n: int) -> tuple[np.ndarray, int]:
         levels = self._levels[side]
         while len(levels) < n:
             k = len(levels) + 1
@@ -259,69 +259,46 @@ class _ContextIndex:
             keys = np.full(len(self.ids), -1, dtype=np.int64)
             if k == 1:
                 keys[at] = token
-                levels.append((keys, None, len(self.words)))
+                levels.append((keys, len(self.words)))
             else:
                 known, keys[at] = np.unique(levels[-1][0][at] * len(self.words) + token,
                                             return_inverse=True)
-                levels.append((keys, known, len(known)))
+                levels.append((keys, len(known)))
         return levels[n - 1]
 
-    def _context_keys(self, side: int, contexts: Sequence[tuple[str, ...]]) -> np.ndarray:
-        """Key of each context on ``side`` of a slot, in reading order; -1 for
-        an empty context and where no position of the corpus has it.  Keys
-        are kept: the rounds of a run look up mostly the same contexts."""
-        kept = self._keys[side]
-        new = [c for c in dict.fromkeys(contexts) if c not in kept]
-        if new:
-            width = max(map(len, new))
-            pad = [-1] * width
-            vocab = self.vocab
-            words = np.array([[vocab.get(w, -1) for w in (c[::-1] if side < 0 else c)]
-                              + pad[len(c):] for c in new], dtype=np.int64)
-            lengths = np.array([len(c) for c in new])
-            keys = words[:, 0].copy()
-            for n in range(2, width + 1):
-                _, known, _ = self._level(side, n)
-                growing = np.flatnonzero((lengths >= n) & (keys >= 0))
-                word = words[growing, n - 1]
-                found, hit = _find(known, keys[growing] * len(self.words) + word)
-                keys[growing] = np.where(hit & (word >= 0), found, -1)
-            kept.update(zip(new, keys.tolist()))
-        return np.array([kept[c] for c in contexts], dtype=np.int64)
+    def slot_keys(self, left: int, right: int, at: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Key of the ``left`` tokens before and the ``right`` tokens after
+        each position ``at`` (every position by default).
 
-    def match(self, patterns: Iterable[SurfacePattern]) -> _Matches:
+        Each side's key is shifted up by one before the two are combined, so
+        a position lacking a side's context (key -1) has digit 0 there: a
+        position with the room shares its key exactly with the positions
+        that have the room and an equal context."""
+        keys = 0
+        for side, n in ((-1, left), (1, right)):
+            if n:
+                level_keys, count = self._level(side, n)
+                keys = keys * (count + 1) + level_keys[at] + 1
+        return keys
+
+    def match(self, contexts: Mapping[Context, SurfacePattern]) -> _Matches:
         """Find every slot that is not its entry's headword and that one of
-        ``patterns`` matches.
+        ``contexts`` surrounds.
 
-        Patterns are matched in groups of one (left, right) length: each
+        Contexts are matched in groups of one (left, right) length: each
         group's keys are sorted once and every position's key is looked up
-        in them with one ``np.searchsorted``.  Each side's key is shifted up
-        by one before the two are combined, so a slot lacking a side's
-        context (key -1) has digit 0 there, unlike every usable wanted key."""
-        contexts: dict[Context, int] = {}
-        for pattern in patterns:
-            contexts.setdefault((pattern.left, pattern.right), len(contexts))
-        keys = {-1: self._context_keys(-1, [left for left, _ in contexts]),
-                1: self._context_keys(1, [right for _, right in contexts])}
+        in them with one ``np.searchsorted``."""
+        shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for c, (left, right, key) in enumerate(contexts):
+            shapes.setdefault((left, right), []).append((key, c))
         positions, matched = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        shapes: dict[tuple[int, int], list[int]] = {}
-        for (left, right), c in contexts.items():
-            shapes.setdefault((len(left), len(right)), []).append(c)
-        for shape, members in shapes.items():
-            members = np.array(members)
-            usable = np.ones(len(members), dtype=bool)
-            slot_keys = wanted_keys = 0
-            for side, n in zip((-1, 1), shape):
-                if n:
-                    level_keys, _, count = self._level(side, n)
-                    usable &= keys[side][members] >= 0
-                    slot_keys = slot_keys * (count + 1) + level_keys + 1
-                    wanted_keys = wanted_keys * (count + 1) + keys[side][members] + 1
-            order = np.flatnonzero(usable)[np.argsort(wanted_keys[usable])]
-            found, hit = _find(wanted_keys[order], slot_keys)
+        for (left, right), members in shapes.items():
+            members = np.array(members, dtype=np.int64)
+            members = members[np.argsort(members[:, 0])]
+            found, hit = _find(members[:, 0], self.slot_keys(left, right))
             at = np.flatnonzero(hit & self.free)
             positions.append(at)
-            matched.append(members[order][found[at]])
+            matched.append(members[found[at], 1])
         position, context = np.concatenate(positions), np.concatenate(matched)
         order = np.argsort(position, kind="stable")
         return _Matches(position[order], context[order], contexts)
@@ -353,23 +330,18 @@ def _find(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def score_pattern(
     index: _ContextIndex,
     matches: _Matches,
-    patterns: Iterable[SurfacePattern],
     tuple_pool: set[tuple[str, str]],
 ) -> dict[str, PatternStats]:
     """RlogF statistics per pattern id over the distinct tuples it extracts,
-    for ``patterns`` that ``matches`` (from ``index.match``) covers."""
+    for every pattern that ``matches`` (from ``index.match``) covers."""
     tuples, tuple_of = np.unique(index.codes[matches.position], return_inverse=True)
     pairs = _distinct(matches.context * len(tuples) + tuple_of)
     context_of, tuple_of = np.divmod(pairs, len(tuples))
     pooled = _find(index.pool_codes(tuple_pool), tuples)[1][tuple_of]
     extracted = np.bincount(context_of, minlength=len(matches.contexts)).tolist()
     recovered = np.bincount(context_of[pooled], minlength=len(matches.contexts)).tolist()
-    stats: dict[str, PatternStats] = {}
-    for pattern in patterns:
-        c = matches.contexts[(pattern.left, pattern.right)]
-        stats[pattern.pattern_id] = PatternStats(pattern, recovered[c], extracted[c],
-                                                 rlogf(recovered[c], extracted[c]))
-    return stats
+    return {pattern.pattern_id: PatternStats(pattern, r, e, rlogf(r, e))
+            for pattern, r, e in zip(matches.contexts.values(), recovered, extracted)}
 
 
 def match_tuples(index: _ContextIndex, matches: _Matches, pools: Pools) -> list[TupleStats]:
@@ -379,10 +351,8 @@ def match_tuples(index: _ContextIndex, matches: _Matches, pools: Pools) -> list[
     ``occurrence_count`` counts distinct (entry, position) sites, however
     many patterns fire there.
     """
-    # A pattern's id names its context, so each context has one pooled id.
-    pooled = {matches.contexts[(p.left, p.right)]: pid for pid, p in pools.pattern_pool.items()}
-    is_pooled = np.zeros(len(matches.contexts), dtype=bool)
-    is_pooled[list(pooled)] = True
+    ids = [pattern.pattern_id for pattern in matches.contexts.values()]
+    is_pooled = np.array([pid in pools.pattern_pool for pid in ids], dtype=bool)
     codes = index.codes[matches.position]
     keep = is_pooled[matches.context] & ~_find(index.pool_codes(pools.tuple_pool), codes)[1]
     position, context, codes = matches.position[keep], matches.context[keep], codes[keep]
@@ -393,9 +363,9 @@ def match_tuples(index: _ContextIndex, matches: _Matches, pools: Pools) -> list[
     stats = [TupleStats(index.informals[row], index.words[formal], set(), n, index.entry_ids[row])
              for row, formal, n in zip(index.row[at].tolist(), index.ids[at].tolist(),
                                        sites.tolist())]
-    pairs = _distinct(tuple_of * len(matches.contexts) + context)
-    for t, c in zip(*(a.tolist() for a in np.divmod(pairs, len(matches.contexts)))):
-        stats[t].matching_patterns.add(pooled[c])
+    pairs = _distinct(tuple_of * len(ids) + context)
+    for t, c in zip(*(a.tolist() for a in np.divmod(pairs, len(ids)))):
+        stats[t].matching_patterns.add(ids[c])
     return [stats[t] for t in np.argsort(first).tolist()]
 
 
@@ -447,7 +417,7 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
     trace: list[dict] = []
     index = _ContextIndex(corpus)
     labelled = np.zeros(len(index.ids), dtype=bool)
-    generated: dict[str, SurfacePattern] = {}
+    generated: dict[Context, SurfacePattern] = {}
 
     for iteration in range(1, config.max_iterations + 1):
         # The pools only grow, so the occurrences do too, and each round
@@ -455,13 +425,12 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
         found = label_occurrences(index, pools)
         new = found[~labelled[found]]
         labelled[new] = True
-        for pattern in generate_patterns(index, new, config.window):
-            generated.setdefault(pattern.pattern_id, pattern)
+        generated |= generate_patterns(index, new, config.window)
         # One matching pass over every generated pattern, the pooled ones
         # among them, serves pattern scoring, pool-match counts and tuple
         # matching: the tuple pool only changes at the end of the round.
-        matches = index.match(generated.values())
-        pattern_stats = score_pattern(index, matches, generated.values(), pools.tuple_pool)
+        matches = index.match(generated)
+        pattern_stats = score_pattern(index, matches, pools.tuple_pool)
         scored = [st for pid, st in pattern_stats.items() if pid not in pools.pattern_pool]
         max_pattern = max((st.score for st in scored), default=0.0)
         accepted_patterns: list[PatternStats] = []

@@ -85,7 +85,8 @@ class DictEntry:
             raise CorpusFormatError(f"entry {self.entry_id!r}: empty headword")
         for name in ("upvotes", "downvotes"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 0):
+            # ``bool`` is an ``int``, but ``true`` is not a vote count.
+            if value is not None and (type(value) is not int or value < 0):
                 raise CorpusFormatError(
                     f"entry {self.entry_id!r}: {name} must be a non-negative integer"
                 )

@@ -63,7 +63,10 @@ class EmbeddingTable:
         groups = np.arange(len(self.norms))
         order = np.argsort(self.norms, kind="stable")
         shared = np.flatnonzero(np.diff(self.norms[order]) == 0.0)
-        candidates = np.unique(order[np.concatenate((shared, shared + 1))])
+        # A mask, not a plain ``np.unique``, which imports ``numpy.ma``.
+        tied = np.zeros(len(groups), dtype=bool)
+        tied[order[shared]] = tied[order[shared + 1]] = True
+        candidates = np.flatnonzero(tied)
         if candidates.size:
             _, first, inverse = np.unique(self.vectors[candidates] + 0.0, axis=0,
                                           return_index=True, return_inverse=True)
@@ -139,10 +142,11 @@ def _parse_bulk(texts: list[str], dimension: int | None) -> np.ndarray | None:
 def _parse_each_line(
     path: str | Path, block: list[tuple[int, list[str]]], dimension: int | None
 ) -> np.ndarray:
-    """A block's vectors, one ``float()`` per component, raising at the first
-    line that does not parse."""
-    rows: list[np.ndarray] = []
-    for line_no, fields in block:
+    """A block's vectors, one ``float()`` per component, each row parsed
+    straight into one block array, raising at the first line that does not
+    parse."""
+    values = np.empty((0, 0))
+    for row, (line_no, fields) in enumerate(block):
         components = fields[1].split() if len(fields) == 2 else []
         if not components:
             raise EmbeddingFormatError(f"{path}: line {line_no}: no vector components")
@@ -151,14 +155,16 @@ def _parse_each_line(
                 f"{path}: line {line_no}: expected {dimension} components, "
                 f"got {len(components)}"
             )
+        if not row:
+            dimension = len(components)
+            values = np.empty((len(block), dimension))
         try:
-            rows.append(np.array([float(c) for c in components]))
+            values[row] = [float(c) for c in components]
         except ValueError as exc:
             raise EmbeddingFormatError(
                 f"{path}: line {line_no}: non-numeric component: {exc}"
             ) from exc
-        dimension = len(components)
-    return np.array(rows)
+    return values
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:

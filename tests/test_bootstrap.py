@@ -172,12 +172,17 @@ def labelled(corpus, pools):
             for v in label_occurrences(index, pools)]
 
 
-def patterns_around(corpus, occurrences, window):
+def generated_around(corpus, occurrences, window):
     """``generate_patterns`` around (entry id, token offset) occurrences."""
     starts = itertools.accumulate((len(entry.definition) for entry in corpus), initial=0)
     start_of = dict(zip((entry.entry_id for entry in corpus), starts))
     positions = np.array([start_of[entry_id] + v for entry_id, v in occurrences], dtype=np.int64)
     return generate_patterns(_ContextIndex(corpus), positions, window)
+
+
+def patterns_around(corpus, occurrences, window):
+    """The patterns of ``generated_around``, in first-seen order."""
+    return list(generated_around(corpus, occurrences, window).values())
 
 
 class TestLabelOccurrences:
@@ -242,16 +247,52 @@ class TestGeneratePatterns:
         assert len(ids) == len(set(ids))
 
 
+def context_of(index, corpus, pattern):
+    """``pattern``'s context, its lengths and ``index.slot_keys`` read at a
+    site where ``oracle_matches_at`` holds; None when it has no site."""
+    l, r = len(pattern.left), len(pattern.right)
+    start = 0
+    for entry in corpus:
+        lowers = tuple(tok.lower for tok in entry.definition)
+        for v in range(len(lowers)):
+            if oracle_matches_at(pattern, lowers, v):
+                return l, r, int(index.slot_keys(l, r, np.array([start + v]))[0])
+        start += len(lowers)
+    return None
+
+
 def run_stages(corpus, pools, pattern=None):
-    """``score_pattern``'s statistics for ``pattern`` (None without one) and
-    ``match_tuples``'s candidates for ``pools``, from one index and one
-    matching pass over ``pattern`` and the pooled patterns, as a round of
-    ``bootstrap_run`` takes them."""
+    """``score_pattern``'s statistics for ``pattern`` and ``match_tuples``'s
+    candidates for ``pools``, from one index and one matching pass over the
+    contexts of ``pattern`` and the pooled patterns, as a round of
+    ``bootstrap_run`` takes them.
+
+    A pattern with no site in the corpus has no context, so no round can
+    generate it: it is left out of the pass, and its statistics are None,
+    as they are without a pattern."""
     index = _ContextIndex(corpus)
-    wanted = [*pools.pattern_pool.values(), *([pattern] if pattern else [])]
+    wanted = {}
+    for p in [*pools.pattern_pool.values(), *([pattern] if pattern else [])]:
+        if (context := context_of(index, corpus, p)) is not None:
+            wanted[context] = p
     matches = index.match(wanted)
-    stats = score_pattern(index, matches, wanted, pools.tuple_pool)
-    return stats[pattern.pattern_id] if pattern else None, match_tuples(index, matches, pools)
+    stats = score_pattern(index, matches, pools.tuple_pool)
+    return stats.get(pattern.pattern_id) if pattern else None, match_tuples(index, matches, pools)
+
+
+def assert_scored_as_oracle(corpus, pools, pattern):
+    """``run_stages``'s statistics for ``pattern`` equal the oracle's; for a
+    pattern with no site, the oracle extracts nothing with it, alone or
+    pooled."""
+    stats = run_stages(corpus, pools, pattern)[0]
+    if stats is None:
+        assert list(oracle_extractions(pattern, corpus)) == []
+        alone = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
+                      seeds=frozenset())
+        assert oracle_match_tuples(alone, corpus) == []
+    else:
+        assert stats == oracle_score_pattern(pattern, pools, corpus)
+    return stats
 
 
 class TestScorePattern:
@@ -674,12 +715,37 @@ def corpus_and_pools(draw):
     return corpus, pools
 
 
+class TestSlotKeys:
+    @settings(max_examples=200)
+    @given(small_corpora, st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=4))
+    def test_shared_exactly_by_equal_contexts(self, corpus, l, r):
+        """A position with ``l`` tokens before it and ``r`` after shares its
+        key exactly with the positions that have that room and the same
+        lowered context."""
+        assume(l + r)
+        index = _ContextIndex(corpus)
+        keys = index.slot_keys(l, r).tolist()
+        contexts = []  # per position, its lowered context; None without the room
+        for entry in corpus:
+            lowers = tuple(tok.lower for tok in entry.definition)
+            contexts += [(lowers[v - l:v], lowers[v + 1:v + 1 + r])
+                         if v >= l and v + r < len(lowers) else None
+                         for v in range(len(lowers))]
+        assert len(keys) == len(contexts)
+        for (key_u, u), (key_v, v) in itertools.product(zip(keys, contexts), repeat=2):
+            if u is not None:
+                assert (key_u == key_v) == (u == v)
+        every_other = np.arange(0, len(keys), 2)
+        assert index.slot_keys(l, r, every_other).tolist() == keys[::2]
+
+
 class TestSweepAgainstOracle:
     @settings(max_examples=200)
     @given(corpus_and_pools(), small_patterns)
     def test_score_pattern(self, corpus_pools, pattern):
         corpus, pools = corpus_pools
-        assert run_stages(corpus, pools, pattern)[0] == oracle_score_pattern(pattern, pools, corpus)
+        assert_scored_as_oracle(corpus, pools, pattern)
 
     @settings(max_examples=200)
     @given(corpus_and_pools())
@@ -710,41 +776,42 @@ class TestSweepAgainstOracle:
         corpus, pools = corpus_pools
         occurrences = oracle_label_occurrences(corpus, pools)
         assert labelled(corpus, pools) == occurrences
-        assert (patterns_around(corpus, occurrences, window)
-                == oracle_generate_patterns(corpus, occurrences, window))
+        generated = generated_around(corpus, occurrences, window)
+        assert list(generated.values()) == oracle_generate_patterns(corpus, occurrences, window)
+        index = _ContextIndex(corpus)
+        for context, pattern in generated.items():
+            assert context == context_of(index, corpus, pattern)
 
     def test_pattern_at_definition_edges(self):
         corpus = make_corpus(("x", "yes a"), ("x", "a yes"), ("x", "a"))
         pools = Pools(tuple_pool={("x", "yes")}, pattern_pool={}, seeds=frozenset())
-        for pattern in (SurfacePattern(left=(), right=("a",)),
-                        SurfacePattern(left=("a",), right=()),
-                        SurfacePattern(left=("a",), right=("a",))):
-            expected = oracle_score_pattern(pattern, pools, corpus)
-            assert run_stages(corpus, pools, pattern)[0] == expected
+        for pattern, has_site in ((SurfacePattern(left=(), right=("a",)), True),
+                                  (SurfacePattern(left=("a",), right=()), True),
+                                  (SurfacePattern(left=("a",), right=("a",)), False)):
+            assert (assert_scored_as_oracle(corpus, pools, pattern) is not None) == has_site
 
     # Three words a, b, c: packed without the shift by one, as (first key)
-    # * 3 + (second key), a context with a word the corpus lacks (-1) or a
-    # slot lacking the right context (-1) lands on another context's number.
-    @pytest.mark.parametrize("rows, pattern", [
-        ((("h", "a b c"),), SurfacePattern(left=(), right=("c", "nope"))),
-        ((("h", "a b c"), ("g", "b a")), SurfacePattern(left=("a",), right=("c",))),
+    # * 3 + (second key), a slot lacking the right context (-1) lands on
+    # another context's number.  A context with a word the corpus lacks has
+    # no site, so no round can generate it.
+    @pytest.mark.parametrize("rows, pattern, has_site", [
+        ((("h", "a b c"),), SurfacePattern(left=(), right=("c", "nope")), False),
+        ((("h", "a b c"), ("g", "b a")), SurfacePattern(left=("a",), right=("c",)), True),
     ], ids=["unknown-word", "no-right-context"])
-    def test_missing_context_never_matches(self, rows, pattern):
+    def test_missing_context_never_matches(self, rows, pattern, has_site):
         corpus = make_corpus(*rows)
         pools = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
                       seeds=frozenset())
-        stats, candidates = run_stages(corpus, pools, pattern)
-        assert stats == oracle_score_pattern(pattern, pools, corpus)
-        assert candidates == oracle_match_tuples(pools, corpus)
+        assert (assert_scored_as_oracle(corpus, pools, pattern) is not None) == has_site
+        assert run_stages(corpus, pools)[1] == oracle_match_tuples(pools, corpus)
 
     def test_pattern_longer_than_every_definition(self):
         corpus = make_corpus(("x", "a b c"), ("y", "a b c d"))
         pattern = SurfacePattern(left=("a", "b", "c", "d"), right=("e",))
         pools = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
                       seeds=frozenset())
-        stats, candidates = run_stages(corpus, pools, pattern)
-        assert stats.candidate_count == 0
-        assert candidates == []
+        assert assert_scored_as_oracle(corpus, pools, pattern) is None
+        assert run_stages(corpus, pools)[1] == []
 
 
 def varied_corpus(seed: int, n_pairs: int = 30, n_filler: int = 80):
@@ -853,8 +920,7 @@ class TestWideVocabularyAgainstOracle:
     def test_score_pattern(self, wide_corpus, pattern):
         pools = Pools(tuple_pool={("i0", "w0"), ("i1", "w1"), ("j0", "v0"), ("h8999", "f71994")},
                       pattern_pool={}, seeds=frozenset())
-        expected = oracle_score_pattern(pattern, pools, wide_corpus)
-        assert run_stages(wide_corpus, pools, pattern)[0] == expected
+        assert_scored_as_oracle(wide_corpus, pools, pattern)
 
     def test_match_tuples(self, wide_corpus):
         pools = Pools(tuple_pool={("i0", "w0")},

@@ -101,6 +101,18 @@ class TestExtractBaseline:
             f"error: {corpus}: line 4: field 'word' is not UTF-8 text: ")
         assert not (out / "pairs.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["extract", "annotate"])
+    def test_boolean_vote_count_names_file_and_line(self, tmp_path, command, capsys):
+        corpus = write_corpus(tmp_path, [
+            {"word": "aye", "definition": "way of saying yes", "entry_id": "e1",
+             "upvotes": True},
+        ])
+        options = ["--method", "baseline"] if command == "extract" else []
+        code = main([command, *options, "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: line 1: entry 'e1': upvotes must be a non-negative integer\n")
+
     def test_bad_rule_pattern_names_file_and_line(self, tmp_path, baseline_corpus, capsys):
         rules = write_lines(tmp_path / "rules.tsv", ["# rules", "r1\t(?P<Spelling>[unclosed"])
         code = main(["extract", "--method", "baseline", "--corpus", str(baseline_corpus),
@@ -1340,22 +1352,36 @@ def test_manifest_options_are_pinned(pinned_manifests, name):
         k: type(v) for k, v in _PINNED_OPTIONS[name].items()}
 
 
-# Runs CLI commands in a fresh interpreter and prints, as JSON, the scipy
-# modules loaded after importing the CLI and after each command.
+# Runs CLI commands in a fresh interpreter and prints, as JSON, the modules
+# of one package loaded after importing the CLI and after each command.
 _LOADED_MODULES_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import spellvar.cli
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+package = sys.argv[3]
 
-loaded = [scipy_modules()]
+def package_modules():
+    return sorted(name for name in sys.modules
+                  if name == package or name.startswith(package + "."))
+
+loaded = [package_modules()]
 for argv in json.loads(sys.argv[2]):
     assert spellvar.cli.main(argv) == 0, argv
-    loaded.append(scipy_modules())
+    loaded.append(package_modules())
 print(json.dumps(loaded))
 """
+
+
+def loaded_modules(tmp_path, commands, package):
+    """The modules of ``package`` loaded in a fresh interpreter after the CLI
+    import and after each of ``commands``."""
+    child = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES_CHILD, str(SRC), json.dumps(commands), package],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 class TestStartup:
@@ -1385,14 +1411,28 @@ class TestStartup:
              "--keys", "name", "--out", str(tmp_path / "o6")],
             ["annotate", "--corpus", str(bs / "corpus.jsonl"), "--out", str(tmp_path / "o7")],
         ]
-        child = subprocess.run(
-            [sys.executable, "-c", _LOADED_MODULES_CHILD, str(SRC), json.dumps(commands)],
-            cwd=tmp_path, capture_output=True, text=True, timeout=300,
-        )
-        assert child.returncode == 0, child.stderr
-        loaded = json.loads(child.stdout.splitlines()[-1])
         # One entry for the import, then one per command.
-        assert loaded == [[]] * (1 + len(commands))
+        assert loaded_modules(tmp_path, commands, "scipy") == [[]] * (1 + len(commands))
+
+    def test_no_extraction_or_eval_loads_numpy_ma(self, tmp_path):
+        # A plain ``np.unique`` imports ``numpy.ma`` on first use, 9-15 ms and
+        # about 1.3 MiB of a process; ``bootstrap._distinct`` exists for this.
+        st, bs = tmp_path / "st", tmp_path / "bs"
+        pairs, vectors, vocab = write_eval_inputs(tmp_path)
+        commands = [
+            ["gen-synthetic", "--kind", "selftrain", "--out", str(st), "--seed", "0"],
+            ["gen-synthetic", "--kind", "bootstrap", "--out", str(bs), "--seed", "0"],
+            ["extract", "--method", "baseline", "--corpus", str(bs / "corpus.jsonl"),
+             "--out", str(tmp_path / "o1")],
+            ["extract", "--method", "bootstrap", "--corpus", str(bs / "corpus.jsonl"),
+             "--seeds", str(bs / "seeds.tsv"), "--out", str(tmp_path / "o2")],
+            ["extract", "--method", "selftrain", "--corpus", str(st / "unlabeled.jsonl"),
+             "--gold-corpus", str(st / "gold.jsonl"), "--gold-tags", str(st / "gold.tags"),
+             "--out", str(tmp_path / "o3")],
+            ["eval", "--pairs", str(pairs), "--embeddings", str(vectors),
+             "--formal-vocab", str(vocab), "--ks", "1", "--out", str(tmp_path / "o4")],
+        ]
+        assert loaded_modules(tmp_path, commands, "numpy.ma") == [[]] * (1 + len(commands))
 
     def test_no_source_file_imports_scipy(self):
         sources = sorted(SRC.rglob("*.py"))

@@ -224,6 +224,16 @@ class TestLoadJsonl:
         with pytest.raises(CorpusFormatError, match="upvotes"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("field", ["upvotes", "downvotes"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_votes_rejected(self, tmp_path, field, value):
+        path = self._write(tmp_path, [
+            json.dumps({"word": "a", "definition": "x", field: value}),
+        ])
+        with pytest.raises(CorpusFormatError,
+                           match=f"line 1: entry 'e1': {field} must be a non-negative integer"):
+            load_jsonl(path)
+
     def test_round_trip_through_write_jsonl(self, tmp_path):
         path = self._write(tmp_path, [
             json.dumps({"word": "m8", "definition": "mate", "upvotes": 3}),
