@@ -180,7 +180,10 @@ def label_occurrences(index: _ContextIndex, pools: Pools) -> np.ndarray:
 def generate_patterns(index: _ContextIndex, positions: np.ndarray,
                       window: int) -> dict[Context, SurfacePattern]:
     """Every (left, right) context of up to ``window`` tokens per side around
-    each of ``positions``, deduplicated in first-seen order, with its pattern."""
+    each of ``positions``, deduplicated in first-seen order, with its pattern.
+    No side is longer than ``index.reach``, so a wider window lists no shape
+    that no position can fill."""
+    window = min(window, index.reach)
     shapes = [(l, r) for l in range(window + 1) for r in range(window + 1) if l + r]
     keys = [index.slot_keys(l, r, positions).tolist() for l, r in shapes]
     patterns: dict[Context, SurfacePattern] = {}
@@ -242,6 +245,8 @@ class _ContextIndex:
         offset = np.arange(len(ids)) - (np.cumsum(lengths) - lengths)[self.row]
         # Tokens a position has before it (side -1) and after it (side 1).
         self.room = {-1: offset, 1: lengths[self.row] - 1 - offset}
+        # The most tokens any position has on one side.
+        self.reach = int(lengths.max(initial=1)) - 1
         # Whether each position's token differs from its entry's headword.
         as_token = np.array([vocab.get(word, -1) for word in self.informals], dtype=np.int64)
         self.free = self.ids != as_token[self.row]

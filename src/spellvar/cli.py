@@ -120,34 +120,38 @@ def _load_config_section(config_path: str | None, section: str) -> dict[str, str
 class _Options:
     """One command's options: its INI section with the given flags laid over it.
 
-    Each option is taken once, cast to the type of its default.  Whatever is
-    left when the command has taken its options is an error (:meth:`done`),
-    whether it came from a flag or from the INI file."""
+    Each option is taken once, cast to the type of its default, and kept in
+    :attr:`record`, from which the command builds its configs and which its
+    manifest records.  Whatever is left when the command has taken its
+    options is an error (:meth:`done`), whether it came from a flag or from
+    the INI file."""
 
     def __init__(self, command: str, flags: dict) -> None:
         self.command = command
         self.values = _load_config_section(flags.pop("config", None), command)
         self.values.update(flags)
+        self.record: dict = {}
 
     def take(self, name: str, default=None, required: bool = False):
-        if name not in self.values:
-            if required:
-                raise UsageError(f"missing required option {_flag(name)}")
-            return default
-        value = self.values.pop(name)
+        if name not in self.values and required:
+            raise UsageError(f"missing required option {_flag(name)}")
+        value = self.values.pop(name, default)
         # Without a default, and for switches and lists, the value stays as given.
-        if default is None or not isinstance(value, str):
-            return value
-        try:
-            if isinstance(default, bool):
-                if value.lower() not in _TRUE_WORDS | _FALSE_WORDS:
-                    raise ValueError(value)
-                return value.lower() in _TRUE_WORDS
-            if isinstance(default, tuple):
-                return tuple(int(part) for part in value.split(","))
-            return type(default)(value)
-        except ValueError:
-            raise UsageError(f"{_flag(name)}: cannot parse {value!r}") from None
+        if default is not None and isinstance(value, str):
+            try:
+                if isinstance(default, bool):
+                    if value.lower() not in _TRUE_WORDS | _FALSE_WORDS:
+                        raise ValueError(value)
+                    value = value.lower() in _TRUE_WORDS
+                elif isinstance(default, tuple):
+                    value = tuple(int(part) for part in value.split(","))
+                else:
+                    value = type(default)(value)
+            except ValueError:
+                raise UsageError(f"{_flag(name)}: cannot parse {value!r}") from None
+        if value is not None:
+            self.record[name] = value
+        return value
 
     def path(self, name: str, required: bool = False) -> Path | None:
         value = self.take(name, required=required)
@@ -156,27 +160,32 @@ class _Options:
         path = Path(value)
         if not path.exists():
             raise UsageError(f"{_flag(name)}: path does not exist: {path}")
+        self.record[name] = str(path)
         return path
 
     def out_dir(self) -> Path:
         """``--out``, refused now, before any input is read, when it or its
-        nearest existing parent is not a directory."""
+        nearest existing parent is not a directory.  It is where the manifest
+        goes, not a record of how the outputs were made."""
         path = Path(self.take("out", required=True))
+        del self.record["out"]
         existing = next((p for p in (path, *path.parents) if p.exists()), None)
         if existing is not None and not existing.is_dir():
             raise UsageError(f"{path}: Not a directory")
         return path
 
-    def knobs(self, source) -> dict:
+    def knobs(self, source) -> None:
         """Take every option of ``source``, a (target, aliases) table, by CLI name."""
         target, aliases = source
-        return {name: self.take(name, _defaults(target)[field]) for name, field in aliases.items()}
+        for name, field in aliases.items():
+            self.take(name, _defaults(target)[field])
 
-    def build(self, source, knobs: dict, **fixed):
-        """Call ``source``'s target with ``knobs``; its ValueError is a usage error."""
+    def build(self, source, **fixed):
+        """Call ``source``'s target with its options from :attr:`record`; its
+        ValueError is a usage error."""
         target, aliases = source
         try:
-            return target(**{aliases[name]: value for name, value in knobs.items()}, **fixed)
+            return target(**{field: self.record[name] for name, field in aliases.items()}, **fixed)
         except ValueError as exc:
             raise UsageError(f"{self.command}: {exc}") from None
 
@@ -198,15 +207,15 @@ def _lines(rows: Iterable[str]) -> Callable[[Path], None]:
     return lambda path: path.write_text(text, encoding="utf-8")
 
 
-def _publish(out_dir: Path, command: str, options: dict,
-             files: dict[str, Callable[[Path], None]]) -> None:
-    """Write ``files`` (output name -> writer taking a path) and ``manifest.json``
-    into ``out_dir`` under hidden temporary names, then rename them into place,
-    the manifest last: a failed write leaves every file in ``out_dir`` as it was."""
+def _publish(out_dir: Path, opts: _Options, files: dict[str, Callable[[Path], None]]) -> None:
+    """Write ``files`` (output name -> writer taking a path) and ``manifest.json``,
+    which records ``opts``, into ``out_dir`` under hidden temporary names, then
+    rename them into place, the manifest last: a failed write leaves every file
+    in ``out_dir`` as it was."""
     manifest = {
-        "command": command,
+        "command": opts.command,
         "version": __version__,
-        "options": options,
+        "options": opts.record,
         "outputs": sorted(files),
     }
     files = {**files, "manifest.json": _lines([json.dumps(manifest, indent=2, sort_keys=True)])}
@@ -262,13 +271,11 @@ def _cmd_extract(opts: _Options) -> None:
     out_dir = opts.out_dir()
     annotations = opts.path("annotations")
     seed = opts.take("seed", 0)
-    options: dict = {"method": method, "corpus": str(corpus_path), "seed": seed}
-    if annotations is not None:
-        options["annotations"] = str(annotations)
 
     model = None
     if method == "baseline":
         rules_path = opts.path("rules")
+        opts.record.setdefault("rules", "packaged")
         opts.done(context)
         rules = load_rules(rules_path)
         pairs = extract_baseline(_load_extract_corpus(corpus_path, annotations), rules)
@@ -276,36 +283,30 @@ def _cmd_extract(opts: _Options) -> None:
         for pair in pairs:
             counts[pair.rule_id] += 1
         trace = [{"matches": n, "rule_id": rule_id} for rule_id, n in counts.items()]
-        options["rules"] = str(rules_path) if rules_path is not None else "packaged"
     elif method == "bootstrap":
         seeds_path = opts.path("seeds", required=True)
         stopwords_path = opts.path("stopwords")
-        knobs = opts.knobs(_BOOTSTRAP)
+        opts.record.setdefault("stopwords", "packaged")
+        opts.knobs(_BOOTSTRAP)
         opts.done(context)
         seeds = read_seed_pairs(seeds_path)
         if stopwords_path is not None:
             stopwords = read_word_list(stopwords_path)
         else:
             stopwords = _packaged_stopwords()
-        config = opts.build(_BOOTSTRAP, knobs, seeds=tuple(seeds), stopwords=stopwords)
+        config = opts.build(_BOOTSTRAP, seeds=tuple(seeds), stopwords=stopwords)
         result = bootstrap_run(_load_extract_corpus(corpus_path, annotations), config)
         pairs = result.pairs
         trace = result.trace
-        options.update(knobs)
-        options["seeds"] = str(seeds_path)
-        options["stopwords"] = (
-            str(stopwords_path) if stopwords_path is not None else "packaged"
-        )
     else:
         gold_corpus_path = opts.path("gold_corpus", required=True)
         gold_tags_path = opts.path("gold_tags", required=True)
         given = set(opts.values)
-        knobs = opts.knobs(_SELFTRAIN)
-        penalties = opts.knobs(_TRAIN)
-        search = opts.knobs(_SEARCH)
+        for source in (_SELFTRAIN, _TRAIN, _SEARCH):
+            opts.knobs(source)
         trials = opts.take("search_trials", 0)
         opts.done(context)
-        config = opts.build(_SELFTRAIN, knobs, train=opts.build(_TRAIN, penalties))
+        config = opts.build(_SELFTRAIN, train=opts.build(_TRAIN))
         if trials < 0:
             raise UsageError("extract: --search-trials must be >= 0 (0 disables the search)")
         # A search picks the penalties, and its folds mean nothing without one.
@@ -314,34 +315,37 @@ def _cmd_extract(opts: _Options) -> None:
             names = ", ".join(_flag(name) for name in sorted(moot))
             raise UsageError(f"{context}: {names} cannot be used "
                              f"{'with' if trials else 'without'} --search-trials > 0")
-        space = opts.build(_SEARCH, search, trials=trials, seed=seed) if trials else None
+        space = opts.build(_SEARCH, trials=trials, seed=seed) if trials else None
         gold = _read_gold(gold_corpus_path, gold_tags_path)
         corpus = _load_extract_corpus(corpus_path, annotations)
+        ids = {entry.entry_id for entry in corpus}
+        clash = next((entry.entry_id for entry, _ in gold if entry.entry_id in ids), None)
+        if clash is not None:
+            raise CorpusFormatError(
+                f"entry_id {clash!r} is in both --gold-corpus {gold_corpus_path} and --corpus "
+                f"{corpus_path}; an entry without an entry_id is named e<line number>")
         if space is not None:
             data = [(extract_features(entry, config.window), tags) for entry, tags in gold]
             try:
                 searched = random_search(data, space)
             except ValueError as exc:
                 raise CorpusFormatError(f"{gold_corpus_path}: {exc}") from None
-            penalties = {"l1": searched.l1, "l2": searched.l2}
-            config = replace(config, train=opts.build(_TRAIN, penalties))
+            opts.record.update(l1=searched.l1, l2=searched.l2)
+            config = replace(config, train=opts.build(_TRAIN))
         result = self_train(gold, corpus, config)
         pairs = result.pairs
         if not pairs:
-            print(f"warning: extract: self-training found no pairs with --l1 {penalties['l1']} "
-                  f"--l2 {penalties['l2']}; smaller penalties let the tagger mark more tokens I",
+            print(f"warning: extract: self-training found no pairs with --l1 {config.train.l1} "
+                  f"--l2 {config.train.l2}; smaller penalties let the tagger mark more tokens I",
                   file=sys.stderr)
         trace = result.trace
         model = result.model
-        options.update(knobs, **penalties, **search, search_trials=trials)
-        options["gold_corpus"] = str(gold_corpus_path)
-        options["gold_tags"] = str(gold_tags_path)
 
     files = {"pairs.tsv": functools.partial(write_pairs_tsv, pairs),
              "trace.jsonl": _lines(json.dumps(record, sort_keys=True) for record in trace)}
     if model is not None:
         files["model.json"] = functools.partial(save_model, model)
-    _publish(out_dir, "extract", options, files)
+    _publish(out_dir, opts, files)
     print(f"extract: wrote {len(pairs)} pairs to {out_dir / 'pairs.tsv'}")
 
 
@@ -349,10 +353,11 @@ def _cmd_eval(opts: _Options) -> None:
     pairs_path = opts.path("pairs", required=True)
     vocab_path = opts.path("formal_vocab", required=True)
     out_dir = opts.out_dir()
-    ks = sorted(set(opts.knobs(_EVAL)["ks"]))
+    opts.knobs(_EVAL)
+    ks = opts.record["ks"] = sorted(set(opts.record["ks"]))
     embeddings = opts.take("embeddings", required=True)
     if isinstance(embeddings, str):  # an INI value lists the tables on one line
-        embeddings = embeddings.split()
+        embeddings = opts.record["embeddings"] = embeddings.split()
     opts.done("eval")
     if ks[0] < 1:
         raise UsageError("--ks: cutoffs must be >= 1")
@@ -391,13 +396,7 @@ def _cmd_eval(opts: _Options) -> None:
         misses = " ".join(f"{reason}={n}" for reason, n in report.miss_counts().items())
         print(f"{name}: misses {misses}")
 
-    options = {
-        "pairs": str(pairs_path),
-        "embeddings": [str(name) for name in embeddings],
-        "formal_vocab": str(vocab_path),
-        "ks": ks,
-    }
-    _publish(out_dir, "eval", options, files)
+    _publish(out_dir, opts, files)
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -436,75 +435,59 @@ def _numeric_columns(
     return columns
 
 
+def _keyed(header: list[str], rows: list[list[str]], keys: list[str],
+           path: Path) -> dict[tuple[str, ...], list[str]]:
+    positions = [header.index(name) for name in keys]
+    table: dict[tuple[str, ...], list[str]] = {}
+    for row in rows:
+        key = tuple(row[p] for p in positions)
+        if key in table:
+            raise ValueError(f"{path}: duplicate join key {key!r}")
+        table[key] = row
+    return table
+
+
 def _cmd_correlate(opts: _Options) -> None:
-    intrinsic_path = opts.path("intrinsic", required=True)
-    extrinsic_path = opts.path("extrinsic", required=True)
+    # Each step runs over the intrinsic table, then the extrinsic one, which
+    # sets the order of the notes and of the errors.
+    paths = {label: opts.path(label, required=True) for label in ("intrinsic", "extrinsic")}
     out_dir = opts.out_dir()
-    keys_raw = opts.take("keys", required=True)
+    keys = opts.take("keys", required=True)
+    keys = opts.record["keys"] = [part.strip() for part in keys.split(",") if part.strip()]
     opts.done("correlate")
-    keys = [part.strip() for part in keys_raw.split(",") if part.strip()]
     if not keys:
         raise UsageError("--keys: need at least one join column")
 
-    int_header, int_rows = _read_table(intrinsic_path)
-    ext_header, ext_rows = _read_table(extrinsic_path)
+    tables = {label: _read_table(path) for label, path in paths.items()}
     for name in keys:
-        if name not in int_header:
-            raise UsageError(f"join column {name!r} missing from {intrinsic_path}")
-        if name not in ext_header:
-            raise UsageError(f"join column {name!r} missing from {extrinsic_path}")
-
-    def keyed(header: list[str], rows: list[list[str]], path: Path):
-        positions = [header.index(name) for name in keys]
-        table: dict[tuple[str, ...], list[str]] = {}
-        for row in rows:
-            key = tuple(row[p] for p in positions)
-            if key in table:
-                raise ValueError(f"{path}: duplicate join key {key!r}")
-            table[key] = row
-        return table
-
-    int_table = keyed(int_header, int_rows, intrinsic_path)
-    ext_table = keyed(ext_header, ext_rows, extrinsic_path)
-    joined = [key for key in int_table if key in ext_table]
+        for label, (header, _) in tables.items():
+            if name not in header:
+                raise UsageError(f"join column {name!r} missing from {paths[label]}")
+    keyed = {label: _keyed(*tables[label], keys, path) for label, path in paths.items()}
+    joined = [key for key in keyed["intrinsic"] if key in keyed["extrinsic"]]
     if not joined:
         raise ValueError("no overlapping join keys between the two tables")
     if len(joined) < 2:
         raise ValueError("need at least two joined rows to correlate")
+    opts.record["joined_rows"] = len(joined)
 
-    int_cols = _numeric_columns(int_header, [int_table[k] for k in joined], keys, "intrinsic",
-                                intrinsic_path)
-    ext_cols = _numeric_columns(ext_header, [ext_table[k] for k in joined], keys, "extrinsic",
-                                extrinsic_path)
-
-    def usable(columns: dict[str, list[float]], label: str) -> dict[str, list[float]]:
-        kept = {}
-        for name, values in columns.items():
+    columns = {label: _numeric_columns(tables[label][0], [keyed[label][k] for k in joined], keys,
+                                       label, path) for label, path in paths.items()}
+    for label, named in columns.items():
+        for name, values in list(named.items()):
             if len(set(values)) == 1:
                 print(f"note: skipping constant {label} column {name!r}", file=sys.stderr)
-                continue
-            kept[name] = values
-        return kept
-
-    int_cols = usable(int_cols, "intrinsic")
-    ext_cols = usable(ext_cols, "extrinsic")
-    if not int_cols or not ext_cols:
+                del named[name]
+    if not all(columns.values()):
         raise ValueError("no usable numeric columns to correlate")
 
     grid = ["intrinsic\textrinsic\tpearson_r"]
-    for int_name, xs in int_cols.items():
-        for ext_name, ys in ext_cols.items():
+    for int_name, xs in columns["intrinsic"].items():
+        for ext_name, ys in columns["extrinsic"].items():
             r = pearson(xs, ys)
             grid.append(f"{int_name}\t{ext_name}\t{r!r}")
             print(f"{int_name} x {ext_name}: r={r:+.4f}")
-
-    options = {
-        "intrinsic": str(intrinsic_path),
-        "extrinsic": str(extrinsic_path),
-        "keys": keys,
-        "joined_rows": len(joined),
-    }
-    _publish(out_dir, "correlate", options, {"correlations.tsv": _lines(grid)})
+    _publish(out_dir, opts, {"correlations.tsv": _lines(grid)})
 
 
 def _cmd_annotate(opts: _Options) -> None:
@@ -517,11 +500,7 @@ def _cmd_annotate(opts: _Options) -> None:
         corpus = load_conllu(corpus_path, annotations)
     else:
         corpus = annotate(load_jsonl(corpus_path))
-    options = {"corpus": str(corpus_path)}
-    if annotations is not None:
-        options["annotations"] = str(annotations)
-    _publish(out_dir, "annotate", options,
-             {"annotated.conllu": functools.partial(write_conllu, corpus)})
+    _publish(out_dir, opts, {"annotated.conllu": functools.partial(write_conllu, corpus)})
     print(f"annotate: wrote {len(corpus)} entries to {out_dir / 'annotated.conllu'}")
 
 
@@ -531,11 +510,12 @@ def _cmd_gen_synthetic(opts: _Options) -> None:
         raise UsageError("gen-synthetic: --kind must be bootstrap or selftrain")
     out_dir = opts.out_dir()
     seed = opts.take("seed", 0)
-    knobs = opts.knobs(_FIXTURE) if kind == "bootstrap" else {}
+    if kind == "bootstrap":
+        opts.knobs(_FIXTURE)
     opts.done(f"gen-synthetic --kind {kind}")
 
     if kind == "bootstrap":
-        planted = opts.build(_FIXTURE, knobs, seed=seed)
+        planted = opts.build(_FIXTURE, seed=seed)
         files = {"corpus.jsonl": functools.partial(write_jsonl, planted.corpus),
                  "seeds.tsv": _lines(map("\t".join, planted.seeds)),
                  "truth.tsv": _lines(map("\t".join, planted.truth)),
@@ -552,9 +532,7 @@ def _cmd_gen_synthetic(opts: _Options) -> None:
                  "gold.tags": functools.partial(write_labeled_file, blocks),
                  "truth.tsv": _lines(map("\t".join, fixture.truth))}
 
-    options: dict = {"kind": kind, "seed": seed}
-    options.update(knobs)
-    _publish(out_dir, "gen-synthetic", options, files)
+    _publish(out_dir, opts, files)
     print(f"gen-synthetic: wrote {kind} fixture to {out_dir}")
 
 

@@ -49,7 +49,7 @@ def extract_features(entry: DictEntry, window: int = 1) -> FeatureSet:
     for i in range(n):
         feats = ["bias"]
         feats.extend(_token_templates(entry, i, context=False))
-        for offset in range(1, window + 1):
+        for offset in range(1, min(window, n - 1) + 1):
             if i - offset >= 0:
                 feats.extend(map(f"-{offset}:".__add__, context[i - offset]))
             if i + offset < n:

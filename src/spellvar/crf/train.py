@@ -10,6 +10,7 @@ function that the optimizer calls only for the points it accepts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -171,8 +172,8 @@ class TrainConfig:
     max_optimizer_iterations: int = 200
 
     def __post_init__(self) -> None:
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError("penalties must be non-negative")
+        if not (0 <= self.l1 < math.inf and 0 <= self.l2 < math.inf):
+            raise ValueError("penalties must be non-negative and finite")
         if self.max_optimizer_iterations < 1:
             raise ValueError("max_optimizer_iterations must be >= 1")
 

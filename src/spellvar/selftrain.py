@@ -65,8 +65,8 @@ class SearchSpace:
     def __post_init__(self) -> None:
         for name in ("l1_range", "l2_range"):
             low, high = getattr(self, name)
-            if not 0 < low <= high:
-                raise ValueError(f"{name} must satisfy 0 < low <= high")
+            if not 0 < low <= high < math.inf:
+                raise ValueError(f"{name} must satisfy 0 < low <= high < inf")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.folds < 2:

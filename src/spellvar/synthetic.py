@@ -78,8 +78,8 @@ def bootstrap_fixture(
     planted = n_pairs * len(BOOTSTRAP_TEMPLATES) + n_traps
     if not 0 < n_seeds <= n_pairs:
         raise ValueError("need 0 < n_seeds <= n_pairs")
-    if n_traps > len(TRAP_STOPWORDS):
-        raise ValueError(f"at most {len(TRAP_STOPWORDS)} traps supported")
+    if not 0 <= n_traps <= len(TRAP_STOPWORDS):
+        raise ValueError(f"need 0 <= n_traps <= {len(TRAP_STOPWORDS)}")
     if n_entries < planted:
         raise ValueError(f"n_entries must be at least {planted} to hold the planted entries")
 

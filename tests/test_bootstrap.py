@@ -246,6 +246,25 @@ class TestGeneratePatterns:
         ids = [p.pattern_id for p in patterns]
         assert len(ids) == len(set(ids))
 
+    def test_wide_window_reads_only_shapes_the_corpus_can_fill(self, monkeypatch):
+        # The longest definition has 7 tokens: no position has more than 6 on a side.
+        corpus = make_corpus(("x", "a b c d e f g"), ("y", "b c a"))
+        occurrences = [("e1", 3), ("e1", 0), ("e1", 6), ("e2", 1)]
+        widest = generated_around(corpus, occurrences, window=6)
+        shapes = []
+        slot_keys = _ContextIndex.slot_keys
+
+        def spy(index, left, right, at=slice(None)):
+            shapes.append((left, right))
+            return slot_keys(index, left, right, at)
+
+        monkeypatch.setattr(_ContextIndex, "slot_keys", spy)
+        # Listing all (200 + 1) ** 2 - 1 shapes would read 40,400.
+        wide = generated_around(corpus, occurrences, window=200)
+        assert len(shapes) == (6 + 1) ** 2 - 1
+        assert list(wide.items()) == list(widest.items())
+        assert list(wide.values()) == oracle_generate_patterns(corpus, occurrences, 200)
+
 
 def context_of(index, corpus, pattern):
     """``pattern``'s context, its lengths and ``index.slot_keys`` read at a

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spellvar.cli import _build_parser, main
+from spellvar.cli import _COMMANDS, _build_parser, _flag, main
 from spellvar.corpus import read_pairs_tsv
 from spellvar.crf import load_model
+from spellvar.selftrain import self_train
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -282,6 +283,8 @@ class TestOptionsCheckedFirst:
         (["--window", "0"], "window must be >= 1"),
         (["--confidence", "0.5"], "confidence_tau must lie in"),
         (["--l1", "-1"], "penalties must be non-negative"),
+        (["--l1", "nan"], "penalties must be non-negative and finite"),
+        (["--l2", "inf"], "penalties must be non-negative and finite"),
         (["--search-folds", "1"], "folds must be >= 2"),
         (["--alpha", "0.99", "--tau", "3"], "unused option(s): --alpha, --tau"),
     ])
@@ -416,6 +419,24 @@ class TestExtractSelftrain:
         assert code == 2
         assert "tag blocks" in capsys.readouterr().err
 
+
+    def test_entry_id_in_both_corpora_names_both_files(self, tmp_path, staged, capsys):
+        # Entries without an entry_id are named e1, e2, ... in either file.
+        def without_ids(name):
+            records = [json.loads(line)
+                       for line in (staged / name).read_text(encoding="utf-8").splitlines()]
+            return write_corpus(tmp_path, [{k: v for k, v in record.items() if k != "entry_id"}
+                                           for record in records], name)
+
+        gold, corpus = without_ids("gold.jsonl"), without_ids("unlabeled.jsonl")
+        code = main(["extract", "--method", "selftrain", "--corpus", str(corpus),
+                     "--gold-corpus", str(gold), "--gold-tags", str(staged / "gold.tags"),
+                     "--l1", "0.02", "--l2", "0.03", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: entry_id 'e1' is in both --gold-corpus {gold} and --corpus {corpus}; "
+            f"an entry without an entry_id is named e<line number>\n")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_gold_corpus_names_the_file(self, tmp_path, staged, capsys):
         gold = write_lines(tmp_path / "gold.jsonl", [""])
@@ -1047,6 +1068,21 @@ class TestCorrelate:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_skipped_columns_are_noted_side_by_side(self, tmp_path, capsys):
+        intrinsic = write_lines(tmp_path / "intrinsic.tsv", [
+            "name\tlabel\tflat\ttop1", "a\tx\t1\t0.1", "b\ty\t1\t0.2", "c\tz\t1\t0.4"])
+        extrinsic = write_lines(tmp_path / "extrinsic.tsv", [
+            "name\tlevel\ttag\tval", "a\t2\tp\t0.3", "b\t2\tq\t0.1", "c\t2\tr\t0.2"])
+        assert self._correlate(tmp_path, intrinsic, extrinsic) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: skipping non-numeric intrinsic column 'label'",
+            "note: skipping non-numeric extrinsic column 'tag'",
+            "note: skipping constant intrinsic column 'flat'",
+            "note: skipping constant extrinsic column 'level'",
+        ]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["options"]["joined_rows"] == 3
+
     def _correlate(self, tmp_path, intrinsic, extrinsic):
         return main(["correlate", "--intrinsic", str(intrinsic), "--extrinsic", str(extrinsic),
                      "--keys", "name", "--out", str(tmp_path / "out")])
@@ -1247,6 +1283,13 @@ class TestTopLevel:
         assert "--entries" in err and "--n-pairs" in err
         assert not (tmp_path / "out").exists()
 
+    def test_gen_synthetic_rejects_a_negative_trap_count(self, tmp_path, capsys):
+        code = main(["gen-synthetic", "--kind", "bootstrap", "--n-traps", "-1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "n_traps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_readme_names_every_flag(self):
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
@@ -1350,6 +1393,119 @@ def test_manifest_options_are_pinned(pinned_manifests, name):
     assert options == _PINNED_OPTIONS[name]
     assert {k: type(v) for k, v in options.items()} == {
         k: type(v) for k, v in _PINNED_OPTIONS[name].items()}
+
+
+@pytest.fixture(scope="module")
+def option_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("options")
+    assert main(["gen-synthetic", "--kind", "bootstrap", "--out", str(root / "bs"),
+                 "--entries", "80", "--n-pairs", "12", "--n-seeds", "3", "--n-traps", "2"]) == 0
+    assert main(["gen-synthetic", "--kind", "selftrain", "--out", str(root / "st")]) == 0
+    for corpus in ("bs/corpus.jsonl", "st/unlabeled.jsonl"):
+        assert main(["annotate", "--corpus", str(root / corpus),
+                     "--out", str(root / Path(corpus).parent / "parsed")]) == 0
+    (root / "rules.tsv").write_bytes((SRC / "spellvar/data/default_rules.tsv").read_bytes())
+    write_lines(root / "stopwords.txt", ["the", "a", "of"])
+    write_eval_inputs(root)
+    (root / "vectors2.txt").write_bytes((root / "vectors.txt").read_bytes())
+    write_lines(root / "intrinsic.tsv", ["name\ttop1", "a\t0.1", "b\t0.2", "c\t0.4"])
+    write_lines(root / "extrinsic.tsv", ["name\tval_acc", "a\t0.1", "b\t0.3", "c\t0.4"])
+    return root
+
+
+def every_option(root, case):
+    """The command of ``case``, its options as {name: (value given, value
+    recorded)} with ``True`` for a switch, and the options it cannot use."""
+    def path(name):
+        return str(root / name), str(root / name)
+
+    method = {"method": (case, case), "seed": ("7", 7)}
+    bootstrap = {"seeds", "stopwords", "alpha", "beta", "top_n", "top_n_patterns", "tau",
+                 "variant", "strict"}
+    selftrain = {"gold_corpus", "gold_tags", "confidence", "l1", "l2", "search_trials",
+                 "search_folds"}
+    gold = {"corpus": path("st/unlabeled.jsonl"), "annotations": path("st/parsed/annotated.conllu"),
+            "gold_corpus": path("st/gold.jsonl"), "gold_tags": path("st/gold.tags"),
+            "iterations": ("2", 2), "window": ("2", 2), "confidence": ("0.95", 0.95)}
+    cases = {
+        "baseline": ("extract", {
+            **method, "corpus": path("bs/corpus.jsonl"),
+            "annotations": path("bs/parsed/annotated.conllu"), "rules": path("rules.tsv"),
+        }, bootstrap | selftrain | {"iterations", "window"}),
+        "bootstrap": ("extract", {
+            **method, "corpus": path("bs/corpus.jsonl"),
+            "annotations": path("bs/parsed/annotated.conllu"), "seeds": path("bs/seeds.tsv"),
+            "stopwords": path("stopwords.txt"), "iterations": ("3", 3), "alpha": ("0.75", 0.75),
+            "beta": ("0.8", 0.8), "window": ("2", 2), "top_n": ("5", 5),
+            "top_n_patterns": ("4", 4), "tau": ("0.6", 0.6), "variant": (True, True),
+            "strict": (True, True),
+        }, selftrain | {"rules"}),
+        "selftrain": ("extract", {
+            **method, **gold, "l1": ("0.02", 0.02), "l2": ("0.03", 0.03),
+            "search_trials": ("0", 0),
+        }, bootstrap | {"rules", "search_folds"}),
+        "search": ("extract", {
+            **method, "method": ("selftrain", "selftrain"), **gold,
+            "search_trials": ("2", 2), "search_folds": ("2", 2),
+        }, bootstrap | {"rules", "l1", "l2"}),
+        "eval": ("eval", {
+            "pairs": path("pairs.tsv"), "formal_vocab": path("vocab.txt"), "ks": ("5,2,5", [2, 5]),
+            "embeddings": ([str(root / "vectors.txt"), str(root / "vectors2.txt")],
+                           [str(root / "vectors.txt"), str(root / "vectors2.txt")]),
+        }, set()),
+        "correlate": ("correlate", {
+            "intrinsic": path("intrinsic.tsv"), "extrinsic": path("extrinsic.tsv"),
+            "keys": ("name,", ["name"]),
+        }, set()),
+        "annotate": ("annotate", {
+            "corpus": path("bs/corpus.jsonl"), "annotations": path("bs/parsed/annotated.conllu"),
+        }, set()),
+        "gen-bootstrap": ("gen-synthetic", {
+            "kind": ("bootstrap", "bootstrap"), "seed": ("3", 3), "entries": ("90", 90),
+            "n_pairs": ("10", 10), "n_seeds": ("2", 2), "n_traps": ("1", 1),
+        }, set()),
+        "gen-selftrain": ("gen-synthetic", {
+            "kind": ("selftrain", "selftrain"), "seed": ("3", 3),
+        }, {"entries", "n_pairs", "n_seeds", "n_traps"}),
+    }
+    return cases[case]
+
+
+@pytest.mark.parametrize("source", ["flags", "ini"])
+@pytest.mark.parametrize("case", ["baseline", "bootstrap", "selftrain", "search", "eval",
+                                  "correlate", "annotate", "gen-bootstrap", "gen-selftrain"])
+def test_every_option_given_reaches_the_manifest(option_inputs, tmp_path, monkeypatch, case,
+                                                 source):
+    command, options, moot = every_option(option_inputs, case)
+    assert set(options) | moot == {name for name, _ in _COMMANDS[command][2]} - {"out"}
+    assert not set(options) & moot
+    trained = []
+
+    def spy(gold, corpus, config):
+        trained.append(config.train)
+        return self_train(gold, corpus, config)
+
+    monkeypatch.setattr("spellvar.cli.self_train", spy)
+    if source == "flags":
+        argv = [command]
+        for name, (given, _) in options.items():
+            argv.append(_flag(name))
+            if given is not True:
+                argv += [given] if isinstance(given, str) else given
+    else:
+        lines = [f"[{command}]"]
+        for name, (given, _) in options.items():
+            text = "yes" if given is True else given if isinstance(given, str) else " ".join(given)
+            lines.append(f"{name} = {text}")
+        argv = [command, "--config", str(write_lines(tmp_path / "run.ini", lines))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    for name, (_, value) in options.items():
+        assert (recorded["options"][name], type(recorded["options"][name])) == (
+            value, type(value)), name
+    # The penalties a run trains with are the ones its manifest records.
+    assert [(train.l1, train.l2) for train in trained] == (
+        [(recorded["options"]["l1"], recorded["options"]["l2"])] if trained else [])
 
 
 # Runs CLI commands in a fresh interpreter and prints, as JSON, the modules

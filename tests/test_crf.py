@@ -118,6 +118,12 @@ class TestExtractFeatures:
             for feature in feats:
                 assert not feature.startswith(("-2:", "+2:"))
 
+    def test_window_wider_than_the_entry_reaches_every_token(self):
+        entry = annotated_entry()
+        widest = extract_features(entry, window=len(entry.definition) - 1)
+        assert extract_features(entry, window=10**5) == widest
+        assert f"+{len(entry.definition) - 1}:word.lower=your" in widest[0]
+
 
 def _simple_data():
     return [
@@ -1096,6 +1102,9 @@ class TestTrain:
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="non-negative"):
             TrainConfig(l1=-1.0)
+        for l1, l2 in ((math.nan, 0.1), (0.1, math.inf), (math.inf, 0.1), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(l1=l1, l2=l2)
         with pytest.raises(ValueError, match="iterations"):
             TrainConfig(max_optimizer_iterations=0)
 

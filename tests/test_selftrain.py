@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from spellvar import selftrain
@@ -104,6 +106,9 @@ class TestSearchSpace:
     def test_bad_range(self):
         with pytest.raises(ValueError, match="l1_range"):
             SearchSpace(l1_range=(1.0, 0.5))
+        for bad in ((0.1, math.inf), (math.nan, 1.0), (0.1, math.nan), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="l2_range"):
+                SearchSpace(l2_range=bad)
 
     def test_zero_low_rejected(self):
         with pytest.raises(ValueError, match="l2_range"):

@@ -57,6 +57,7 @@ class TestBootstrapFixture:
         {"n_seeds": 0},
         {"n_seeds": 41},
         {"n_traps": 7},
+        {"n_traps": -1},
         {"n_entries": 10},
     ])
     def test_bounds(self, kwargs):
