@@ -283,10 +283,10 @@ class TestOptionsCheckedFirst:
         (["--window", "0"], "window must be >= 1"),
         (["--confidence", "0.5"], "confidence_tau must lie in"),
         (["--l1", "-1"], "penalties must be non-negative"),
-        (["--l1", "nan"], "penalties must be non-negative and finite"),
-        (["--l2", "inf"], "penalties must be non-negative and finite"),
         (["--search-folds", "1"], "folds must be >= 2"),
         (["--alpha", "0.99", "--tau", "3"], "unused option(s): --alpha, --tau"),
+        (["--l1", "nan"], "penalties must be non-negative and finite"),
+        (["--l2", "inf"], "penalties must be non-negative and finite"),
     ])
     def test_selftrain(self, tmp_path, staged, no_input_read, extra, message, capsys):
         code = main(["extract", "--method", "selftrain",
