@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -410,6 +410,20 @@ def score_tuple(
     return candidate.score
 
 
+_Scored = TypeVar("_Scored", PatternStats, TupleStats)
+
+
+def _promote(scored: list[_Scored], fraction: float, cap: int,
+             tie: Callable[[_Scored], object]) -> list[_Scored]:
+    """The at most ``cap`` items scoring above ``fraction`` of the best
+    score, best first and then by ``tie``; none unless the best is positive."""
+    best = max((item.score for item in scored), default=0.0)
+    if best <= 0.0:
+        return []
+    passing = [item for item in scored if item.score > fraction * best]
+    return sorted(passing, key=lambda item: (-item.score, tie(item)))[:cap]
+
+
 def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
     """Run up to ``config.max_iterations`` bootstrap rounds.
 
@@ -437,33 +451,24 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
         matches = index.match(generated)
         pattern_stats = score_pattern(index, matches, pools.tuple_pool)
         scored = [st for pid, st in pattern_stats.items() if pid not in pools.pattern_pool]
-        max_pattern = max((st.score for st in scored), default=0.0)
-        accepted_patterns: list[PatternStats] = []
-        if max_pattern > 0.0:
-            passing = [st for st in scored if st.score > config.pattern_threshold * max_pattern]
-            passing.sort(key=lambda st: (-st.score, st.pattern.pattern_id))
-            accepted_patterns = passing[: config.top_n_patterns]
-            for st in accepted_patterns:
-                pools.pattern_pool[st.pattern.pattern_id] = st.pattern
+        accepted_patterns = _promote(scored, config.pattern_threshold, config.top_n_patterns,
+                                     lambda st: st.pattern.pattern_id)
+        for st in accepted_patterns:
+            pools.pattern_pool[st.pattern.pattern_id] = st.pattern
 
-        accepted_tuples: list[TupleStats] = []
-        if pools.pattern_pool:
-            pool_match_counts = {pid: pattern_stats[pid].pool_matches for pid in pools.pattern_pool}
-            candidates = apply_constraints(match_tuples(index, matches, pools), config.stopwords,
-                                           config.levenshtein_tau, config.strict_constraint)
-            for candidate in candidates:
-                score_tuple(candidate, pool_match_counts, config.use_tuple_count_variant)
-            max_tuple = max((c.score for c in candidates), default=0.0)
-            if max_tuple > 0.0:
-                passing_t = [c for c in candidates if c.score > config.tuple_threshold * max_tuple]
-                passing_t.sort(key=lambda c: (-c.score, c.informal, c.formal))
-                accepted_tuples = passing_t[: config.top_n_tuples]
-                for c in accepted_tuples:
-                    pools.tuple_pool.add((c.informal, c.formal))
-                    pairs.append(VariantPair(
-                        informal=c.informal, formal=c.formal, score=c.score, method="bootstrap",
-                        iteration=iteration, source_entry=c.first_entry,
-                    ))
+        pool_match_counts = {pid: pattern_stats[pid].pool_matches for pid in pools.pattern_pool}
+        candidates = apply_constraints(match_tuples(index, matches, pools), config.stopwords,
+                                       config.levenshtein_tau, config.strict_constraint)
+        for candidate in candidates:
+            score_tuple(candidate, pool_match_counts, config.use_tuple_count_variant)
+        accepted_tuples = _promote(candidates, config.tuple_threshold, config.top_n_tuples,
+                                   lambda c: (c.informal, c.formal))
+        for c in accepted_tuples:
+            pools.tuple_pool.add((c.informal, c.formal))
+            pairs.append(VariantPair(
+                informal=c.informal, formal=c.formal, score=c.score, method="bootstrap",
+                iteration=iteration, source_entry=c.first_entry,
+            ))
 
         record = {
             "iteration": iteration,

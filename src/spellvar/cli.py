@@ -334,7 +334,11 @@ def _cmd_extract(opts: _Options) -> None:
             config = replace(config, train=opts.build(_TRAIN))
         result = self_train(gold, corpus, config)
         pairs = result.pairs
-        if not pairs:
+        # Pairs come only from --corpus entries, so one without tokens yields none.
+        if not any(entry.definition for entry in corpus):
+            print("warning: extract: no --corpus entry has tokens, so self-training had "
+                  "nothing to tag", file=sys.stderr)
+        elif not pairs:
             print(f"warning: extract: self-training found no pairs with --l1 {config.train.l1} "
                   f"--l2 {config.train.l2}; smaller penalties let the tagger mark more tokens I",
                   file=sys.stderr)

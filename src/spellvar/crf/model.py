@@ -122,7 +122,15 @@ def marginals(model: CrfModel, features: Sequence[Sequence[str]]) -> list[dict[s
 
 
 def save_model(model: CrfModel, path: str | Path) -> None:
-    """Write the model as versioned JSON; floats round-trip exactly."""
+    """Write the model as versioned JSON; floats round-trip exactly.
+
+    Only feature rows with a nonzero weight are written: a feature the file
+    lacks is unknown at decode time, and a zero row adds only zeros to a
+    score starting at +0.0, so the reloaded model decodes to the same bits.
+    ``features_seen`` and ``features_kept`` count the rows before and after."""
+    nonzero = model.state.any(axis=1).tolist()
+    kept = {feature: model.state[row].tolist() for feature, row in model.feature_index.items()
+            if nonzero[row]}
     payload = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -132,13 +140,17 @@ def save_model(model: CrfModel, path: str | Path) -> None:
         "final_objective": None if math.isnan(model.final_objective) else model.final_objective,
         "converged": model.converged,
         "iterations": model.iterations,
+        "features_seen": len(model.feature_index),
+        "features_kept": len(kept),
         "transitions": [[float(w) for w in row] for row in model.transitions],
-        "states": {
-            feature: [float(w) for w in model.state[row]]
-            for feature, row in model.feature_index.items()
-        },
+        "states": kept,
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _is_number(value: object) -> bool:
+    """Whether ``value`` parsed from JSON is a number; a boolean is not."""
+    return type(value) in (int, float)
 
 
 def load_model(path: str | Path) -> CrfModel:
@@ -162,15 +174,27 @@ def load_model(path: str | Path) -> CrfModel:
         states: dict[str, list[float]] = payload["states"]
         if not isinstance(states, dict):
             raise ValueError("states is not an object")
+        kept = payload.get("features_kept", len(states))
+        seen = payload.get("features_seen", kept)
+        if not (type(kept) is int and type(seen) is int and len(states) == kept <= seen):
+            raise ValueError(f"{len(states)} feature rows, but features_kept {kept!r} "
+                             f"and features_seen {seen!r}")
         feature_index = {feature: row for row, feature in enumerate(states)}
         n_labels = len(LABELS)
+        rows = [*states.values(), *payload["transitions"]]
+        if not all(_is_number(w) for row in rows for w in row):
+            raise ValueError("a weight is not a number")
         state = np.array(list(states.values()) or np.empty((0, n_labels)), dtype=float)
         transitions = np.array(payload["transitions"], dtype=float)
         if state.shape[1:] != (n_labels,) or transitions.shape != (n_labels, n_labels):
             raise ValueError(f"weights do not have one entry per label of {list(LABELS)}")
         if not (np.isfinite(state).all() and np.isfinite(transitions).all()):
             raise ValueError("non-finite weight")
-        objective = payload.get("final_objective")
+        objective, degenerate = payload.get("final_objective"), payload.get("degenerate", False)
+        if objective is not None and not (_is_number(objective) and math.isfinite(objective)):
+            raise ValueError(f"final_objective {objective!r} is not a finite number")
+        if type(degenerate) is not bool:
+            raise ValueError(f"degenerate {degenerate!r} is not a boolean")
         # Optional keys: files written before they existed load as unknown.
         converged, iterations = payload.get("converged"), payload.get("iterations")
         if type(converged) not in (bool, type(None)) or not (
@@ -181,7 +205,7 @@ def load_model(path: str | Path) -> CrfModel:
             state=state,
             transitions=transitions,
             window=window,
-            degenerate=bool(payload.get("degenerate", False)),
+            degenerate=degenerate,
             final_objective=float("nan") if objective is None else float(objective),
             converged=converged,
             iterations=iterations,

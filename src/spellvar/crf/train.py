@@ -187,7 +187,8 @@ def train(
     share one.
 
     Single-label data still trains but the returned model carries the
-    ``degenerate`` flag.  A non-finite objective raises.
+    ``degenerate`` flag.  The objective is finite: :func:`minimize` raises
+    on a non-finite start and accepts only finite points.
     """
     dataset = data if isinstance(data, EncodedDataset) else encode_dataset(data)
     degenerate = len(set(dataset.gold.tolist())) < 2
@@ -203,8 +204,6 @@ def train(
         l1=config.l1,
         max_iterations=config.max_optimizer_iterations,
     )
-    if not np.isfinite(result.fun):
-        raise ValueError("training diverged to a non-finite objective")
     state, transitions = unpack_weights(result.x, dataset)
     return CrfModel(
         feature_index=dataset.feature_index,

@@ -144,9 +144,7 @@ def random_search(
         gold_tags = [tag for i in held_out for tag in data[i][1]]
         splits.append((encode_dataset(training), sequences.take(held_out), gold_tags))
 
-    best: tuple[float, float, float] | None = None  # (mean, l1, l2)
-    best_scores: tuple[float, ...] = ()
-    history: list[tuple[float, float, float]] = []
+    trials: list[tuple[float, float, float, tuple[float, ...]]] = []  # (mean, l1, l2, scores)
     for _ in range(space.trials):
         l1 = _log_uniform(rng, *space.l1_range)
         l2 = _log_uniform(rng, *space.l2_range)
@@ -156,19 +154,11 @@ def random_search(
             labels, _, _ = decode_batch(train(train_split, config), held_out)
             # F1 pools every token, so the held-out fold is one sequence here.
             scores.append(token_f1([gold_tags], [[LABELS[i] for i in labels.tolist()]]))
-        mean = sum(scores) / len(scores)
-        history.append((l1, l2, mean))
-        if (
-            best is None
-            or mean > best[0]
-            or (mean == best[0] and (l1, l2) < (best[1], best[2]))
-        ):
-            best = (mean, l1, l2)
-            best_scores = tuple(scores)
+        trials.append((sum(scores) / len(scores), l1, l2, tuple(scores)))
 
-    assert best is not None
-    return SearchResult(l1=best[1], l2=best[2], fold_scores=best_scores,
-                        trials=tuple(history))
+    best = max(trials, key=lambda t: (t[0], -t[1], -t[2]))
+    return SearchResult(l1=best[1], l2=best[2], fold_scores=best[3],
+                        trials=tuple((l1, l2, mean) for mean, l1, l2, _ in trials))
 
 
 def pairs_from_tagging(

@@ -457,6 +457,15 @@ class TestBootstrapConfig:
         with pytest.raises(ValueError, match="max_iterations"):
             BootstrapConfig(seeds=(("ur", "your"),), max_iterations=-1)
 
+    @pytest.mark.parametrize("field, message", [
+        ("window", "window must be >= 1"),
+        ("top_n_tuples", "promotion caps must be >= 1"),
+        ("top_n_patterns", "promotion caps must be >= 1"),
+    ])
+    def test_zero_sizes_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            BootstrapConfig(seeds=(("ur", "your"),), **{field: 0})
+
 
 def _fixture_config(fixture, **overrides) -> BootstrapConfig:
     defaults = dict(

@@ -73,6 +73,13 @@ class TestExtractBaseline:
                      "--out", str(tmp_path / "out")])
         assert code == 1
 
+    def test_unknown_method(self, tmp_path, baseline_corpus, capsys):
+        code = main(["extract", "--method", "foo", "--corpus", str(baseline_corpus),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "unknown method 'foo'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_corpus_is_a_data_error(self, tmp_path, capsys):
         bad = write_lines(tmp_path / "bad.jsonl", ["{not json"])
         code = main(["extract", "--method", "baseline",
@@ -408,6 +415,22 @@ class TestExtractSelftrain:
         err = capsys.readouterr().err
         assert "warning" in err and "--l1 2.35" in err and "--l2 0.08" in err
 
+    @pytest.mark.parametrize("records", [[], [{"word": "aye", "definition": " ",
+                                               "entry_id": "u1"}]], ids=["no-entry", "no-token"])
+    def test_nothing_to_tag_warns_about_the_corpus(self, tmp_path, staged, records, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["extract", "--method", "selftrain", "--corpus", str(corpus),
+                     "--gold-corpus", str(staged / "gold.jsonl"),
+                     "--gold-tags", str(staged / "gold.tags"),
+                     "--l1", "0.02", "--l2", "0.03", "--out", str(out)])
+        assert code == 0
+        assert read_pairs_tsv(out / "pairs.tsv") == []
+        assert capsys.readouterr().err == (
+            "warning: extract: no --corpus entry has tokens, so self-training had nothing to "
+            "tag\n")
+
     def test_gold_tag_mismatch_is_a_data_error(self, tmp_path, staged, capsys):
         truncated = tmp_path / "gold.tags"
         blocks = (staged / "gold.tags").read_text(encoding="utf-8").split("\n\n")
@@ -740,6 +763,15 @@ class TestEval:
                      "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
         assert code == 1
 
+    def test_missing_embeddings_path(self, tmp_path, eval_inputs, capsys):
+        pairs, _, vocab = eval_inputs
+        ghost = tmp_path / "ghost.txt"
+        code = main(["eval", "--pairs", str(pairs), "--embeddings", str(ghost),
+                     "--formal-vocab", str(vocab), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --embeddings: path does not exist: {ghost}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unparseable_ks(self, tmp_path, eval_inputs, capsys):
         pairs, embeddings, vocab = eval_inputs
         code = main(["eval", "--pairs", str(pairs), "--embeddings", str(embeddings),
@@ -1067,6 +1099,22 @@ class TestCorrelate:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, keys, code, message", [
+        (["name\tval", "a\t0.1", "b\t0.2", "a\t0.3"], "name", 2,
+         "error: {extrinsic}: duplicate join key ('a',)\n"),
+        (["name\tval", "a\t0.1", "x\t0.2"], "name", 2,
+         "error: need at least two joined rows to correlate\n"),
+        (["name\tval", "a\t0.1", "b\t0.2"], ",", 1,
+         "error: --keys: need at least one join column\n"),
+    ], ids=["duplicate-key", "one-joined-row", "no-key"])
+    def test_join_errors(self, tmp_path, correlate_inputs, rows, keys, code, message, capsys):
+        intrinsic, _ = correlate_inputs
+        extrinsic = write_lines(tmp_path / "joined.tsv", rows)
+        assert main(["correlate", "--intrinsic", str(intrinsic), "--extrinsic", str(extrinsic),
+                     "--keys", keys, "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == message.format(extrinsic=extrinsic)
+        assert not (tmp_path / "out").exists()
 
     def test_skipped_columns_are_noted_side_by_side(self, tmp_path, capsys):
         intrinsic = write_lines(tmp_path / "intrinsic.tsv", [

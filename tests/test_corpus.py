@@ -454,6 +454,13 @@ class TestPairsTsv:
                         encoding="utf-8")
         assert [pair.iteration for pair in read_pairs_tsv(path)] == [0, 0]
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("ur\tyour\t0.5\tcrf\n\n \t \nm8\tmate\t2.5\tbootstrap\t1\te2\n",
+                        encoding="utf-8")
+        assert [(p.informal, p.formal) for p in read_pairs_tsv(path)] == [
+            ("ur", "your"), ("m8", "mate")]
+
     def test_numeric_rule_id_round_trips(self, tmp_path):
         pairs = [VariantPair(informal="aye", formal="yes", score=1.0, method="baseline",
                              rule_id="7", source_entry="e1")]

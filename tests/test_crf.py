@@ -1176,6 +1176,17 @@ class TestMinimize:
         assert at == sorted(set(at)) and at[0] == 0
         assert same_bytes(completed[-1], result.x)
 
+    def test_uphill_gradient_leaves_the_start_point(self):
+        # f(x) = x, with a gradient of -1: every step along it goes uphill.
+        def fun(x):
+            return float(x[0]), -np.ones(1)
+
+        start = np.array([0.0])
+        result = minimize(deferred(fun), start)
+        assert not result.converged
+        assert same_bytes(result.x, start)
+        assert result.history == [0.0]
+
     def test_non_finite_start_rejected(self):
         def fun(x):
             return float("inf"), x
@@ -1191,7 +1202,8 @@ JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=8)
 MODEL_KEYS = ["format", "version", "labels", "window", "degenerate", "final_objective",
-              "converged", "iterations", "transitions", "states"]
+              "converged", "iterations", "features_seen", "features_kept", "transitions",
+              "states"]
 MODEL_EDITS = st.tuples(st.sampled_from(["set", "delete", "state", "weight"]),
                         st.sampled_from(MODEL_KEYS + ["f0", "f1", "f2"]), JSON_VALUES)
 MODEL_SPLICES = ["[" * 2_000, "}", ",", '"', "\\ud800", "NaN", "\x00", "\ufeff", "1" * 5_000]
@@ -1223,9 +1235,36 @@ class TestModelIo:
         for _ in range(100):
             features = random_features(rng, length=int(rng.integers(1, 8)))
             assert viterbi_decode(loaded, features) == viterbi_decode(model, features)
-        np.testing.assert_array_equal(loaded.state, model.state)
+        for feature, row in model.feature_index.items():
+            if feature in loaded.feature_index:
+                np.testing.assert_array_equal(loaded.state[loaded.feature_index[feature]],
+                                              model.state[row])
+            else:
+                assert not model.state[row].any()
+        assert len(loaded.feature_index) < len(model.feature_index)
         assert loaded.window == model.window
         assert loaded.final_objective == pytest.approx(model.final_objective)
+
+    @settings(max_examples=25, deadline=None)
+    @given(l1=st.sampled_from([0.0]) | st.floats(0.001, 5.0),
+           l2=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 16))
+    def test_reloaded_model_decodes_bit_identically(self, tmp_path_factory, l1, l2, seed):
+        data = separable_data(12)
+        model = train(data, TrainConfig(l1=l1, l2=l2))
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert json.loads(path.read_text(encoding="utf-8"))["features_seen"] == len(
+            model.feature_index)
+        # The training sequences, and random ones mixing known and unknown features.
+        rng = np.random.default_rng(seed)
+        known = list(model.feature_index) + ["unknown"]
+        sequences = [features for features, _ in data] + [
+            [list(rng.choice(known, size=int(rng.integers(0, 4)), replace=False))
+             for _ in range(int(rng.integers(1, 6)))] for _ in range(10)]
+        ids = FeatureIds().intern(sequences)
+        for ours, theirs in zip(decode_batch(model, ids), decode_batch(loaded, ids)):
+            assert same_bytes(ours, theirs)
 
     def test_optimizer_state_round_trips(self, tmp_path):
         model = train(separable_data(20), TrainConfig(l1=0.5, l2=0.1))
@@ -1267,11 +1306,30 @@ class TestModelIo:
         lambda p: p.__setitem__("states", "f0"),
         lambda p: p["states"]["f0"].__setitem__(0, 10 ** 400),
         lambda p: p.__setitem__("final_objective", 10 ** 400),
+        lambda p: p["states"].__setitem__("f0", ["2.5", True]),
+        lambda p: p["states"]["f0"].__setitem__(0, "2.5"),
+        lambda p: p["states"]["f0"].__setitem__(1, True),
+        lambda p: p["transitions"][0].__setitem__(1, "0.5"),
+        lambda p: p["transitions"][1].__setitem__(0, False),
+        lambda p: p.__setitem__("degenerate", "false"),
+        lambda p: p.__setitem__("degenerate", 0),
+        lambda p: p.__setitem__("final_objective", "inf"),
+        lambda p: p.__setitem__("final_objective", True),
+        lambda p: p.__setitem__("final_objective", float("inf")),
+        lambda p: p.__setitem__("features_kept", 2),
+        lambda p: p.__setitem__("features_kept", True),
+        lambda p: p.__setitem__("features_seen", 0),
+        lambda p: p.__setitem__("features_seen", "1"),
     ], ids=["nan-state", "inf-state", "inf-transition", "long-state-row", "scalar-state-row",
             "extra-transition-row", "short-transition-row", "converged-string",
             "negative-iterations", "fractional-iterations", "swapped-labels", "label-string",
             "extra-label", "fractional-window", "zero-window", "boolean-window",
-            "string-window", "states-array", "states-string", "huge-state", "huge-objective"])
+            "string-window", "states-array", "states-string", "huge-state", "huge-objective",
+            "string-and-boolean-state-row", "string-state", "boolean-state",
+            "string-transition", "boolean-transition", "degenerate-string",
+            "degenerate-integer", "objective-string", "objective-boolean",
+            "infinite-objective", "kept-count-mismatch", "kept-count-boolean",
+            "seen-below-kept", "seen-count-string"])
     def test_malformed_weights_rejected(self, tmp_path, edit):
         path = tmp_path / "model.json"
         save_model(CrfModel.from_weights({("f0", "I"): 1.0}), path)

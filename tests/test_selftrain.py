@@ -159,6 +159,16 @@ class TestRandomSearch:
         assert [mean for _, _, mean in result.trials] == [
             0.0, 0.7298951048951049, 0.6011695906432748]
 
+    def test_best_mean_then_smallest_penalties_win(self):
+        # On separable data one trial's penalties are too large to fit, and
+        # the others tie at a perfect mean, the first of them not the smallest.
+        result = random_search(separable_tagging_data(), SearchSpace(trials=6, folds=3, seed=0))
+        best = max(mean for _, _, mean in result.trials)
+        tied = [(l1, l2) for l1, l2, mean in result.trials if mean == best]
+        assert 1 < len(tied) < len(result.trials) and tied[0] != min(tied)
+        assert (result.l1, result.l2) == min(tied)
+        assert sum(result.fold_scores) / len(result.fold_scores) == best
+
     def test_too_few_sequences_rejected(self):
         data = separable_tagging_data(2)
         with pytest.raises(ValueError, match="3-fold"):
