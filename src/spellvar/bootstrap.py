@@ -10,7 +10,7 @@ pooled patterns extract.  Both pools only ever grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -20,23 +20,17 @@ from spellvar.corpus import Corpus, VariantPair
 SLOT = "<SLOT>"
 
 
-@dataclass(frozen=True)
-class SurfacePattern:
-    """Lowercase token context around a single slot position.
+def pattern_id(left: Sequence[str], right: Sequence[str]) -> str:
+    """Name of the pattern whose lowercase token context around one slot is
+    ``left`` and ``right``; a pattern is its name.
 
     A pattern matches position ``v`` of a definition when the ``len(left)``
     tokens before ``v`` equal ``left`` and the ``len(right)`` tokens after it
-    equal ``right``; the token at ``v`` fills the slot.
+    equal ``right``; the token at ``v`` fills the slot.  Tokens hold no
+    whitespace and no lowered token equals ``SLOT``, so the name gives back
+    both sides.
     """
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    pattern_id: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.left and not self.right:
-            raise ValueError("pattern needs context on at least one side")
-        object.__setattr__(self, "pattern_id", " ".join((*self.left, SLOT, *self.right)))
+    return " ".join((*left, SLOT, *right))
 
 
 @dataclass
@@ -47,7 +41,7 @@ class PatternStats:
     ``candidate_count`` counts all distinct tuples it extracts.
     """
 
-    pattern: SurfacePattern
+    pattern_id: str
     pool_matches: int
     candidate_count: int
     score: float
@@ -67,11 +61,10 @@ class TupleStats:
 
 @dataclass
 class Pools:
-    """Monotonically growing tuple and pattern pools; seeds are permanent."""
+    """Monotonically growing pools: tuples, the seeds first, and pattern names."""
 
     tuple_pool: set[tuple[str, str]]
-    pattern_pool: dict[str, SurfacePattern]
-    seeds: frozenset[tuple[str, str]]
+    pattern_pool: set[str]
 
 
 @dataclass(frozen=True)
@@ -178,15 +171,15 @@ def label_occurrences(index: _ContextIndex, pools: Pools) -> np.ndarray:
 
 
 def generate_patterns(index: _ContextIndex, positions: np.ndarray,
-                      window: int) -> dict[Context, SurfacePattern]:
+                      window: int) -> dict[Context, str]:
     """Every (left, right) context of up to ``window`` tokens per side around
-    each of ``positions``, deduplicated in first-seen order, with its pattern.
+    each of ``positions``, deduplicated in first-seen order, with its name.
     No side is longer than ``index.reach``, so a wider window lists no shape
     that no position can fill."""
     window = min(window, index.reach)
     shapes = [(l, r) for l in range(window + 1) for r in range(window + 1) if l + r]
     keys = [index.slot_keys(l, r, positions).tolist() for l, r in shapes]
-    patterns: dict[Context, SurfacePattern] = {}
+    patterns: dict[Context, str] = {}
     words = index.words
     for v, before, after, *slot_keys in zip(positions.tolist(), index.room[-1][positions].tolist(),
                                             index.room[1][positions].tolist(), *keys):
@@ -194,7 +187,7 @@ def generate_patterns(index: _ContextIndex, positions: np.ndarray,
         right = tuple(words[i] for i in index.ids[v + 1:v + 1 + min(window, after)].tolist())
         for (l, r), key in zip(shapes, slot_keys):
             if l <= len(left) and r <= len(right) and (l, r, key) not in patterns:
-                patterns[l, r, key] = SurfacePattern(left[len(left) - l:], right[:r])
+                patterns[l, r, key] = pattern_id(left[len(left) - l:], right[:r])
     return patterns
 
 
@@ -206,11 +199,11 @@ Context = tuple[int, int, int]
 class _Matches(NamedTuple):
     """Every slot a matching pass found, as parallel arrays ordered by
     position: the corpus position and the number of the matched context in
-    ``contexts``, whose patterns the pass was asked to match."""
+    ``contexts``, the contexts the pass was asked to match with their names."""
 
     position: np.ndarray
     context: np.ndarray
-    contexts: Mapping[Context, SurfacePattern]
+    contexts: Mapping[Context, str]
 
 
 class _ContextIndex:
@@ -286,7 +279,7 @@ class _ContextIndex:
                 keys = keys * (count + 1) + level_keys[at] + 1
         return keys
 
-    def match(self, contexts: Mapping[Context, SurfacePattern]) -> _Matches:
+    def match(self, contexts: Mapping[Context, str]) -> _Matches:
         """Find every slot that is not its entry's headword and that one of
         ``contexts`` surrounds.
 
@@ -345,8 +338,8 @@ def score_pattern(
     pooled = _find(index.pool_codes(tuple_pool), tuples)[1][tuple_of]
     extracted = np.bincount(context_of, minlength=len(matches.contexts)).tolist()
     recovered = np.bincount(context_of[pooled], minlength=len(matches.contexts)).tolist()
-    return {pattern.pattern_id: PatternStats(pattern, r, e, rlogf(r, e))
-            for pattern, r, e in zip(matches.contexts.values(), recovered, extracted)}
+    return {name: PatternStats(name, r, e, rlogf(r, e))
+            for name, r, e in zip(matches.contexts.values(), recovered, extracted)}
 
 
 def match_tuples(index: _ContextIndex, matches: _Matches, pools: Pools) -> list[TupleStats]:
@@ -356,7 +349,7 @@ def match_tuples(index: _ContextIndex, matches: _Matches, pools: Pools) -> list[
     ``occurrence_count`` counts distinct (entry, position) sites, however
     many patterns fire there.
     """
-    ids = [pattern.pattern_id for pattern in matches.contexts.values()]
+    ids = list(matches.contexts.values())
     is_pooled = np.array([pid in pools.pattern_pool for pid in ids], dtype=bool)
     codes = index.codes[matches.position]
     keep = is_pooled[matches.context] & ~_find(index.pool_codes(pools.tuple_pool), codes)[1]
@@ -430,13 +423,13 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
     Returns the final pools, the promoted tuples as pairs (seeds excluded,
     promotion iteration recorded), and one trace record per executed round.
     """
-    seeds = frozenset((i.casefold(), f.casefold()) for i, f in config.seeds)
-    pools = Pools(tuple_pool=set(seeds), pattern_pool={}, seeds=seeds)
+    pools = Pools(tuple_pool={(i.casefold(), f.casefold()) for i, f in config.seeds},
+                  pattern_pool=set())
     pairs: list[VariantPair] = []
     trace: list[dict] = []
     index = _ContextIndex(corpus)
     labelled = np.zeros(len(index.ids), dtype=bool)
-    generated: dict[Context, SurfacePattern] = {}
+    generated: dict[Context, str] = {}
 
     for iteration in range(1, config.max_iterations + 1):
         # The pools only grow, so the occurrences do too, and each round
@@ -452,9 +445,8 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
         pattern_stats = score_pattern(index, matches, pools.tuple_pool)
         scored = [st for pid, st in pattern_stats.items() if pid not in pools.pattern_pool]
         accepted_patterns = _promote(scored, config.pattern_threshold, config.top_n_patterns,
-                                     lambda st: st.pattern.pattern_id)
-        for st in accepted_patterns:
-            pools.pattern_pool[st.pattern.pattern_id] = st.pattern
+                                     lambda st: st.pattern_id)
+        pools.pattern_pool.update(st.pattern_id for st in accepted_patterns)
 
         pool_match_counts = {pid: pattern_stats[pid].pool_matches for pid in pools.pattern_pool}
         candidates = apply_constraints(match_tuples(index, matches, pools), config.stopwords,
@@ -476,7 +468,7 @@ def bootstrap_run(corpus: Corpus, config: BootstrapConfig) -> BootstrapResult:
             "new_tuples": len(accepted_tuples),
             "pattern_pool_size": len(pools.pattern_pool),
             "tuple_pool_size": len(pools.tuple_pool),
-            "accepted_patterns": [{"pattern": st.pattern.pattern_id, "score": st.score}
+            "accepted_patterns": [{"pattern": st.pattern_id, "score": st.score}
                                   for st in accepted_patterns],
             "accepted_tuples": [{"informal": c.informal, "formal": c.formal, "score": c.score}
                                 for c in accepted_tuples],

@@ -244,6 +244,10 @@ def _read_gold(gold_corpus_path: Path, gold_tags_path: Path):
     corpus = annotate(load_jsonl(gold_corpus_path))
     if not corpus.entries:
         raise CorpusFormatError(f"{gold_corpus_path}: self-training needs gold data")
+    empty = next((entry.entry_id for entry in corpus if not entry.definition), None)
+    if empty is not None:
+        raise CorpusFormatError(f"{gold_corpus_path}: entry {empty!r} has no tokens, and a tag "
+                                f"file cannot hold an empty block")
     blocks = read_labeled_file(gold_tags_path)
     if len(blocks) != len(corpus.entries):
         raise CorpusFormatError(
@@ -339,9 +343,15 @@ def _cmd_extract(opts: _Options) -> None:
             print("warning: extract: no --corpus entry has tokens, so self-training had "
                   "nothing to tag", file=sys.stderr)
         elif not pairs:
-            print(f"warning: extract: self-training found no pairs with --l1 {config.train.l1} "
-                  f"--l2 {config.train.l2}; smaller penalties let the tagger mark more tokens I",
-                  file=sys.stderr)
+            if config.max_iterations == 0:
+                why = "ran no round with --iterations 0"
+            elif not any("I" in tags for _, tags in gold):
+                why = (f"found no pairs: no tag in --gold-tags {gold_tags_path} is I, so the "
+                       f"tagger cannot learn to mark a token I")
+            else:
+                why = (f"found no pairs with --l1 {config.train.l1} --l2 {config.train.l2}; "
+                       f"smaller penalties let the tagger mark more tokens I")
+            print(f"warning: extract: self-training {why}", file=sys.stderr)
         trace = result.trace
         model = result.model
 

@@ -29,7 +29,9 @@ class CrfModel:
     the context window the features were extracted with.  ``degenerate``
     flags models trained on single-label data; ``final_objective``,
     ``converged`` and ``iterations`` report the optimizer's end state (NaN or
-    None for hand-built models).
+    None for hand-built models).  ``features_seen`` counts the features
+    training produced, of which a loaded model holds only the kept rows; None
+    means ``feature_index`` lists them all.
     """
 
     feature_index: dict[str, int]
@@ -40,6 +42,7 @@ class CrfModel:
     final_objective: float = float("nan")
     converged: bool | None = None
     iterations: int | None = None
+    features_seen: int | None = None
 
     @classmethod
     def from_weights(
@@ -140,7 +143,8 @@ def save_model(model: CrfModel, path: str | Path) -> None:
         "final_objective": None if math.isnan(model.final_objective) else model.final_objective,
         "converged": model.converged,
         "iterations": model.iterations,
-        "features_seen": len(model.feature_index),
+        "features_seen": (len(model.feature_index) if model.features_seen is None
+                          else model.features_seen),
         "features_kept": len(kept),
         "transitions": [[float(w) for w in row] for row in model.transitions],
         "states": kept,
@@ -209,6 +213,7 @@ def load_model(path: str | Path) -> CrfModel:
             final_objective=float("nan") if objective is None else float(objective),
             converged=converged,
             iterations=iterations,
+            features_seen=seen,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: corrupt model payload: {exc}") from exc

@@ -52,21 +52,19 @@ class SelfTrainConfig:
             raise ValueError("window must be >= 1")
 
 
+#: Each trial of the penalty search draws l1 and l2 log-uniformly from here.
+PENALTY_RANGE = (0.01, 10.0)
+
+
 @dataclass(frozen=True)
 class SearchSpace:
-    """Log-uniform sampling ranges for the elastic-net penalties."""
+    """Trials, folds and seed of the search over the elastic-net penalties."""
 
-    l1_range: tuple[float, float] = (0.01, 10.0)
-    l2_range: tuple[float, float] = (0.01, 10.0)
     trials: int = 50
     folds: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("l1_range", "l2_range"):
-            low, high = getattr(self, name)
-            if not 0 < low <= high < math.inf:
-                raise ValueError(f"{name} must satisfy 0 < low <= high < inf")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.folds < 2:
@@ -146,8 +144,8 @@ def random_search(
 
     trials: list[tuple[float, float, float, tuple[float, ...]]] = []  # (mean, l1, l2, scores)
     for _ in range(space.trials):
-        l1 = _log_uniform(rng, *space.l1_range)
-        l2 = _log_uniform(rng, *space.l2_range)
+        l1 = _log_uniform(rng, *PENALTY_RANGE)
+        l2 = _log_uniform(rng, *PENALTY_RANGE)
         config = TrainConfig(l1=l1, l2=l2)
         scores: list[float] = []
         for train_split, held_out, gold_tags in splits:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from spellvar.bootstrap import (
     BootstrapConfig,
+    SLOT,
     PatternStats,
     Pools,
-    SurfacePattern,
     TupleStats,
     _ContextIndex,
     apply_constraints,
@@ -25,6 +25,7 @@ from spellvar.bootstrap import (
     label_occurrences,
     match_tuples,
     normalized_levenshtein,
+    pattern_id,
     rlogf,
     score_pattern,
     score_tuple,
@@ -155,14 +156,18 @@ class TestAveragedLogScore:
         assert averaged_log_score(bumped) >= averaged_log_score(counts)
 
 
-class TestSurfacePattern:
-    def test_needs_context(self):
-        with pytest.raises(ValueError, match="context"):
-            SurfacePattern(left=(), right=())
+def sides(name):
+    """The (left, right) word tuples that a pattern's name gives back."""
+    words = name.split(" ")
+    slot = words.index(SLOT)
+    return tuple(words[:slot]), tuple(words[slot + 1:])
 
+
+class TestPatternId:
     def test_pattern_id_rendering(self):
-        pattern = SurfacePattern(left=("way", "of", "saying"), right=())
-        assert pattern.pattern_id == "way of saying <SLOT>"
+        assert pattern_id(("way", "of", "saying"), ()) == "way of saying <SLOT>"
+        assert pattern_id(("a",), ("b", "c")) == "a <SLOT> b c"
+        assert sides("a <SLOT> b c") == (("a",), ("b", "c"))
 
 
 def labelled(corpus, pools):
@@ -181,14 +186,14 @@ def generated_around(corpus, occurrences, window):
 
 
 def patterns_around(corpus, occurrences, window):
-    """The patterns of ``generated_around``, in first-seen order."""
+    """The pattern names of ``generated_around``, in first-seen order."""
     return list(generated_around(corpus, occurrences, window).values())
 
 
 class TestLabelOccurrences:
     def _pools(self, *tuples):
         pool = {(i.casefold(), f.casefold()) for i, f in tuples}
-        return Pools(tuple_pool=set(pool), pattern_pool={}, seeds=frozenset(pool))
+        return Pools(tuple_pool=set(pool), pattern_pool=set())
 
     def test_single_occurrence(self):
         corpus = make_corpus(("aye", "scottish way of saying yes"))
@@ -219,21 +224,19 @@ class TestGeneratePatterns:
     def test_full_left_context_present(self):
         corpus = make_corpus(("aye", "scottish way of saying yes"))
         patterns = patterns_around(corpus, [("e1", 4)], window=3)
-        ids = {p.pattern_id for p in patterns}
-        assert "way of saying <SLOT>" in ids
+        assert "way of saying <SLOT>" in patterns
 
     def test_slot_at_start_gives_right_only(self):
         corpus = make_corpus(("aye", "yes is scottish"))
         patterns = patterns_around(corpus, [("e1", 0)], window=3)
         assert patterns
         for pattern in patterns:
-            assert pattern.left == ()
+            assert sides(pattern)[0] == ()
 
     def test_another_word_for(self):
         corpus = make_corpus(("dank", "another word for weed"))
         patterns = patterns_around(corpus, [("e1", 3)], window=3)
-        ids = {p.pattern_id for p in patterns}
-        assert "another word for <SLOT>" in ids
+        assert "another word for <SLOT>" in patterns
 
     def test_interior_slot_emits_all_subwindows(self):
         corpus = make_corpus(("x", "a b c d e f g"))
@@ -243,8 +246,7 @@ class TestGeneratePatterns:
     def test_deduplicates_across_occurrences(self):
         corpus = make_corpus(("aye", "way of saying yes"), ("ja", "way of saying yes"))
         patterns = patterns_around(corpus, [("e1", 3), ("e2", 3)], window=3)
-        ids = [p.pattern_id for p in patterns]
-        assert len(ids) == len(set(ids))
+        assert len(patterns) == len(set(patterns))
 
     def test_wide_window_reads_only_shapes_the_corpus_can_fill(self, monkeypatch):
         # The longest definition has 7 tokens: no position has more than 6 on a side.
@@ -263,13 +265,15 @@ class TestGeneratePatterns:
         wide = generated_around(corpus, occurrences, window=200)
         assert len(shapes) == (6 + 1) ** 2 - 1
         assert list(wide.items()) == list(widest.items())
-        assert list(wide.values()) == oracle_generate_patterns(corpus, occurrences, 200)
+        assert list(wide.values()) == [
+            pattern_id(*p) for p in oracle_generate_patterns(corpus, occurrences, 200)]
 
 
 def context_of(index, corpus, pattern):
     """``pattern``'s context, its lengths and ``index.slot_keys`` read at a
-    site where ``oracle_matches_at`` holds; None when it has no site."""
-    l, r = len(pattern.left), len(pattern.right)
+    site where ``oracle_matches_at`` holds; None when it has no site.
+    A pattern here is its (left, right) word tuples."""
+    l, r = map(len, pattern)
     start = 0
     for entry in corpus:
         lowers = tuple(tok.lower for tok in entry.definition)
@@ -291,12 +295,12 @@ def run_stages(corpus, pools, pattern=None):
     as they are without a pattern."""
     index = _ContextIndex(corpus)
     wanted = {}
-    for p in [*pools.pattern_pool.values(), *([pattern] if pattern else [])]:
+    for p in [*map(sides, sorted(pools.pattern_pool)), *([pattern] if pattern else [])]:
         if (context := context_of(index, corpus, p)) is not None:
-            wanted[context] = p
+            wanted[context] = pattern_id(*p)
     matches = index.match(wanted)
     stats = score_pattern(index, matches, pools.tuple_pool)
-    return stats.get(pattern.pattern_id) if pattern else None, match_tuples(index, matches, pools)
+    return stats.get(pattern_id(*pattern)) if pattern else None, match_tuples(index, matches, pools)
 
 
 def assert_scored_as_oracle(corpus, pools, pattern):
@@ -306,8 +310,7 @@ def assert_scored_as_oracle(corpus, pools, pattern):
     stats = run_stages(corpus, pools, pattern)[0]
     if stats is None:
         assert list(oracle_extractions(pattern, corpus)) == []
-        alone = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
-                      seeds=frozenset())
+        alone = Pools(tuple_pool=set(), pattern_pool={pattern_id(*pattern)})
         assert oracle_match_tuples(alone, corpus) == []
     else:
         assert stats == oracle_score_pattern(pattern, pools, corpus)
@@ -324,16 +327,16 @@ class TestScorePattern:
             ("h5", "means fresh"),
         )
         pool = {("h1", "alpha"), ("h2", "bravo"), ("h3", "carol"), ("h4", "delta")}
-        pools = Pools(tuple_pool=set(pool), pattern_pool={}, seeds=frozenset(pool))
-        stats, _ = run_stages(corpus, pools, SurfacePattern(left=("means",), right=()))
+        pools = Pools(tuple_pool=set(pool), pattern_pool=set())
+        stats, _ = run_stages(corpus, pools, (("means",), ()))
         assert stats.pool_matches == 4
         assert stats.candidate_count == 5
         assert stats.score == pytest.approx(1.6, abs=1e-12)
 
     def test_counts_distinct_tuples_not_sites(self):
         corpus = make_corpus(("h1", "means alpha and means alpha"))
-        pools = Pools(tuple_pool={("h1", "alpha")}, pattern_pool={}, seeds=frozenset())
-        stats, _ = run_stages(corpus, pools, SurfacePattern(left=("means",), right=()))
+        pools = Pools(tuple_pool={("h1", "alpha")}, pattern_pool=set())
+        stats, _ = run_stages(corpus, pools, (("means",), ()))
         assert stats.candidate_count == 1
         assert stats.pool_matches == 1
 
@@ -341,12 +344,7 @@ class TestScorePattern:
 class TestMatchTuples:
     def test_candidate_from_pooled_pattern(self):
         corpus = make_corpus(("ur", "another way of saying your"))
-        pattern = SurfacePattern(left=("way", "of", "saying"), right=())
-        pools = Pools(
-            tuple_pool=set(),
-            pattern_pool={pattern.pattern_id: pattern},
-            seeds=frozenset(),
-        )
+        pools = Pools(tuple_pool=set(), pattern_pool={"way of saying <SLOT>"})
         _, (candidate,) = run_stages(corpus, pools)
         assert (candidate.informal, candidate.formal) == ("ur", "your")
 
@@ -356,35 +354,20 @@ class TestMatchTuples:
             ("zz", "ctxa target"),
             ("zz", "ctxa target"),
         )
-        p1 = SurfacePattern(left=("ctxa",), right=())
-        p2 = SurfacePattern(left=(), right=("ctxb",))
-        pools = Pools(
-            tuple_pool=set(),
-            pattern_pool={p1.pattern_id: p1, p2.pattern_id: p2},
-            seeds=frozenset(),
-        )
+        p1, p2 = pattern_id(("ctxa",), ()), pattern_id((), ("ctxb",))
+        pools = Pools(tuple_pool=set(), pattern_pool={p1, p2})
         _, (candidate,) = run_stages(corpus, pools)
-        assert candidate.matching_patterns == {p1.pattern_id, p2.pattern_id}
+        assert candidate.matching_patterns == {p1, p2}
         assert candidate.occurrence_count == 3
 
     def test_pooled_tuples_excluded(self):
         corpus = make_corpus(("ur", "way of saying your"))
-        pattern = SurfacePattern(left=("way", "of", "saying"), right=())
-        pools = Pools(
-            tuple_pool={("ur", "your")},
-            pattern_pool={pattern.pattern_id: pattern},
-            seeds=frozenset(),
-        )
+        pools = Pools(tuple_pool={("ur", "your")}, pattern_pool={"way of saying <SLOT>"})
         assert run_stages(corpus, pools)[1] == []
 
     def test_identity_slots_skipped(self):
         corpus = make_corpus(("your", "way of saying your"))
-        pattern = SurfacePattern(left=("way", "of", "saying"), right=())
-        pools = Pools(
-            tuple_pool=set(),
-            pattern_pool={pattern.pattern_id: pattern},
-            seeds=frozenset(),
-        )
+        pools = Pools(tuple_pool=set(), pattern_pool={"way of saying <SLOT>"})
         assert run_stages(corpus, pools)[1] == []
 
 
@@ -480,6 +463,10 @@ def _fixture_config(fixture, **overrides) -> BootstrapConfig:
     return BootstrapConfig(**defaults)
 
 
+def seed_tuples(fixture):
+    return {(i.casefold(), f.casefold()) for i, f in fixture.seeds}
+
+
 @pytest.fixture(scope="module")
 def fixture():
     return bootstrap_fixture(n_entries=200, n_pairs=40, n_seeds=5, n_traps=6, seed=0)
@@ -495,7 +482,7 @@ class TestBootstrapRun:
         for template in BOOTSTRAP_TEMPLATES:
             words = template.replace("{}", "").split()
             left = tuple(words[-3:])
-            assert SurfacePattern(left=left, right=()).pattern_id in result.pools.pattern_pool
+            assert pattern_id(left, ()) in result.pools.pattern_pool
 
     def test_recovers_most_planted_pairs(self, fixture, result):
         recovered = set(fixture.truth) & result.pools.tuple_pool
@@ -510,7 +497,7 @@ class TestBootstrapRun:
         result = bootstrap_run(fixture.corpus, _fixture_config(fixture, max_iterations=0))
         assert result.pairs == []
         assert result.trace == []
-        assert result.pools.tuple_pool == set(result.pools.seeds)
+        assert result.pools.tuple_pool == seed_tuples(fixture)
 
     def test_no_seed_occurrences_stops_at_one(self):
         corpus = make_corpus(("plain", "nothing interesting here"))
@@ -527,9 +514,9 @@ class TestBootstrapRun:
             assert after[1] >= before[1]
 
     def test_seeds_stay_pooled(self, fixture, result):
-        assert set(result.pools.seeds) <= result.pools.tuple_pool
+        assert seed_tuples(fixture) <= result.pools.tuple_pool
         emitted = {(p.informal, p.formal) for p in result.pairs}
-        assert emitted.isdisjoint(result.pools.seeds)
+        assert emitted.isdisjoint(seed_tuples(fixture))
 
     def test_deterministic(self, fixture):
         first = bootstrap_run(fixture.corpus, _fixture_config(fixture))
@@ -561,26 +548,25 @@ class TestBootstrapRun:
 
 
 def oracle_matches_at(pattern, lowers, v):
-    """Whether ``pattern``'s context surrounds position ``v`` of ``lowers``."""
-    l, r = len(pattern.left), len(pattern.right)
+    """Whether ``pattern``'s (left, right) context surrounds position ``v``
+    of ``lowers``."""
+    left, right = pattern
+    l, r = len(left), len(right)
     if v - l < 0 or v + r > len(lowers) - 1:
         return False
-    return (
-        tuple(lowers[v - l:v]) == pattern.left
-        and tuple(lowers[v + 1:v + 1 + r]) == pattern.right
-    )
+    return tuple(lowers[v - l:v]) == left and tuple(lowers[v + 1:v + 1 + r]) == right
 
 
 class TestOracleMatchesAt:
     def test_matches_at(self):
-        pattern = SurfacePattern(left=("way", "of", "saying"), right=())
+        pattern = (("way", "of", "saying"), ())
         lowers = ("scottish", "way", "of", "saying", "yes")
         assert oracle_matches_at(pattern, lowers, 4)
         assert not oracle_matches_at(pattern, lowers, 3)
         assert not oracle_matches_at(pattern, ("way", "of"), 1)
 
     def test_right_context_needs_following_tokens(self):
-        pattern = SurfacePattern(left=(), right=("innit",))
+        pattern = ((), ("innit",))
         assert oracle_matches_at(pattern, ("mate", "innit"), 0)
         assert not oracle_matches_at(pattern, ("mate", "innit"), 1)
 
@@ -602,7 +588,8 @@ def oracle_label_occurrences(corpus, pools):
 
 def oracle_generate_patterns(corpus, occurrences, window):
     """Every (left, right) context of up to ``window`` tokens per side around
-    each occurrence, deduplicated in first-seen order."""
+    each occurrence, as (left, right) word tuples, deduplicated by name in
+    first-seen order."""
     by_id = {entry.entry_id: entry for entry in corpus}
     patterns = {}
     for entry_id, v in occurrences:
@@ -614,8 +601,8 @@ def oracle_generate_patterns(corpus, occurrences, window):
             for r in range(max_right + 1):
                 if l + r == 0:
                     continue
-                pattern = SurfacePattern(left=lowers[v - l:v], right=lowers[v + 1:v + 1 + r])
-                patterns.setdefault(pattern.pattern_id, pattern)
+                pattern = (lowers[v - l:v], lowers[v + 1:v + 1 + r])
+                patterns.setdefault(pattern_id(*pattern), pattern)
     return list(patterns.values())
 
 
@@ -633,7 +620,8 @@ def oracle_extractions(pattern, corpus):
 def oracle_score_pattern(pattern, pools, corpus):
     candidates = {(i, f) for i, f, _, _ in oracle_extractions(pattern, corpus)}
     hits = candidates & pools.tuple_pool
-    return PatternStats(pattern, len(hits), len(candidates), rlogf(len(hits), len(candidates)))
+    return PatternStats(pattern_id(*pattern), len(hits), len(candidates),
+                        rlogf(len(hits), len(candidates)))
 
 
 def oracle_match_tuples(pools, corpus):
@@ -646,12 +634,12 @@ def oracle_match_tuples(pools, corpus):
             key = (informal, formal)
             if formal == informal or key in pools.tuple_pool:
                 continue
-            for pattern_id, pattern in pools.pattern_pool.items():
-                if oracle_matches_at(pattern, lowers, v):
+            for name in sorted(pools.pattern_pool):
+                if oracle_matches_at(sides(name), lowers, v):
                     if key not in stats:
                         stats[key] = TupleStats(informal, formal, set(), 0, entry.entry_id)
                         sites[key] = set()
-                    stats[key].matching_patterns.add(pattern_id)
+                    stats[key].matching_patterns.add(name)
                     sites[key].add((entry.entry_id, v))
     for key, candidate in stats.items():
         candidate.occurrence_count = len(sites[key])
@@ -660,26 +648,26 @@ def oracle_match_tuples(pools, corpus):
 
 def oracle_bootstrap_run(corpus, config):
     """The bootstrap loop with every pattern scored by its own scan."""
-    seeds = frozenset((i.casefold(), f.casefold()) for i, f in config.seeds)
-    pools = Pools(tuple_pool=set(seeds), pattern_pool={}, seeds=seeds)
+    pools = Pools(tuple_pool={(i.casefold(), f.casefold()) for i, f in config.seeds},
+                  pattern_pool=set())
     pairs, trace = [], []
     for iteration in range(1, config.max_iterations + 1):
         occurrences = oracle_label_occurrences(corpus, pools)
         fresh = [p for p in oracle_generate_patterns(corpus, occurrences, config.window)
-                 if p.pattern_id not in pools.pattern_pool]
+                 if pattern_id(*p) not in pools.pattern_pool]
         scored = [oracle_score_pattern(p, pools, corpus) for p in fresh]
         top = max((s.score for s in scored), default=0.0)
         accepted_patterns = []
         if top > 0.0:
             passing = [s for s in scored if s.score > config.pattern_threshold * top]
-            passing.sort(key=lambda s: (-s.score, s.pattern.pattern_id))
+            passing.sort(key=lambda s: (-s.score, s.pattern_id))
             accepted_patterns = passing[: config.top_n_patterns]
             for s in accepted_patterns:
-                pools.pattern_pool[s.pattern.pattern_id] = s.pattern
+                pools.pattern_pool.add(s.pattern_id)
         accepted_tuples = []
         if pools.pattern_pool:
-            counts = {pid: oracle_score_pattern(p, pools, corpus).pool_matches
-                      for pid, p in pools.pattern_pool.items()}
+            counts = {pid: oracle_score_pattern(sides(pid), pools, corpus).pool_matches
+                      for pid in pools.pattern_pool}
             candidates = apply_constraints(oracle_match_tuples(pools, corpus), config.stopwords,
                                            config.levenshtein_tau, config.strict_constraint)
             for c in candidates:
@@ -699,7 +687,7 @@ def oracle_bootstrap_run(corpus, config):
             "new_tuples": len(accepted_tuples),
             "pattern_pool_size": len(pools.pattern_pool),
             "tuple_pool_size": len(pools.tuple_pool),
-            "accepted_patterns": [{"pattern": s.pattern.pattern_id, "score": s.score}
+            "accepted_patterns": [{"pattern": s.pattern_id, "score": s.score}
                                   for s in accepted_patterns],
             "accepted_tuples": [{"informal": c.informal, "formal": c.formal, "score": c.score}
                                 for c in accepted_tuples],
@@ -717,9 +705,7 @@ def oracle_bootstrap_run(corpus, config):
 WORDS = ("a", "b", "B", "c", "yes", "Yes")
 small_words = st.sampled_from(WORDS)
 contexts = st.lists(small_words.map(str.lower), max_size=5).map(tuple)
-small_patterns = st.tuples(contexts, contexts).filter(lambda lr: lr[0] or lr[1]).map(
-    lambda lr: SurfacePattern(left=lr[0], right=lr[1])
-)
+small_patterns = st.tuples(contexts, contexts).filter(lambda lr: lr[0] or lr[1])
 small_corpora = st.lists(
     st.tuples(small_words, st.lists(small_words, max_size=8).map(" ".join)),
     min_size=1,
@@ -735,11 +721,7 @@ def corpus_and_pools(draw):
     })
     tuple_pool = set(draw(st.lists(st.sampled_from(sites), unique=True))) if sites else set()
     pooled = draw(st.lists(small_patterns, max_size=6))
-    pools = Pools(
-        tuple_pool=tuple_pool,
-        pattern_pool={p.pattern_id: p for p in pooled},
-        seeds=frozenset(),
-    )
+    pools = Pools(tuple_pool=tuple_pool, pattern_pool={pattern_id(*p) for p in pooled})
     return corpus, pools
 
 
@@ -805,17 +787,17 @@ class TestSweepAgainstOracle:
         occurrences = oracle_label_occurrences(corpus, pools)
         assert labelled(corpus, pools) == occurrences
         generated = generated_around(corpus, occurrences, window)
-        assert list(generated.values()) == oracle_generate_patterns(corpus, occurrences, window)
+        assert list(generated.values()) == [
+            pattern_id(*p) for p in oracle_generate_patterns(corpus, occurrences, window)]
         index = _ContextIndex(corpus)
-        for context, pattern in generated.items():
-            assert context == context_of(index, corpus, pattern)
+        for context, name in generated.items():
+            assert context == context_of(index, corpus, sides(name))
 
     def test_pattern_at_definition_edges(self):
         corpus = make_corpus(("x", "yes a"), ("x", "a yes"), ("x", "a"))
-        pools = Pools(tuple_pool={("x", "yes")}, pattern_pool={}, seeds=frozenset())
-        for pattern, has_site in ((SurfacePattern(left=(), right=("a",)), True),
-                                  (SurfacePattern(left=("a",), right=()), True),
-                                  (SurfacePattern(left=("a",), right=("a",)), False)):
+        pools = Pools(tuple_pool={("x", "yes")}, pattern_pool=set())
+        for pattern, has_site in ((((), ("a",)), True), ((("a",), ()), True),
+                                  ((("a",), ("a",)), False)):
             assert (assert_scored_as_oracle(corpus, pools, pattern) is not None) == has_site
 
     # Three words a, b, c: packed without the shift by one, as (first key)
@@ -823,21 +805,19 @@ class TestSweepAgainstOracle:
     # another context's number.  A context with a word the corpus lacks has
     # no site, so no round can generate it.
     @pytest.mark.parametrize("rows, pattern, has_site", [
-        ((("h", "a b c"),), SurfacePattern(left=(), right=("c", "nope")), False),
-        ((("h", "a b c"), ("g", "b a")), SurfacePattern(left=("a",), right=("c",)), True),
+        ((("h", "a b c"),), ((), ("c", "nope")), False),
+        ((("h", "a b c"), ("g", "b a")), (("a",), ("c",)), True),
     ], ids=["unknown-word", "no-right-context"])
     def test_missing_context_never_matches(self, rows, pattern, has_site):
         corpus = make_corpus(*rows)
-        pools = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
-                      seeds=frozenset())
+        pools = Pools(tuple_pool=set(), pattern_pool={pattern_id(*pattern)})
         assert (assert_scored_as_oracle(corpus, pools, pattern) is not None) == has_site
         assert run_stages(corpus, pools)[1] == oracle_match_tuples(pools, corpus)
 
     def test_pattern_longer_than_every_definition(self):
         corpus = make_corpus(("x", "a b c"), ("y", "a b c d"))
-        pattern = SurfacePattern(left=("a", "b", "c", "d"), right=("e",))
-        pools = Pools(tuple_pool=set(), pattern_pool={pattern.pattern_id: pattern},
-                      seeds=frozenset())
+        pattern = (("a", "b", "c", "d"), ("e",))
+        pools = Pools(tuple_pool=set(), pattern_pool={pattern_id(*pattern)})
         assert assert_scored_as_oracle(corpus, pools, pattern) is None
         assert run_stages(corpus, pools)[1] == []
 
@@ -924,18 +904,18 @@ def wide_corpus():
 
 
 WIDE_PATTERNS = (
-    SurfacePattern(LEFT, RIGHT),
-    SurfacePattern(LEFT, ()),
-    SurfacePattern((), RIGHT),
-    SurfacePattern(LEFT[1:], RIGHT[:2]),
-    SurfacePattern(LEFT[4:], ()),
-    SurfacePattern(("f71992", "f71993"), ("f71995",)),
+    (LEFT, RIGHT),
+    (LEFT, ()),
+    ((), RIGHT),
+    (LEFT[1:], RIGHT[:2]),
+    (LEFT[4:], ()),
+    (("f71992", "f71993"), ("f71995",)),
     # Longer than the window of five, one reaching past a definition's start.
-    SurfacePattern(("pre", *LEFT), (*RIGHT, "post")),
-    SurfacePattern(("f0", "pre", *LEFT), ()),
+    (("pre", *LEFT), (*RIGHT, "post")),
+    (("f0", "pre", *LEFT), ()),
     # Words the corpus never holds.
-    SurfacePattern(("nope", *LEFT[1:]), ()),
-    SurfacePattern((), (*RIGHT[:4], "nope")),
+    (("nope", *LEFT[1:]), ()),
+    ((), (*RIGHT[:4], "nope")),
 )
 
 
@@ -944,15 +924,15 @@ class TestWideVocabularyAgainstOracle:
         words = {tok.lower for entry in wide_corpus for tok in entry.definition}
         assert len(words) > 70_000
 
-    @pytest.mark.parametrize("pattern", WIDE_PATTERNS, ids=lambda p: p.pattern_id)
+    @pytest.mark.parametrize("pattern", WIDE_PATTERNS, ids=lambda p: pattern_id(*p))
     def test_score_pattern(self, wide_corpus, pattern):
         pools = Pools(tuple_pool={("i0", "w0"), ("i1", "w1"), ("j0", "v0"), ("h8999", "f71994")},
-                      pattern_pool={}, seeds=frozenset())
+                      pattern_pool=set())
         assert_scored_as_oracle(wide_corpus, pools, pattern)
 
     def test_match_tuples(self, wide_corpus):
         pools = Pools(tuple_pool={("i0", "w0")},
-                      pattern_pool={p.pattern_id: p for p in WIDE_PATTERNS}, seeds=frozenset())
+                      pattern_pool={pattern_id(*p) for p in WIDE_PATTERNS})
         expected = oracle_match_tuples(pools, wide_corpus)
         assert len(expected) >= 8
         assert run_stages(wide_corpus, pools)[1] == expected

@@ -8,6 +8,7 @@ import contextlib
 import errno
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -431,6 +432,27 @@ class TestExtractSelftrain:
             "warning: extract: no --corpus entry has tokens, so self-training had nothing to "
             "tag\n")
 
+    # Each cause the warning names before the penalties, with the tags and
+    # flags that bring it about on this fixture.
+    @pytest.mark.parametrize("no_i, extra, cause", [
+        (False, ["--iterations", "0"], "ran no round with --iterations 0"),
+        (True, [], "found no pairs: no tag in --gold-tags {tags} is I, so the tagger cannot "
+                   "learn to mark a token I"),
+    ], ids=["no-round", "no-gold-i"])
+    def test_no_pairs_warns_with_the_cause(self, tmp_path, staged, no_i, extra, cause, capsys):
+        tags = tmp_path / "gold.tags"
+        text = (staged / "gold.tags").read_text(encoding="utf-8")
+        tags.write_text(text.replace("\tI\n", "\tO\n") if no_i else text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"), "--gold-tags", str(tags),
+                     *extra, "--l1", "0.02", "--l2", "0.03", "--out", str(out)])
+        assert code == 0
+        assert read_pairs_tsv(out / "pairs.tsv") == []
+        assert capsys.readouterr().err == (
+            f"warning: extract: self-training {cause.format(tags=tags)}\n")
+
     def test_gold_tag_mismatch_is_a_data_error(self, tmp_path, staged, capsys):
         truncated = tmp_path / "gold.tags"
         blocks = (staged / "gold.tags").read_text(encoding="utf-8").split("\n\n")
@@ -441,6 +463,35 @@ class TestExtractSelftrain:
                      "--gold-tags", str(truncated), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "tag blocks" in capsys.readouterr().err
+
+    def test_gold_surface_mismatch_names_the_tags_and_the_entry(self, tmp_path, staged, capsys):
+        blocks = (staged / "gold.tags").read_text(encoding="utf-8").split("\n\n")
+        blocks[1] = blocks[1].replace("zelu\t", "zelux\t", 1)
+        tags = tmp_path / "gold.tags"
+        tags.write_text("\n\n".join(blocks), encoding="utf-8")
+        second = json.loads((staged / "gold.jsonl").read_text(encoding="utf-8").splitlines()[1])
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(staged / "gold.jsonl"), "--gold-tags", str(tags),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tags}: entry {second['entry_id']!r}: surfaces do not match the corpus "
+            f"tokens\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_gold_entry_without_tokens_names_the_entry(self, tmp_path, staged, capsys):
+        lines = (staged / "gold.jsonl").read_text(encoding="utf-8").splitlines()
+        gold = write_lines(tmp_path / "gold.jsonl", [
+            *lines, json.dumps({"word": "aye", "definition": " ", "entry_id": "blank"})])
+        code = main(["extract", "--method", "selftrain",
+                     "--corpus", str(staged / "unlabeled.jsonl"),
+                     "--gold-corpus", str(gold), "--gold-tags", str(staged / "gold.tags"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {gold}: entry 'blank' has no tokens, and a tag file cannot hold an empty "
+            f"block\n")
 
 
     def test_entry_id_in_both_corpora_names_both_files(self, tmp_path, staged, capsys):
@@ -1651,6 +1702,52 @@ class TestStartup:
                     continue
                 assert all(name.split(".")[0] != "scipy" for name in names), (
                     f"{path}:{node.lineno}")
+
+
+_RUN_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spellvar.cli
+for argv in json.loads(sys.argv[2]):
+    assert spellvar.cli.main(argv) == 0, argv
+"""
+
+
+def test_outputs_do_not_depend_on_string_hashing(tmp_path):
+    # Paths are relative to each run's own directory, so the manifests can match.
+    inputs = tmp_path / "in"
+    assert main(["gen-synthetic", "--kind", "bootstrap", "--out", str(inputs / "bs"),
+                 "--entries", "80", "--n-pairs", "12", "--n-seeds", "3", "--n-traps", "2",
+                 "--seed", "0"]) == 0
+    assert main(["gen-synthetic", "--kind", "selftrain", "--out", str(inputs / "st"),
+                 "--seed", "0"]) == 0
+    write_eval_inputs(inputs)
+    bs, st = "../in/bs", "../in/st"
+    commands = [
+        ["extract", "--method", "baseline", "--corpus", f"{bs}/corpus.jsonl", "--out", "base"],
+        ["extract", "--method", "bootstrap", "--corpus", f"{bs}/corpus.jsonl",
+         "--seeds", f"{bs}/seeds.tsv", "--out", "boot"],
+        ["extract", "--method", "selftrain", "--corpus", f"{st}/unlabeled.jsonl",
+         "--gold-corpus", f"{st}/gold.jsonl", "--gold-tags", f"{st}/gold.tags",
+         "--search-trials", "2", "--out", "self"],
+        ["eval", "--pairs", "../in/pairs.tsv", "--embeddings", "../in/vectors.txt",
+         "--formal-vocab", "../in/vocab.txt", "--ks", "1", "--out", "eval"],
+    ]
+    runs = []
+    for hash_seed in ("1", "2"):
+        run = tmp_path / f"hash{hash_seed}"
+        run.mkdir()
+        child = subprocess.run(
+            [sys.executable, "-c", _RUN_CHILD, str(SRC), json.dumps(commands)],
+            cwd=run, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert child.returncode == 0, child.stderr
+        runs.append({path.relative_to(run).as_posix(): path.read_bytes()
+                     for path in sorted(run.rglob("*")) if path.is_file()})
+    assert {"boot/pairs.tsv", "boot/trace.jsonl", "self/model.json",
+            "eval/manifest.json"} <= runs[0].keys()
+    assert runs[0] == runs[1]
 
 
 # Imports the CLI in a fresh interpreter, installs the benchmark's span

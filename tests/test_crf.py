@@ -1231,9 +1231,13 @@ class TestModelIo:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
+        # Each position draws from the model's own features and unknown ones.
+        drawn = [*model.feature_index, "f0", "f1", "f2"]
         rng = np.random.default_rng(31)
         for _ in range(100):
-            features = random_features(rng, length=int(rng.integers(1, 8)))
+            features = [[drawn[i] for i in rng.choice(len(drawn), int(rng.integers(1, 4)),
+                                                       replace=False)]
+                        for _ in range(int(rng.integers(1, 8)))]
             assert viterbi_decode(loaded, features) == viterbi_decode(model, features)
         for feature, row in model.feature_index.items():
             if feature in loaded.feature_index:
@@ -1265,6 +1269,15 @@ class TestModelIo:
         ids = FeatureIds().intern(sequences)
         for ours, theirs in zip(decode_batch(model, ids), decode_batch(loaded, ids)):
             assert same_bytes(ours, theirs)
+
+    def test_saving_a_loaded_model_rewrites_the_file(self, tmp_path):
+        model = train(separable_data(30), TrainConfig(l1=0.5, l2=0.1))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        payload = json.loads(first.read_text(encoding="utf-8"))
+        assert payload["features_seen"] == len(model.feature_index) > payload["features_kept"]
+        assert second.read_bytes() == first.read_bytes()
 
     def test_optimizer_state_round_trips(self, tmp_path):
         model = train(separable_data(20), TrainConfig(l1=0.5, l2=0.1))
