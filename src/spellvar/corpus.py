@@ -304,13 +304,16 @@ def annotate(corpus: Corpus) -> Corpus:
 
     A missing lemma becomes the case-folded surface and a missing UPOS a
     heuristic guess; every other field, parsed ones included, is kept.
-    Deterministic, hence idempotent.
+    Deterministic, hence idempotent.  A token object that several positions
+    share, as :func:`load_jsonl` shares them, is filled once, and the filled
+    token is shared in its place.
     """
-    entries = []
-    for entry in corpus:
-        tokens = tuple(_fill(tok) for tok in entry.definition)
-        entries.append(replace(entry, definition=tokens))
-    return Corpus(entries=tuple(entries))
+    # Keyed by identity: every key is a token the corpus keeps alive.
+    distinct = {id(tok): tok for entry in corpus for tok in entry.definition}
+    filled = {key: _fill(tok) for key, tok in distinct.items()}
+    return Corpus(entries=tuple(
+        replace(entry, definition=tuple(filled[id(tok)] for tok in entry.definition))
+        for entry in corpus))
 
 
 def merge_conllu(corpus: Corpus, annotations_path: str | Path) -> Corpus:

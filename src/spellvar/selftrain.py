@@ -3,7 +3,9 @@
 Each round trains on the labeled set, tags the remaining unlabeled entries,
 and promotes whole entries whose Viterbi-I tokens all clear the marginal
 confidence threshold.  Promoted silver labels are frozen; promoted entries
-leave the unlabeled set for good.
+leave the unlabeled set for good.  The labeled set only grows by appending,
+so a round's features begin with the last round's, and every round after the
+first starts its optimizer at the last round's weights.
 
 Every entry's features are interned to integer ids once per run; each
 round's labeled set and remaining entries are taken from those ids, and the
@@ -222,7 +224,7 @@ def self_train(
     model: CrfModel | None = None
 
     for iteration in range(1, config.max_iterations + 1):
-        model = train(TaggedIds(corpus.take(labeled), labeled_tags), config.train)
+        model = train(TaggedIds(corpus.take(labeled), labeled_tags), config.train, start=model)
         tagged = corpus.take(remaining)
         labels, _, probs = decode_batch(model, tagged)
         p_i = probs[:, is_i]

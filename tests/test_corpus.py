@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spellvar.corpus as corpus_module
 from spellvar.corpus import (
     _TOKEN,
     Corpus,
@@ -299,6 +300,50 @@ class TestAnnotate:
         once = annotate(make_corpus(("w", "another way of saying your")))
         twice = annotate(once)
         assert once == twice
+
+    def test_each_shared_token_is_filled_once(self, tmp_path, monkeypatch):
+        texts = ["the cat runs", "the dog runs", "The cat", "the cat runs"]
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(json.dumps({"word": f"w{i}", "definition": text}) + "\n"
+                                       for i, text in enumerate(texts)), encoding="utf-8")
+        guessed = []
+        monkeypatch.setattr(corpus_module, "_guess_upos",
+                            lambda tok, guess=corpus_module._guess_upos:
+                            guessed.append(tok) or guess(tok))
+        loaded = load_jsonl(corpus_path)
+        annotated = annotate(loaded)
+        # Five distinct (surface, position) tokens in eleven positions.
+        assert len(guessed) == 5
+        filled = {}
+        for before, after in zip(loaded, annotated):
+            for old, new in zip(before.definition, after.definition, strict=True):
+                assert new == corpus_module._fill(old)
+                assert filled.setdefault(old, new) is new
+        assert len(filled) == 5
+
+    def test_parsed_tokens_fill_only_their_gaps(self, tmp_path):
+        # CoNLL-U rows with a missing lemma, UPOS or both, and complete ones.
+        rows = {"the cat runs": ["the\tthe\tDET\t2", "cat\t_\t_\t3", "runs\trun\tVERB\t0"],
+                "the dog runs": ["the\t_\tDET\t2", "dog\tdog\t_\t3", "runs\trun\tVERB\t0"],
+                "The cat": ["The\tthe\tDET\t2", "cat\t_\t_\t0"]}
+        texts = [*rows, "the cat runs"]
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(json.dumps({"word": f"w{i}", "definition": text}) + "\n"
+                                       for i, text in enumerate(texts)), encoding="utf-8")
+        annotations = tmp_path / "annotations.conllu"
+        annotations.write_text("".join(
+            "".join(f"{i}\t{surface}\t{lemma}\t{upos}\tXX\t_\t{head}\tdep\t_\t_\n"
+                    for i, (surface, lemma, upos, head) in
+                    enumerate((row.split("\t") for row in rows[text]), start=1)) + "\n"
+            for text in texts), encoding="utf-8")
+        merged = load_conllu(corpus_path, annotations)
+        annotated = annotate(merged)
+        for before, after in zip(merged, annotated):
+            for old, new in zip(before.definition, after.definition, strict=True):
+                assert new == corpus_module._fill(old)
+                assert (new.xpos, new.dep, new.head) == (old.xpos, old.dep, old.head)
+        cat = annotated.entries[0].definition[1]
+        assert (cat.lemma, cat.upos, cat.head) == ("cat", "NOUN", 2)
 
     def test_preserves_count_and_surfaces(self):
         base = make_corpus(("w", 'way of saying "Your" m8'))

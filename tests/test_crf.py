@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from collections import deque
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -45,7 +47,7 @@ from spellvar.crf.kernel import (
 )
 from spellvar.crf.model import FORMAT_VERSION, decode_batch
 from spellvar.crf.train import TaggedIds
-from spellvar.crf.optimizer import _pseudo_gradient
+from spellvar.crf.optimizer import _TOLERANCE, _pseudo_gradient
 
 from conftest import make_entry
 
@@ -1098,6 +1100,54 @@ class TestTrain:
         np.testing.assert_array_equal(direct.state, shared.state)
         np.testing.assert_array_equal(direct.transitions, shared.transitions)
         assert direct.feature_index == shared.feature_index
+
+    def test_start_model_sets_the_first_point(self):
+        data = separable_data(20)
+        config = TrainConfig(l1=0.5, l2=0.1)
+        start = train(data[:5], config)
+        starts = []
+
+        def recording(fun_grad, x0, **kwargs):
+            starts.append(np.array(x0))
+            return minimize(fun_grad, x0, **kwargs)
+
+        with mock.patch.object(sys.modules["spellvar.crf.train"], "minimize", recording):
+            warm = train(data, config, start=start)
+        n_old, n_new = len(start.feature_index), len(warm.feature_index)
+        assert list(warm.feature_index)[:n_old] == list(start.feature_index) and n_new > n_old
+        state = starts[0][:-4].reshape(n_new, 2)
+        np.testing.assert_array_equal(state[:n_old], start.state)
+        assert not state[n_old:].any()
+        np.testing.assert_array_equal(starts[0][-4:].reshape(2, 2), start.transitions)
+        cold = train(data, config)
+        assert warm.converged and cold.converged
+        bound = 2 * math.sqrt(warm.state.size + 4) * _TOLERANCE / config.l2
+        gap = np.concatenate([(warm.state - cold.state).ravel(),
+                              (warm.transitions - cold.transitions).ravel()])
+        assert np.linalg.norm(gap) <= bound
+
+    @pytest.mark.parametrize("names,first", [
+        (["word.lower=target"], "word.lower=target"),
+        (["bias", "word.lower=nowhere"], "word.lower=nowhere"),
+    ])
+    def test_start_model_features_must_begin_the_data(self, names, first):
+        start = CrfModel.from_weights({(name, "I"): 1.0 for name in names})
+        with pytest.raises(ValueError, match=f"feature {first!r} is not column"):
+            train(separable_data(20), TrainConfig(l1=0.5, l2=0.1), start=start)
+
+    def test_start_model_features_beyond_the_data_rejected(self):
+        data = separable_data(20)
+        model = train(data, TrainConfig(l1=0.5, l2=0.1))
+        extra = CrfModel.from_weights({(name, "O"): 0.0 for name in [*model.feature_index, "f"]})
+        with pytest.raises(ValueError, match="feature 'f' is not column"):
+            train(data, TrainConfig(l1=0.5, l2=0.1), start=extra)
+
+    def test_start_model_transitions_must_be_two_by_two(self):
+        data = separable_data(20)
+        model = train(data[:5], TrainConfig(l1=0.5, l2=0.1))
+        bad = replace(model, transitions=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="transitions are \\(3, 3\\), not 2 x 2"):
+            train(data, TrainConfig(l1=0.5, l2=0.1), start=bad)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="non-negative"):

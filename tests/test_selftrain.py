@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import math
+
+import numpy as np
 import pytest
 
 from spellvar import selftrain
 from spellvar.corpus import Corpus, CorpusFormatError, load_conllu
 from spellvar.crf import TrainConfig, extract_features, viterbi_decode
+from spellvar.crf.optimizer import _TOLERANCE
 from spellvar.selftrain import (
     SearchSpace,
     SelfTrainConfig,
@@ -18,6 +23,9 @@ from spellvar.selftrain import (
 from spellvar.synthetic import selftrain_fixture
 
 from conftest import make_entry
+
+# ``spellvar.crf`` rebinds ``train`` to the function; this is the module.
+crf_train = importlib.import_module("spellvar.crf.train")
 
 # Penalties sized so three known context words clear tau=0.9 but two do not
 # until the easier wave has been absorbed into the training set.
@@ -305,6 +313,92 @@ class TestSelfTrain:
         bad = [(entry, ("I",))]
         with pytest.raises(ValueError, match=entry.entry_id):
             self_train(bad, staircase.unlabeled, CASCADE_CONFIG)
+
+
+def recorded(run, *, cold=False):
+    """``run()``'s result, the start point of every optimizer call it made
+    and every model that ``spellvar.selftrain`` trained, in call order; with
+    ``cold`` each training drops its start model."""
+    starts, models = [], []
+    real_minimize, real_train = crf_train.minimize, selftrain.train
+
+    def minimize(fun_grad, x0, **kwargs):
+        starts.append(np.array(x0))
+        return real_minimize(fun_grad, x0, **kwargs)
+
+    def train(data, config, *, start=None):
+        models.append(real_train(data, config, start=None if cold else start))
+        return models[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crf_train, "minimize", minimize)
+        patch.setattr(selftrain, "train", train)
+        return run(), starts, models
+
+
+def weights(model):
+    return np.concatenate([model.state.ravel(), model.transitions.ravel()])
+
+
+@pytest.fixture(scope="module")
+def warm(staircase):
+    return recorded(lambda: self_train(staircase.gold, staircase.unlabeled, CASCADE_CONFIG))
+
+
+@pytest.fixture(scope="module")
+def cold(staircase):
+    return recorded(lambda: self_train(staircase.gold, staircase.unlabeled, CASCADE_CONFIG),
+                    cold=True)
+
+
+class TestWarmStart:
+    def test_rounds_start_at_the_last_rounds_weights(self, warm):
+        result, starts, models = warm
+        assert len(starts) == len(models) == len(result.trace) > 1
+        assert not starts[0].any()
+        for previous, start, model in zip(models, starts[1:], models[1:]):
+            n_old, n_new = len(previous.feature_index), len(model.feature_index)
+            assert n_new > n_old
+            state = start[:-4].reshape(n_new, 2)
+            np.testing.assert_array_equal(state[:n_old], previous.state)
+            assert not state[n_old:].any()
+            np.testing.assert_array_equal(start[-4:].reshape(2, 2), previous.transitions)
+
+    def test_each_rounds_features_begin_with_the_last_rounds(self, warm):
+        _, _, models = warm
+        for previous, model in zip(models, models[1:]):
+            columns = list(model.feature_index.items())
+            assert columns[:len(previous.feature_index)] == list(previous.feature_index.items())
+
+    def test_cold_and_warm_rounds_agree(self, warm, cold):
+        (warm_result, _, warm_models), (cold_result, _, cold_models) = warm, cold
+        assert [(p.informal, p.formal, p.iteration, p.source_entry) for p in warm_result.pairs] \
+            == [(p.informal, p.formal, p.iteration, p.source_entry) for p in cold_result.pairs]
+        assert [p.score for p in warm_result.pairs] == pytest.approx(
+            [p.score for p in cold_result.pairs], abs=1e-6)
+        assert [r["promoted_ids"] for r in warm_result.trace] == [
+            r["promoted_ids"] for r in cold_result.trace]
+        # With l2 > 0 the objective is l2-strongly convex, so a point whose
+        # pseudo-gradient has max-norm below the tolerance lies within
+        # sqrt(n) * tolerance / l2 of the one minimizer.
+        for ours, theirs in zip(warm_models, cold_models, strict=True):
+            assert ours.feature_index == theirs.feature_index
+            assert ours.converged and theirs.converged
+            bound = 2 * math.sqrt(len(weights(ours))) * _TOLERANCE / CASCADE_TRAIN.l2
+            assert np.linalg.norm(weights(ours) - weights(theirs)) <= bound
+        assert sum(m.iterations for m in warm_models[1:]) < sum(
+            m.iterations for m in cold_models[1:])
+
+    def test_random_search_trains_from_zero(self):
+        space = SearchSpace(trials=2, folds=3, seed=0)
+        _, starts, models = recorded(lambda: random_search(separable_tagging_data(), space))
+        assert len(starts) == len(models) == space.trials * space.folds
+        assert not any(start.any() for start in starts)
+
+    def test_zero_rounds_train_from_zero(self, staircase):
+        config = SelfTrainConfig(max_iterations=0, train=CASCADE_TRAIN)
+        _, starts, _ = recorded(lambda: self_train(staircase.gold, staircase.unlabeled, config))
+        assert len(starts) == 1 and not starts[0].any()
 
 
 class TestSelfTrainConfig:
