@@ -6,31 +6,4 @@ tagger with self-training, and nearest-neighbour evaluation of word
 embeddings against the extracted pairs.
 """
 
-from spellvar.corpus import (
-    Corpus,
-    CorpusFormatError,
-    DictEntry,
-    Token,
-    VariantPair,
-    annotate,
-    load_conllu,
-    load_jsonl,
-    read_word_list,
-    tokenize,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Corpus",
-    "CorpusFormatError",
-    "DictEntry",
-    "Token",
-    "VariantPair",
-    "annotate",
-    "load_conllu",
-    "load_jsonl",
-    "read_word_list",
-    "tokenize",
-    "__version__",
-]

@@ -277,6 +277,8 @@ def _cmd_extract(opts: _Options) -> None:
     seed = opts.take("seed", 0)
 
     model = None
+    # Why the run wrote no pairs, when it wrote none: the first cause that holds.
+    warning = None
     if method == "baseline":
         rules_path = opts.path("rules")
         opts.record.setdefault("rules", "packaged")
@@ -287,6 +289,10 @@ def _cmd_extract(opts: _Options) -> None:
         for pair in pairs:
             counts[pair.rule_id] += 1
         trace = [{"matches": n, "rule_id": rule_id} for rule_id, n in counts.items()]
+        if not pairs:
+            named = "the packaged rules" if rules_path is None else f"the rules in {rules_path}"
+            warning = (f"the baseline found no pairs: none of {named} matched a definition "
+                       f"in --corpus {corpus_path} with anything but its headword")
     elif method == "bootstrap":
         seeds_path = opts.path("seeds", required=True)
         stopwords_path = opts.path("stopwords")
@@ -302,6 +308,19 @@ def _cmd_extract(opts: _Options) -> None:
         result = bootstrap_run(_load_extract_corpus(corpus_path, annotations), config)
         pairs = result.pairs
         trace = result.trace
+        if not pairs:
+            if config.max_iterations == 0:
+                why = "ran no round with --iterations 0"
+            elif len(set(seeds)) < 2:
+                why = (f"found no pairs: --seeds {seeds_path} holds fewer than two pairs, and a "
+                       f"pattern scores above 0 only when it recovers two")
+            elif not result.pools.pattern_pool:
+                why = (f"found no pairs: no pattern recovered two pooled pairs in --corpus "
+                       f"{corpus_path}")
+            else:
+                gate = f"--tau {config.levenshtein_tau}" + " --strict" * config.strict_constraint
+                why = f"found no pairs: every candidate scored 0 or failed the {gate} gate"
+            warning = f"bootstrapping {why}"
     else:
         gold_corpus_path = opts.path("gold_corpus", required=True)
         gold_tags_path = opts.path("gold_tags", required=True)
@@ -340,8 +359,7 @@ def _cmd_extract(opts: _Options) -> None:
         pairs = result.pairs
         # Pairs come only from --corpus entries, so one without tokens yields none.
         if not any(entry.definition for entry in corpus):
-            print("warning: extract: no --corpus entry has tokens, so self-training had "
-                  "nothing to tag", file=sys.stderr)
+            warning = "no --corpus entry has tokens, so self-training had nothing to tag"
         elif not pairs:
             if config.max_iterations == 0:
                 why = "ran no round with --iterations 0"
@@ -351,9 +369,12 @@ def _cmd_extract(opts: _Options) -> None:
             else:
                 why = (f"found no pairs with --l1 {config.train.l1} --l2 {config.train.l2}; "
                        f"smaller penalties let the tagger mark more tokens I")
-            print(f"warning: extract: self-training {why}", file=sys.stderr)
+            warning = f"self-training {why}"
         trace = result.trace
         model = result.model
+
+    if warning is not None:
+        print(f"warning: extract: {warning}", file=sys.stderr)
 
     files = {"pairs.tsv": functools.partial(write_pairs_tsv, pairs),
              "trace.jsonl": _lines(json.dumps(record, sort_keys=True) for record in trace)}
@@ -576,7 +597,7 @@ _COMMANDS = {
         ("l2", "L2 penalty weight"),
         ("search_trials", "random search trials for (l1, l2); 0 disables"),
         ("search_folds", "cross-validation folds"),
-        ("seed", "global random seed"),
+        ("seed", "seed of the penalty search (selftrain with --search-trials)"),
     )),
     "eval": (_cmd_eval, "rank pairs against embedding tables", (
         ("pairs", "pairs TSV from extract"),

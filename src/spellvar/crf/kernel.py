@@ -14,8 +14,8 @@ order and features the model lacks dropped.
 
 Sequences are padded to the longest one and laid out time-major and
 label-major: arrays are (positions, labels, sequences), so that each step of
-a recursion reads and writes rows as long as the batch.  Callers see
-batch-major views (sequences, positions, labels) of those arrays.
+a recursion reads and writes rows as long as the batch.  Every function here
+takes and returns arrays in this one layout.
 
 Emission scores of a whole batch are one gather of weight rows and one
 ordered sum, put into the padded layout.
@@ -151,22 +151,16 @@ class IdSequences:
         return Batch(slots, self.lengths.astype(int))
 
 
-def time_major(values: np.ndarray) -> np.ndarray:
-    """The contiguous (positions, labels, sequences) array behind a
-    batch-major view; a copy only for arrays that were not built here."""
-    return np.ascontiguousarray(values.transpose(1, 2, 0))
-
-
 class Padding:
     """The padded layout of sequences of the given lengths: at least one
     position wide, so that empty sequences and empty batches need no branch.
 
-    ``mask`` marks the real positions of the batch-major (sequences x width)
-    view, and ``live`` the same positions time-major, shaped to broadcast over
-    labels.  The id arrays address flat (positions, labels, sequences)
-    arrays: ``real_ids`` the two labels of each real position, in sequence
-    order, and ``last_ids`` those of each sequence's last position (its
-    first when empty).
+    ``mask`` marks the real positions, a row per sequence, and ``live`` the
+    same positions as (positions, 1, sequences), to broadcast over labels.
+    The id arrays address flat (positions, labels, sequences) arrays:
+    ``real_ids`` the two labels of each real position, in sequence order,
+    and ``last_ids`` those of each sequence's last position (its first when
+    empty).
     """
 
     def __init__(self, lengths: np.ndarray) -> None:
@@ -204,8 +198,7 @@ class Batch(Padding):
         self.slots = slots
 
     def emissions(self, state: np.ndarray) -> np.ndarray:
-        """Per-position label scores, shaped (sequences, max length, labels)
-        and zero at padded positions."""
+        """Per-position label scores, zero at padded positions."""
         rows = np.concatenate([state, np.zeros((1, 2))]).take(self.slots, axis=0)
         width, _, n_seqs = self.live.shape
         scores = np.zeros((width, 2, n_seqs))
@@ -215,20 +208,19 @@ class Batch(Padding):
         # weights in listed order, to the last bit like a per-feature loop, so
         # near-tied Viterbi paths break the same way however a batch is formed.
         scores.put(self.real_ids, np.add.reduce(rows, axis=0, initial=0.0))
-        return scores.transpose(2, 0, 1)
+        return scores
 
 
 def forward(
     emissions: np.ndarray, padding: Padding, transitions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The forward messages, time-major, and each sequence's log partition."""
-    scores = time_major(emissions)
-    alpha = np.empty(scores.shape)
-    alpha[0] = scores[0]
+    """The forward messages and each sequence's log partition."""
+    alpha = np.empty(emissions.shape)
+    alpha[0] = emissions[0]
     # ``via[i, j]``: the message of label i plus the weight from i to j.
     weights = transitions[:, :, None]
     lae, add = np.logaddexp, np.add
-    for prev, cur, score in zip(alpha, alpha[1:], scores[1:]):
+    for prev, cur, score in zip(alpha, alpha[1:], emissions[1:]):
         via = prev[:, None] + weights
         add(lae(via[0], via[1]), score, out=cur)
     final = alpha.take(padding.last_ids)
@@ -236,16 +228,15 @@ def forward(
 
 
 def backward(emissions: np.ndarray, padding: Padding, transitions: np.ndarray) -> np.ndarray:
-    """The backward messages, time-major: zero at each sequence's last
-    position and in its padding."""
-    scores = time_major(emissions)
-    beta = np.zeros(scores.shape)
-    # ``ahead`` holds scores + beta of the position after the one stepped to,
+    """The backward messages: zero at each sequence's last position and in
+    its padding."""
+    beta = np.zeros(emissions.shape)
+    # ``ahead`` holds emissions + beta of the position after the one stepped to,
     # and ``via[j, i]`` that of its label j plus the weight from i to j.
-    ahead = scores[-1] + beta[-1]
+    ahead = emissions[-1] + beta[-1]
     weights = transitions.T[:, :, None]
     lae, add, copyto = np.logaddexp, np.add, np.copyto
-    for score, cur, live_next in zip(scores[-2::-1], beta[-2::-1], padding.live[:0:-1]):
+    for score, cur, live_next in zip(emissions[-2::-1], beta[-2::-1], padding.live[:0:-1]):
         via = ahead[:, None] + weights
         copyto(cur, lae(via[0], via[1]), where=live_next)
         add(score, cur, out=ahead)
@@ -255,8 +246,7 @@ def backward(emissions: np.ndarray, padding: Padding, transitions: np.ndarray) -
 def posteriors(
     alpha: np.ndarray, beta: np.ndarray, log_z: np.ndarray, padding: Padding
 ) -> np.ndarray:
-    """Posterior label probabilities at every position, time-major, zero
-    where padded."""
+    """Posterior label probabilities at every position, zero where padded."""
     return np.exp(alpha + beta - log_z, out=np.zeros(beta.shape), where=padding.live)
 
 
@@ -270,7 +260,7 @@ def expected_transitions(
     # label at t, step) and copied step-major, so that the sum adds one step
     # after another in sequence order.
     joint = alpha.take(from_ids)[:, None, :] + transitions[:, :, None]
-    joint += (time_major(emissions).take(to_ids) + beta.take(to_ids))[None, :, :]
+    joint += (emissions.take(to_ids) + beta.take(to_ids))[None, :, :]
     joint -= log_z.take(step_seqs)
     np.exp(joint, out=joint)
     return joint.reshape(4, -1).T.copy().sum(axis=0).reshape(2, 2)
@@ -279,16 +269,16 @@ def expected_transitions(
 def viterbi(
     emissions: np.ndarray, padding: Padding, transitions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best label path of every sequence and its unnormalized score; ties
-    resolve toward O.  Padding repeats the last label."""
-    scores = time_major(emissions)
-    width, _, n_seqs = scores.shape
-    delta = np.empty_like(scores)
-    delta[0] = scores[0]
+    """Best label path of every sequence, shaped (positions, sequences), and
+    its unnormalized score; ties resolve toward O.  Padding repeats the last
+    label."""
+    width, _, n_seqs = emissions.shape
+    delta = np.empty_like(emissions)
+    delta[0] = emissions[0]
     # ``back[t, j, k]``: the best predecessor of label j at t is O.
-    back = np.empty(scores.shape, dtype=bool)
+    back = np.empty(emissions.shape, dtype=bool)
     from_i, from_o = transitions[:, :, None]
-    for prev, cur, back_t, score_t in zip(delta, delta[1:], back[1:], scores[1:]):
+    for prev, cur, back_t, score_t in zip(delta, delta[1:], back[1:], emissions[1:]):
         via_i = prev[0] + from_i
         via_o = prev[1] + from_o
         np.greater_equal(via_o, via_i, out=back_t)
@@ -299,4 +289,4 @@ def viterbi(
     paths[-1] = final[1] >= final[0]
     for label, prev, back_t in zip(paths[::-1], paths[-2::-1], back[:0:-1]):
         prev[...] = np.where(label, back_t[1], back_t[0])
-    return paths.astype(int).T, np.where(paths[-1], final[1], final[0])
+    return paths.astype(int), np.where(paths[-1], final[1], final[0])

@@ -67,7 +67,7 @@ class CrfModel:
         sequences = FeatureIds().intern([features])
         batch = sequences.encode(sequences.vocabulary.columns(self.feature_index),
                                  len(self.feature_index))
-        return batch.emissions(self.state)[0, :len(features)]
+        return batch.emissions(self.state)[:len(features), :, 0]
 
 
 #: Most padded positions (sequences x the longest of them) that one kernel
@@ -82,7 +82,8 @@ def decode_batch(
     """The best label path of every sequence, as label indices at each real
     position (sequences in input order, as ``sequences.ids`` lists them),
     each path's unnormalized score, and the posterior probability of each
-    label (a row per real position, a column per label of ``LABELS``).
+    label (a row per real position, a column per label of ``LABELS``),
+    clamped at 1: ``exp(alpha + beta - log_z)`` can round a few ulps above.
 
     Sequences are decoded shortest first, in chunks of at most
     :data:`DECODE_CHUNK` padded positions.  A sequence's results do not
@@ -106,10 +107,10 @@ def decode_batch(
         alpha, log_z = forward(emissions, batch, model.transitions)
         beta = backward(emissions, batch, model.transitions)
         real = sequences.positions(chunk)
-        labels[real] = paths[batch.mask]
+        labels[real] = paths.T[batch.mask]
         probs[real] = posteriors(alpha, beta, log_z, batch).take(batch.real_ids)
         start = stop
-    return labels, scores, probs
+    return labels, scores, np.minimum(probs, 1.0, out=probs)
 
 
 def viterbi_decode(model: CrfModel, features: Sequence[Sequence[str]]) -> tuple[list[str], float]:

@@ -24,25 +24,24 @@ from spellvar.crf.kernel import (
     expected_transitions,
     forward,
     posteriors,
-    time_major,
 )
 from spellvar.crf.model import LABELS, CrfModel
 from spellvar.crf.optimizer import minimize
 
 
-class EncodedDataset(Batch):
-    """A batch of training sequences with their gold labels, one per position,
-    and the per-dataset constants of the objective: ``column_ids`` and
-    ``row_ids`` are the flat (column, label) and (position, label) ids of
+class EncodedDataset:
+    """Training sequences as one batch, with their gold labels, one per
+    position, and the per-dataset constants of the objective: ``column_ids``
+    and ``row_ids`` are the flat (column, label) and (position, label) ids of
     every listed feature, in position order and listed order within a
     position; ``gold_onehot`` marks each position's gold label and
-    ``gold_ids`` its flat id in the time-major emission scores."""
+    ``gold_ids`` its flat id in the batch's emission scores."""
 
     n_labels = len(LABELS)
 
     def __init__(self, batch: Batch, feature_index: dict[str, int], gold: np.ndarray,
                  transition_counts: np.ndarray) -> None:
-        super().__init__(batch.slots, batch.lengths)
+        self.batch = batch
         self.feature_index = feature_index
         self.gold = gold
         self.transition_counts = transition_counts
@@ -52,7 +51,7 @@ class EncodedDataset(Batch):
         self.column_ids = (table[listed][:, None] * self.n_labels + labels).ravel()
         self.row_ids = (np.nonzero(listed)[0][:, None] * self.n_labels + labels).ravel()
         self.gold_onehot = np.eye(self.n_labels)[gold]
-        self.gold_ids = self.real_ids[np.arange(len(gold)), gold]
+        self.gold_ids = batch.real_ids[np.arange(len(gold)), gold]
 
     @property
     def n_features(self) -> int:
@@ -135,20 +134,21 @@ def log_likelihood_and_gradient(
     it from this call's forward pass, so that a caller that discards the
     point never runs the backward pass."""
     state, transitions = unpack_weights(weights, dataset)
-    emissions = dataset.emissions(state)
-    alpha, log_z = forward(emissions, dataset, transitions)
-    gold_score = float(time_major(emissions).take(dataset.gold_ids).sum())
+    batch = dataset.batch
+    emissions = batch.emissions(state)
+    alpha, log_z = forward(emissions, batch, transitions)
+    gold_score = float(emissions.take(dataset.gold_ids).sum())
     gold_score += float((dataset.transition_counts * transitions).sum())
 
     value = gold_score - float(log_z.sum())
     value -= 0.5 * l2 * (float((state * state).sum()) + float((transitions * transitions).sum()))
 
     def gradient() -> np.ndarray:
-        beta = backward(emissions, dataset, transitions)
-        probs = posteriors(alpha, beta, log_z, dataset).take(dataset.real_ids)
+        beta = backward(emissions, batch, transitions)
+        probs = posteriors(alpha, beta, log_z, batch).take(batch.real_ids)
         grad_state = dataset.feature_totals(dataset.gold_onehot - probs) - l2 * state
         grad_transitions = (dataset.transition_counts
-                            - expected_transitions(emissions, alpha, beta, log_z, dataset,
+                            - expected_transitions(emissions, alpha, beta, log_z, batch,
                                                    transitions)
                             - l2 * transitions)
         return np.concatenate([grad_state.ravel(), grad_transitions.ravel()])

@@ -258,7 +258,7 @@ def self_train(
             labeled_tags.append(silver)
             pairs.extend(pairs_from_tagging(entries[k], silver, margs, iteration=iteration))
         remaining = remaining[~promoted]
-        record["min_promoted_marginal"] = min(1.0, float(p_i[confident].min()))
+        record["min_promoted_marginal"] = float(p_i[confident].min())
         record["pairs_total"] = len(pairs)
         trace.append(record)
 

@@ -69,6 +69,24 @@ class TestExtractBaseline:
         assert manifest["outputs"] == ["pairs.tsv", "trace.jsonl"]
         assert "wrote 2 pairs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("own_rules", [False, True], ids=["packaged", "own"])
+    def test_no_pairs_warns_that_no_rule_matched(self, tmp_path, own_rules, capsys):
+        # The one match only repeats its headword, which is no pair.
+        corpus = write_corpus(tmp_path, [
+            {"word": "plain", "definition": "nothing to extract here"},
+            {"word": "yes", "definition": "short for 'yes'"},
+        ])
+        rules = write_lines(tmp_path / "rules.tsv", ["short\tshort for '(?P<Spelling>\\w+)'"])
+        out = tmp_path / "out"
+        code = main(["extract", "--method", "baseline", "--corpus", str(corpus),
+                     *(["--rules", str(rules)] if own_rules else []), "--out", str(out)])
+        assert code == 0
+        assert read_pairs_tsv(out / "pairs.tsv") == []
+        named = f"the rules in {rules}" if own_rules else "the packaged rules"
+        assert capsys.readouterr().err == (
+            f"warning: extract: the baseline found no pairs: none of {named} matched a "
+            f"definition in --corpus {corpus} with anything but its headword\n")
+
     def test_missing_method(self, tmp_path, baseline_corpus):
         code = main(["extract", "--corpus", str(baseline_corpus),
                      "--out", str(tmp_path / "out")])
@@ -211,6 +229,31 @@ class TestExtractBootstrap:
                      "--seeds", str(planted / "seeds.tsv"), "--out", str(out)])
         assert code == 0
         assert read_pairs_tsv(out / "pairs.tsv") == []
+
+    # Each cause the warning names, with the seeds and flags that bring it
+    # about on this fixture.
+    @pytest.mark.parametrize("which, extra, cause", [
+        ("all", ["--iterations", "0"], "ran no round with --iterations 0"),
+        ("first", [], "found no pairs: --seeds {seeds} holds fewer than two pairs, and a "
+                      "pattern scores above 0 only when it recovers two"),
+        ("absent", [], "found no pairs: no pattern recovered two pooled pairs in --corpus "
+                       "{corpus}"),
+        ("all", ["--strict", "--tau", "0.01"],
+         "found no pairs: every candidate scored 0 or failed the --tau 0.01 --strict gate"),
+    ], ids=["no-round", "one-seed", "no-pattern", "gate"])
+    def test_no_pairs_warns_with_the_cause(self, tmp_path, planted, which, extra, cause, capsys):
+        rows = (planted / "seeds.tsv").read_text(encoding="utf-8").splitlines()
+        # "absent" seeds have no headword in the corpus.
+        given = {"all": rows, "first": rows[:1], "absent": ["zzqx\tqqzz", "zzqy\tqqzy"]}
+        seeds = write_lines(tmp_path / "seeds.tsv", given[which])
+        corpus = planted / "corpus.jsonl"
+        out = tmp_path / "out"
+        code = main(["extract", "--method", "bootstrap", "--corpus", str(corpus),
+                     "--seeds", str(seeds), *extra, "--out", str(out)])
+        assert code == 0
+        assert read_pairs_tsv(out / "pairs.tsv") == []
+        assert capsys.readouterr().err == (
+            f"warning: extract: bootstrapping {cause.format(seeds=seeds, corpus=corpus)}\n")
 
     def test_missing_seeds_file_names_path(self, tmp_path, planted, capsys):
         ghost = tmp_path / "no-such-seeds.tsv"

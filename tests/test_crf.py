@@ -49,7 +49,7 @@ from spellvar.crf.model import FORMAT_VERSION, decode_batch
 from spellvar.crf.train import TaggedIds
 from spellvar.crf.optimizer import _TOLERANCE, _pseudo_gradient
 
-from conftest import make_entry
+from conftest import ABOVE_ONE_FEATURES, above_one_model, make_entry
 
 
 def annotated_entry() -> DictEntry:
@@ -150,7 +150,7 @@ class TestEncodeDataset:
 
     def test_duplicate_features_counted_once(self):
         dataset = encode_dataset([((["f", "f"],), ("I",))])
-        assert dataset.slots.tolist() == [[0]]
+        assert dataset.batch.slots.tolist() == [[0]]
 
     def test_transition_counts(self):
         dataset = encode_dataset(_simple_data())
@@ -320,6 +320,12 @@ class TestMarginals:
         model = CrfModel.from_weights({("f0", "I"): 1.0})
         assert marginals(model, []) == []
 
+    def test_posterior_rounding_above_one_is_clamped(self):
+        model = above_one_model()
+        assert viterbi_decode(model, ABOVE_ONE_FEATURES)[0] == ["I", "I", "O"]
+        rows = marginals(model, ABOVE_ONE_FEATURES)
+        assert [row["I"] for row in rows[:2]] == [1.0, 1.0]
+
 
 # --- string-facing calls of the id kernel --------------------------------
 #
@@ -352,11 +358,23 @@ def encode(sequences, feature_index) -> Batch:
     return interned.encode(interned.vocabulary.columns(feature_index), len(feature_index))
 
 
+def time_major(values: np.ndarray) -> np.ndarray:
+    """A batch-major (sequences, positions, labels) array in the kernel's
+    contiguous (positions, labels, sequences) layout."""
+    return np.ascontiguousarray(np.moveaxis(values, 0, -1))
+
+
+def batch_major(values: np.ndarray) -> np.ndarray:
+    """A kernel array, (positions, labels, sequences) or a path's
+    (positions, sequences), viewed with the sequences first."""
+    return np.moveaxis(values, -1, 0)
+
+
 def forward_backward(emissions, padding, transitions):
     """Log partitions, batch-major posteriors and expected transitions."""
     alpha, log_z = forward(emissions, padding, transitions)
     beta = backward(emissions, padding, transitions)
-    return (log_z, posteriors(alpha, beta, log_z, padding).transpose(2, 0, 1),
+    return (log_z, batch_major(posteriors(alpha, beta, log_z, padding)),
             expected_transitions(emissions, alpha, beta, log_z, padding, transitions))
 
 
@@ -454,7 +472,7 @@ class TestKernelAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(_models(), _batches)
     def test_emissions(self, model, batch):
-        emissions = encode(batch, model.feature_index).emissions(model.state)
+        emissions = batch_major(encode(batch, model.feature_index).emissions(model.state))
         for k, features in enumerate(batch):
             want = oracle_emission_scores(model, features)
             np.testing.assert_allclose(emissions[k, :len(features)], want, rtol=0, atol=1e-12)
@@ -469,7 +487,7 @@ class TestKernelAgainstOracle:
         tagged = decode_strings(model, batch)
         for k, features in enumerate(batch):
             want_labels, want_score = oracle_viterbi(model, features)
-            assert [LABELS[i] for i in paths[k, :len(features)]] == want_labels
+            assert [LABELS[i] for i in batch_major(paths)[k, :len(features)]] == want_labels
             assert scores[k] == pytest.approx(want_score, abs=1e-12)
             assert tagged[k][0] == want_labels
             assert tagged[k][1] == pytest.approx(want_score, abs=1e-12)
@@ -600,7 +618,7 @@ class TestExactSums:
     def test_emissions_equal_a_per_feature_loop(self, case):
         state, batch = case
         feature_index = {f"f{i}": i for i in range(len(state))}
-        emissions = encode(batch, feature_index).emissions(state)
+        emissions = batch_major(encode(batch, feature_index).emissions(state))
         assert emissions.shape[0] == len(batch)
         for k, features in enumerate(batch):
             want = np.array(loop_emissions(state, feature_index, features)).reshape(-1, 2)
@@ -685,19 +703,20 @@ def oracle_objective(weights, dataset, l2=0.0):
     n_state = dataset.n_features * dataset.n_labels
     state = weights[:n_state].reshape(dataset.n_features, dataset.n_labels)
     transitions = weights[n_state:].reshape(dataset.n_labels, dataset.n_labels)
-    emissions = dataset.emissions(state)
+    emissions = batch_major(dataset.batch.emissions(state))
     log_z, posteriors, expected_transitions = oracle_batched_forward_backward(
-        emissions, dataset.mask, transitions
+        emissions, dataset.batch.mask, transitions
     )
     flat_rows = np.arange(dataset.gold.shape[0])
-    gold_score = float(emissions[dataset.mask][flat_rows, dataset.gold].sum())
+    gold_score = float(emissions[dataset.batch.mask][flat_rows, dataset.gold].sum())
     gold_score += float((dataset.transition_counts * transitions).sum())
 
     value = gold_score - float(log_z.sum())
     value -= 0.5 * l2 * (float((state * state).sum()) + float((transitions * transitions).sum()))
 
     gold_onehot = np.eye(dataset.n_labels)[dataset.gold]
-    grad_state = dataset.feature_totals(gold_onehot - posteriors[dataset.mask]) - l2 * state
+    grad_state = (dataset.feature_totals(gold_onehot - posteriors[dataset.batch.mask])
+                  - l2 * state)
     grad_transitions = dataset.transition_counts - expected_transitions - l2 * transitions
     gradient = np.concatenate([grad_state.ravel(), grad_transitions.ravel()])
     return value, gradient
@@ -861,8 +880,8 @@ class TestBitForBitOracles:
     @example(_TIED)
     def test_forward_backward(self, case):
         emissions, mask, transitions = case
-        log_z, posteriors, expected = forward_backward(emissions, Padding(mask.sum(axis=1)),
-                                                       transitions)
+        log_z, posteriors, expected = forward_backward(time_major(emissions),
+                                                       Padding(mask.sum(axis=1)), transitions)
         want_log_z, want_posteriors, want_expected = oracle_batched_forward_backward(
             emissions, mask, transitions)
         assert same_bytes(log_z, want_log_z)
@@ -876,9 +895,9 @@ class TestBitForBitOracles:
     @example(_TIED)
     def test_viterbi(self, case):
         emissions, mask, transitions = case
-        paths, scores = viterbi(emissions, Padding(mask.sum(axis=1)), transitions)
+        paths, scores = viterbi(time_major(emissions), Padding(mask.sum(axis=1)), transitions)
         want_paths, want_scores = oracle_batched_viterbi(emissions, mask, transitions)
-        assert np.array_equal(paths, want_paths)
+        assert np.array_equal(batch_major(paths), want_paths)
         assert same_bytes(scores, want_scores)
 
     @settings(max_examples=200, deadline=None)
@@ -921,6 +940,14 @@ class TestBitForBitOracles:
         assert (result.iterations, result.converged) == (iterations, converged)
 
 
+@st.composite
+def _bounded_models(draw) -> CrfModel:
+    """Every state and transition weight of the KNOWN features in [-50, 50]."""
+    weight = st.floats(-50.0, 50.0)
+    return CrfModel.from_weights({(f, label): draw(weight) for f in KNOWN for label in LABELS},
+                                 {(a, b): draw(weight) for a in LABELS for b in LABELS})
+
+
 class TestDecodeBatch:
     def test_empty_sequences_mixed_in(self):
         model = random_model(np.random.default_rng(41))
@@ -956,6 +983,13 @@ class TestDecodeBatch:
             want_rows = [[row[label] for label in LABELS] for row in marginals(model, features)]
             assert same_bytes(probs[start:stop], np.array(want_rows).reshape(-1, len(LABELS)))
             start = stop
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bounded_models(), st.lists(st.lists(_position, max_size=9), max_size=6))
+    @example(above_one_model(), [ABOVE_ONE_FEATURES])
+    def test_posteriors_lie_in_the_unit_interval(self, model, batch):
+        _, _, probs = decode_batch(model, FeatureIds().intern(batch))
+        assert ((0.0 <= probs) & (probs <= 1.0)).all()
 
     def test_repeated_feature_counts_once(self):
         model = CrfModel.from_weights({("f0", "I"): 1.5})
@@ -1018,7 +1052,9 @@ class TestIdBatches:
         assert list(got.feature_index.items()) == list(want.feature_index.items())
         oracle_index = dict.fromkeys(f for features in batch for feats in features for f in feats)
         assert list(got.feature_index) == list(oracle_index)
-        assert same_bytes(got.slots, oracle_encode(batch, got.feature_index).slots)
+        want_slots = oracle_encode(batch, got.feature_index).slots
+        got, want = got.batch, want.batch
+        assert same_bytes(got.slots, want_slots)
         assert same_bytes(got.slots, want.slots) and same_bytes(got.lengths, want.lengths)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from spellvar import selftrain
 from spellvar.corpus import Corpus, CorpusFormatError, load_conllu
-from spellvar.crf import TrainConfig, extract_features, viterbi_decode
+from spellvar.crf import TrainConfig, extract_features, marginals, viterbi_decode
 from spellvar.crf.optimizer import _TOLERANCE
 from spellvar.selftrain import (
     SearchSpace,
@@ -22,7 +22,7 @@ from spellvar.selftrain import (
 )
 from spellvar.synthetic import selftrain_fixture
 
-from conftest import make_entry
+from conftest import ABOVE_ONE_FEATURES, above_one_model, make_entry
 
 # ``spellvar.crf`` rebinds ``train`` to the function; this is the module.
 crf_train = importlib.import_module("spellvar.crf.train")
@@ -97,6 +97,13 @@ class TestPairsFromTagging:
     def test_identity_pair_dropped(self):
         entry = make_entry("mate", "mate again")
         assert pairs_from_tagging(entry, ("I", "O"), _uniform(2)) == []
+
+    def test_marginals_rounding_above_one_score_one(self):
+        model = above_one_model()
+        entry = make_entry("hw", " ".join(f for (f,) in ABOVE_ONE_FEATURES))
+        labels, _ = viterbi_decode(model, ABOVE_ONE_FEATURES)
+        (pair,) = pairs_from_tagging(entry, labels, marginals(model, ABOVE_ONE_FEATURES))
+        assert (pair.formal, pair.score) == ("f g", 1.0)
 
 
 def separable_tagging_data(n=12):
