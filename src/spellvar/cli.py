@@ -288,7 +288,7 @@ def _cmd_extract(opts: _Options) -> None:
         counts = {rule.rule_id: 0 for rule in rules}
         for pair in pairs:
             counts[pair.rule_id] += 1
-        trace = [{"matches": n, "rule_id": rule_id} for rule_id, n in counts.items()]
+        trace = [{"pairs": n, "rule_id": rule_id} for rule_id, n in counts.items()]
         if not pairs:
             named = "the packaged rules" if rules_path is None else f"the rules in {rules_path}"
             warning = (f"the baseline found no pairs: none of {named} matched a definition "

@@ -54,7 +54,7 @@ from array import array
 from collections import defaultdict
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ _LABEL_ROWS = np.arange(2)[:, None]
 _SELF = np.array([[False], [True]])
 
 
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``range(start, start + size)`` of each pair, concatenated."""
     ends = np.cumsum(sizes)
     return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
@@ -86,15 +86,18 @@ class FeatureIds:
         """Each position's distinct features as ids, in listed order.  The
         sequences are read one at a time, so a generator's feature lists can
         be dropped as soon as they are interned."""
-        new_id = self._ids.__getitem__
         ids, counts, lengths = array("i"), array("i"), array("i")
         for features in sequences:
             distinct = list(map(dict.fromkeys, features))
             counts.extend(map(len, distinct))
-            ids.extend(map(new_id, chain.from_iterable(distinct)))
+            ids.extend(self.ids(chain.from_iterable(distinct)))
             lengths.append(len(features))
         return IdSequences(self, *(np.frombuffer(a, dtype=np.int32)
                                    for a in (ids, counts, lengths)))
+
+    def ids(self, features: Iterable[str]) -> Iterator[int]:
+        """The id of each feature, interning the ones not seen yet."""
+        return map(self._ids.__getitem__, features)
 
     def names(self) -> list[str]:
         """The interned strings, indexed by id."""
@@ -126,16 +129,12 @@ class IdSequences:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def positions(self, order: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Flat indices of the positions of the sequences in ``order``."""
-        return _ranges(self.starts[order], self.lengths[order])
-
     def take(self, order: Sequence[int] | np.ndarray) -> IdSequences:
         """The sequences at ``order``, in that order."""
         order = np.asarray(order, dtype=np.intp)
-        positions = self.positions(order)
+        positions = ranges(self.starts[order], self.lengths[order])
         counts = self.counts[positions]
-        return IdSequences(self.vocabulary, self.ids[_ranges(self._id_starts[positions], counts)],
+        return IdSequences(self.vocabulary, self.ids[ranges(self._id_starts[positions], counts)],
                            counts, self.lengths[order])
 
     def encode(self, columns: np.ndarray, n_columns: int) -> Batch:

@@ -10,7 +10,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from spellvar.crf.kernel import FeatureIds, IdSequences, backward, forward, posteriors, viterbi
+from spellvar.crf.kernel import (
+    FeatureIds,
+    IdSequences,
+    backward,
+    forward,
+    posteriors,
+    ranges,
+    viterbi,
+)
 
 LABELS = ("I", "O")
 FORMAT_NAME = "spellvar-crf"
@@ -73,40 +81,45 @@ class CrfModel:
 #: Most padded positions (sequences x the longest of them) that one kernel
 #: pass decodes, so that decoding memory depends on this bound and not on the
 #: corpus; a longer sequence is decoded alone.
-DECODE_CHUNK = 1 << 15
+DECODE_CHUNK = 1 << 13
 
 
 def decode_batch(
-    model: CrfModel, sequences: IdSequences
+    model: CrfModel, sequences: IdSequences, subset: Sequence[int] | np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best label path of every sequence, as label indices at each real
-    position (sequences in input order, as ``sequences.ids`` lists them),
-    each path's unnormalized score, and the posterior probability of each
-    label (a row per real position, a column per label of ``LABELS``),
-    clamped at 1: ``exp(alpha + beta - log_z)`` can round a few ulps above.
+    """The best label path of every sequence at ``subset`` (all of them when
+    None), as label indices at each real position (sequences in ``subset``
+    order, as ``sequences.take(subset).ids`` lists them), each path's
+    unnormalized score, and the posterior probability of each label (a row per
+    real position, a column per label of ``LABELS``), clamped at 1:
+    ``exp(alpha + beta - log_z)`` can round a few ulps above.
 
     Sequences are decoded shortest first, in chunks of at most
-    :data:`DECODE_CHUNK` padded positions.  A sequence's results do not
-    depend on its chunk: padding adds no term to its sums."""
+    :data:`DECODE_CHUNK` padded positions, each taken from ``sequences`` on
+    its own.  A sequence's results do not depend on its chunk: padding adds
+    no term to its sums."""
+    subset = np.arange(len(sequences)) if subset is None else np.asarray(subset, dtype=np.intp)
     columns = sequences.vocabulary.columns(model.feature_index)
-    lengths = sequences.lengths.tolist()
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    n_positions = sum(lengths)
+    lengths = sequences.lengths[subset]
+    firsts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order].tolist()
+    n_positions = int(lengths.sum())
     labels = np.empty(n_positions, dtype=int)
     scores = np.empty(len(lengths))
     probs = np.empty((n_positions, len(LABELS)))
     start = 0
     while start < len(order):
         stop = start + 1
-        while stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= DECODE_CHUNK:
+        while stop < len(order) and (stop + 1 - start) * sorted_lengths[stop] <= DECODE_CHUNK:
             stop += 1
         chunk = order[start:stop]
-        batch = sequences.take(chunk).encode(columns, len(model.feature_index))
+        batch = sequences.take(subset[chunk]).encode(columns, len(model.feature_index))
         emissions = batch.emissions(model.state)
         paths, scores[chunk] = viterbi(emissions, batch, model.transitions)
         alpha, log_z = forward(emissions, batch, model.transitions)
         beta = backward(emissions, batch, model.transitions)
-        real = sequences.positions(chunk)
+        real = ranges(firsts[chunk], lengths[chunk])
         labels[real] = paths.T[batch.mask]
         probs[real] = posteriors(alpha, beta, log_z, batch).take(batch.real_ids)
         start = stop

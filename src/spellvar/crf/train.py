@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,30 +91,37 @@ def encode_dataset(data: TrainingData) -> EncodedDataset:
                          [tags for _, tags in data])
     if not len(data.sequences):
         raise ValueError("no training data")
-    label_index = {label: i for i, label in enumerate(LABELS)}
-    gold: list[int] = []
-    transition_counts = np.zeros((len(LABELS), len(LABELS)))
-    for length, tags in zip(data.sequences.lengths.tolist(), data.tags):
-        if length != len(tags):
-            raise ValueError(f"sequence has {length} feature lists but {len(tags)} tags")
-        if length == 0:
-            raise ValueError("empty sequences are not trainable")
-        for tag in tags:
-            if tag not in label_index:
-                raise ValueError(f"unknown tag {tag!r}")
-        current = [label_index[tag] for tag in tags]
-        np.add.at(transition_counts, (current[:-1], current[1:]), 1)
-        gold.extend(current)
-
     sequences = data.sequences
+    lengths = sequences.lengths
+    n_tags = np.fromiter(map(len, data.tags), dtype=np.intp, count=len(data.tags))
+    label_index = {label: i for i, label in enumerate(LABELS)}
+    gold = np.fromiter(map(label_index.get, chain.from_iterable(data.tags), repeat(-1)),
+                       dtype=int, count=n_tags.sum())
+    # The first sequence with a fault, checked in the order the faults are named.
+    unknown = np.zeros(len(n_tags), dtype=bool)
+    unknown[np.repeat(np.arange(len(n_tags)), n_tags)[gold < 0]] = True
+    faults = np.flatnonzero((lengths != n_tags) | (lengths == 0) | unknown)
+    if len(faults):
+        k = faults[0]
+        if lengths[k] != n_tags[k]:
+            raise ValueError(f"sequence has {lengths[k]} feature lists but {n_tags[k]} tags")
+        if lengths[k] == 0:
+            raise ValueError("empty sequences are not trainable")
+        raise ValueError(f"unknown tag {next(t for t in data.tags[k] if t not in label_index)!r}")
+    # Each step from one tag to the next inside a sequence.
+    steps = np.ones(len(gold), dtype=bool)
+    steps[sequences.starts] = False
+    transitions = gold[:-1][steps[1:]] * len(LABELS) + gold[1:][steps[1:]]
+    transition_counts = np.bincount(transitions, minlength=len(LABELS) ** 2).astype(float)
+
     ids, first = np.unique(sequences.ids, return_index=True)
     seen = ids[np.argsort(first)]
     columns = np.full(len(sequences.vocabulary), len(seen), dtype=np.intp)
     columns[seen] = np.arange(len(seen))
     names = sequences.vocabulary.names()
     feature_index = {names[i]: column for column, i in enumerate(seen.tolist())}
-    return EncodedDataset(sequences.encode(columns, len(seen)), feature_index,
-                          np.array(gold, dtype=int), transition_counts)
+    return EncodedDataset(sequences.encode(columns, len(seen)), feature_index, gold,
+                          transition_counts.reshape(len(LABELS), len(LABELS)))
 
 
 def unpack_weights(weights: np.ndarray, dataset: EncodedDataset) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,11 @@ leave the unlabeled set for good.  The labeled set only grows by appending,
 so a round's features begin with the last round's, and every round after the
 first starts its optimizer at the last round's weights.
 
-Every entry's features are interned to integer ids once per run; each
-round's labeled set and remaining entries are taken from those ids, and the
-decoded arrays are turned into per-position values only for promoted entries.
+Every entry's features are interned to integer ids once per run, per distinct
+token rather than per occurrence (:func:`spellvar.crf.features.feature_ids`).
+Each round's labeled set is taken from those ids, decoding reads its chunks of
+the remaining entries straight from them, and the decoded arrays are turned
+into per-position values only for promoted entries.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from spellvar.corpus import Corpus, DictEntry, VariantPair, annotate
-from spellvar.crf.features import FeatureSet, extract_features
+# ``extract_features``, ``marginals`` and ``viterbi_decode`` are unused here
+# but stay importable under these names, which perfbench/tracer.py wraps.
+from spellvar.crf.features import FeatureSet, extract_features, feature_ids  # noqa: F401
 from spellvar.crf.kernel import FeatureIds
-# ``marginals`` and ``viterbi_decode`` are unused here but stay importable
-# under these names, which perfbench/tracer.py wraps.
 from spellvar.crf.model import (  # noqa: F401
     LABELS,
     CrfModel,
@@ -215,7 +217,7 @@ def self_train(
             raise ValueError(f"entry {entry.entry_id!r}: {len(tags)} tags for "
                              f"{len(entry.definition)} tokens")
 
-    corpus = FeatureIds().intern(extract_features(entry, config.window) for entry in entries)
+    corpus = feature_ids(entries, config.window)
     labeled = list(range(len(gold)))
     remaining = np.arange(len(gold), len(entries))
     is_i = LABELS.index("I")
@@ -225,12 +227,12 @@ def self_train(
 
     for iteration in range(1, config.max_iterations + 1):
         model = train(TaggedIds(corpus.take(labeled), labeled_tags), config.train, start=model)
-        tagged = corpus.take(remaining)
-        labels, _, probs = decode_batch(model, tagged)
+        labels, _, probs = decode_batch(model, corpus, remaining)
         p_i = probs[:, is_i]
         confident = (labels == is_i) & (p_i > config.confidence_tau)
-        owner = np.repeat(np.arange(len(tagged)), tagged.lengths)
-        promoted = np.zeros(len(tagged), dtype=bool)
+        lengths = corpus.lengths[remaining]
+        owner = np.repeat(np.arange(len(remaining)), lengths)
+        promoted = np.zeros(len(remaining), dtype=bool)
         promoted[owner[confident]] = True
         promoted_at = np.flatnonzero(promoted)
 
@@ -250,8 +252,8 @@ def self_train(
             break
 
         for k, start, length in zip(remaining[promoted_at].tolist(),
-                                    tagged.starts[promoted_at].tolist(),
-                                    tagged.lengths[promoted_at].tolist()):
+                                    (np.cumsum(lengths) - lengths)[promoted_at].tolist(),
+                                    lengths[promoted_at].tolist()):
             silver = tuple("I" if c else "O" for c in confident[start:start + length].tolist())
             margs = [{"I": p} for p in p_i[start:start + length].tolist()]
             labeled.append(k)

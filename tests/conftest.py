@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from spellvar.corpus import Corpus, DictEntry, tokenize
 from spellvar.crf import CrfModel
+from spellvar.crf.kernel import IdSequences
 
 #: Features of a sequence that :func:`above_one_model` tags I I O.
 ABOVE_ONE_FEATURES = [["f"], ["g"], ["f"]]
@@ -24,6 +25,14 @@ def make_corpus(*rows: tuple[str, str]) -> Corpus:
         for i, (headword, text) in enumerate(rows, start=1)
     )
     return Corpus(entries=entries)
+
+
+def feature_names(sequences: IdSequences) -> list[list[list[str]]]:
+    """Each sequence's feature lists, as the strings its ids stand for."""
+    names = sequences.vocabulary.names()
+    ids, counts = iter(sequences.ids.tolist()), iter(sequences.counts.tolist())
+    return [[[names[next(ids)] for _ in range(next(counts))] for _ in range(length)]
+            for length in sequences.lengths.tolist()]
 
 
 def above_one_model() -> CrfModel:

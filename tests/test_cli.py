@@ -63,7 +63,7 @@ class TestExtractBaseline:
         lines = (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()
         trace = [json.loads(line) for line in lines]
         assert len(trace) == 10
-        assert sum(r["matches"] for r in trace) == 2
+        assert sum(r["pairs"] for r in trace) == 2
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "extract"
         assert manifest["outputs"] == ["pairs.tsv", "trace.jsonl"]

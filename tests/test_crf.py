@@ -16,8 +16,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import spellvar.crf.features as crf_features
 import spellvar.crf.model as crf_model
-from spellvar.corpus import DictEntry, Token
+from spellvar.corpus import SENTINEL, Corpus, DictEntry, Token, annotate
 from spellvar.crf import (
     LABELS,
     CrfModel,
@@ -45,11 +46,12 @@ from spellvar.crf.kernel import (
     posteriors,
     viterbi,
 )
+from spellvar.crf.features import feature_ids
 from spellvar.crf.model import FORMAT_VERSION, decode_batch
 from spellvar.crf.train import TaggedIds
 from spellvar.crf.optimizer import _TOLERANCE, _pseudo_gradient
 
-from conftest import ABOVE_ONE_FEATURES, above_one_model, make_entry
+from conftest import ABOVE_ONE_FEATURES, above_one_model, feature_names, make_entry
 
 
 def annotated_entry() -> DictEntry:
@@ -127,6 +129,82 @@ class TestExtractFeatures:
         assert f"+{len(entry.definition) - 1}:word.lower=your" in widest[0]
 
 
+_SURFACES = ["ur", "Mate", "u", "2", "way"]
+# Annotation values; the sentinel leaves a template out.
+_fields = st.sampled_from([SENTINEL, "NOUN", "obj"])
+
+
+@st.composite
+def _tokens(draw) -> Token:
+    """A token whose head is its own index or another one below 5."""
+    surface = draw(st.sampled_from(_SURFACES))
+    return Token(surface, surface.casefold(), draw(_fields), draw(_fields), draw(_fields),
+                 draw(_fields), draw(st.integers(0, 4)), surface.istitle(), surface.isdigit())
+
+
+@st.composite
+def _feature_corpora(draw) -> list[DictEntry]:
+    """Entries of 0-6 tokens drawn from a few token objects, so that one
+    object often stands in several entries and at several places, with a
+    different head token in each.  A token whose head lies past its entry's
+    end is replaced by an unparsed copy that is its own head."""
+    pool = draw(st.lists(_tokens(), min_size=1, max_size=6))
+    entries = []
+    for k in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(0, 6))
+        picks = [draw(st.sampled_from(pool)) for _ in range(n)]
+        definition = tuple(tok if tok.head < n else replace(tok, head=i, dep=SENTINEL)
+                           for i, tok in enumerate(picks))
+        entries.append(DictEntry("hw", definition, " ".join(t.surface for t in definition),
+                                 f"e{k}"))
+    if draw(st.booleans()):
+        entries = list(annotate(Corpus(entries=tuple(entries))).entries)
+    return entries
+
+
+def interned_features(entries, window) -> list[list[list[str]]]:
+    """The string oracle: each entry's features, interned and read back."""
+    return feature_names(FeatureIds().intern(extract_features(e, window) for e in entries))
+
+
+class TestFeatureIds:
+    @settings(max_examples=300, deadline=None)
+    @given(_feature_corpora(), st.integers(1, 4), st.sampled_from([1, 3, 1 << 14]))
+    def test_ids_name_the_oracle_features(self, entries, window, chunk):
+        with mock.patch.object(crf_features, "_ASSEMBLY_CHUNK", chunk):
+            got = feature_ids(entries, window)
+        names = feature_names(got)
+        assert names == interned_features(entries, window)
+        assert got.ids.dtype == got.counts.dtype == got.lengths.dtype == np.int32
+        if len(got.ids):
+            # Every interned string is listed somewhere.
+            listed = {f for features in names for feats in features for f in feats}
+            assert sorted(got.vocabulary.names()) == sorted(listed)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_a_shared_token_with_different_heads(self, window):
+        # ``shared`` heads its first token in one entry and is its own head
+        # in the other; the parsed entry of annotated_entry() joins them.
+        shared = Token("your", "your", SENTINEL, "PRON", SENTINEL, "obj", 0, False, False)
+        first = Token("saying", "saying", "say", "VERB", "VBG", "root", 0, False, False)
+        root = Token("Mate", "mate", SENTINEL, SENTINEL, SENTINEL, SENTINEL, 1, True, False)
+        entries = [DictEntry("ur", (first, shared), "saying your", "a"),
+                   DictEntry("m8", (shared,), "your", "b"),
+                   DictEntry("x", (), "", "c"),
+                   DictEntry("y", (first, root, shared), "saying Mate your", "d"),
+                   annotated_entry()]
+        got = feature_names(feature_ids(entries, window))
+        assert got == interned_features(entries, window)
+        assert "head_text=saying" in got[0][1] and "head_text=your" in got[1][0]
+
+    @pytest.mark.parametrize("n_entries", [0, 2])
+    def test_no_tokens(self, n_entries):
+        entries = [DictEntry("hw", (), "", f"e{k}") for k in range(n_entries)]
+        got = feature_ids(entries, 3)
+        assert got.lengths.tolist() == [0] * n_entries
+        assert len(got.ids) == len(got.counts) == 0
+
+
 def _simple_data():
     return [
         ((["bias", "word.lower=mate"], ["bias", "word.lower=yes"]), ("I", "O")),
@@ -147,6 +225,30 @@ class TestEncodeDataset:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="B"):
             encode_dataset([((["f"],), ("B",))])
+
+    @pytest.mark.parametrize("data, message", [
+        ([((["f"],), ("I",)), ((["f"],), ("B",)), ((["f"], ["g"]), ("I",))], "unknown tag 'B'"),
+        ([((["f"], ["g"], ["h"]), ("I", "B")), ((["f"],), ("B",))],
+         "sequence has 3 feature lists but 2 tags"),
+        ([((["f"],), ("O",)), ((), ()), ((["f"],), ("X",))], "empty sequences"),
+        ([((["f"], ["g"]), ("O", "Q", "R"))], "sequence has 2 feature lists but 3 tags"),
+    ], ids=["unknown-first", "mismatch-first", "empty-first", "mismatch-before-tags"])
+    def test_the_first_faulty_sequence_is_reported(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            encode_dataset(data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(LABELS), min_size=1, max_size=6), min_size=1,
+                    max_size=8))
+    def test_gold_and_transitions_equal_a_loop(self, tag_lists):
+        dataset = encode_dataset([([["f"]] * len(tags), tags) for tags in tag_lists])
+        counts = np.zeros((len(LABELS), len(LABELS)))
+        for tags in tag_lists:
+            for prev, cur in zip(tags, tags[1:]):
+                counts[LABELS.index(prev), LABELS.index(cur)] += 1
+        assert same_bytes(dataset.transition_counts, counts)
+        gold = [LABELS.index(tag) for tags in tag_lists for tag in tags]
+        assert same_bytes(dataset.gold, np.array(gold, dtype=int))
 
     def test_duplicate_features_counted_once(self):
         dataset = encode_dataset([((["f", "f"],), ("I",))])
@@ -990,6 +1092,19 @@ class TestDecodeBatch:
     def test_posteriors_lie_in_the_unit_interval(self, model, batch):
         _, _, probs = decode_batch(model, FeatureIds().intern(batch))
         assert ((0.0 <= probs) & (probs <= 1.0)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_models(), st.lists(st.lists(_position, max_size=9), max_size=12), st.data(),
+           st.sampled_from([1, 5, 16, 1 << 13]))
+    def test_a_subset_decodes_like_its_taken_sequences(self, model, batch, data, chunk):
+        corpus = FeatureIds().intern(batch)
+        order = data.draw(st.permutations(range(len(batch))))
+        subset = np.array(order[:data.draw(st.integers(0, len(batch)))], dtype=np.intp)
+        with mock.patch.object(crf_model, "DECODE_CHUNK", chunk):
+            got = decode_batch(model, corpus, subset)
+            want = decode_batch(model, corpus.take(subset))
+        for ours, theirs in zip(got, want):
+            assert same_bytes(ours, theirs)
 
     def test_repeated_feature_counts_once(self):
         model = CrfModel.from_weights({("f0", "I"): 1.5})

@@ -11,6 +11,9 @@ import pytest
 from spellvar import selftrain
 from spellvar.corpus import Corpus, CorpusFormatError, load_conllu
 from spellvar.crf import TrainConfig, extract_features, marginals, viterbi_decode
+from spellvar.cli import main
+from spellvar.crf.features import feature_ids
+from spellvar.crf.kernel import FeatureIds
 from spellvar.crf.optimizer import _TOLERANCE
 from spellvar.selftrain import (
     SearchSpace,
@@ -22,7 +25,7 @@ from spellvar.selftrain import (
 )
 from spellvar.synthetic import selftrain_fixture
 
-from conftest import ABOVE_ONE_FEATURES, above_one_model, make_entry
+from conftest import ABOVE_ONE_FEATURES, above_one_model, feature_names, make_entry
 
 # ``spellvar.crf`` rebinds ``train`` to the function; this is the module.
 crf_train = importlib.import_module("spellvar.crf.train")
@@ -304,16 +307,36 @@ class TestSelfTrain:
                                "1\tmate\t_\tNOUN\tNN\t_\t0\troot\t_\t_\n", encoding="utf-8")
         seen = {}
 
-        def recording(entry, window):
-            seen[entry.entry_id] = features = extract_features(entry, window)
-            return features
+        def recording(entries, window):
+            sequences = feature_ids(entries, window)
+            seen.update(zip((entry.entry_id for entry in entries), feature_names(sequences)))
+            return sequences
 
-        monkeypatch.setattr(selftrain, "extract_features", recording)
+        monkeypatch.setattr(selftrain, "feature_ids", recording)
         config = SelfTrainConfig(max_iterations=0, train=CASCADE_TRAIN)
         self_train(staircase.gold, load_conllu(corpus_path, annotations), config)
         assert {"tag_=VBG", "dep_=root", "lemma_=say"} <= set(seen["e1"][0])
         assert {"tag_=PRP$", "dep_=obj", "head_tag=VBG"} <= set(seen["e1"][1])
         assert {"tag_=NN", "dep_=root", "lemma_=mate", "pos_=NOUN"} <= set(seen["e2"][0])
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_outputs_equal_a_run_interned_through_the_strings(self, tmp_path, monkeypatch,
+                                                              window):
+        def oracle(entries, window):
+            return FeatureIds().intern(extract_features(entry, window) for entry in entries)
+
+        data = tmp_path / "in"
+        assert main(["gen-synthetic", "--kind", "selftrain", "--out", str(data)]) == 0
+        argv = ["extract", "--method", "selftrain", "--corpus", str(data / "unlabeled.jsonl"),
+                "--gold-corpus", str(data / "gold.jsonl"), "--gold-tags", str(data / "gold.tags"),
+                "--l1", "0.02", "--l2", "0.03", "--window", str(window), "--out"]
+        assert main([*argv, str(tmp_path / "ids")]) == 0
+        monkeypatch.setattr(selftrain, "feature_ids", oracle)
+        assert main([*argv, str(tmp_path / "strings")]) == 0
+        assert (tmp_path / "ids" / "pairs.tsv").read_text(encoding="utf-8").count("\n") > 1
+        for name in ("pairs.tsv", "trace.jsonl", "model.json"):
+            assert ((tmp_path / "ids" / name).read_bytes()
+                    == (tmp_path / "strings" / name).read_bytes()), name
 
     def test_tag_length_mismatch_rejected(self, staircase):
         entry, _ = staircase.gold[0]
