@@ -290,7 +290,9 @@ def _guess_upos(token: Token) -> str:
     return "NOUN"
 
 
-def _fill(tok: Token) -> Token:
+def fill(tok: Token) -> Token:
+    """``tok`` with its missing lemma and UPOS filled in, as :func:`annotate`
+    fills them; ``tok`` itself when it lacks neither."""
     if tok.lemma != SENTINEL and tok.upos != SENTINEL:
         return tok
     # Positional arguments: ``dataclasses.replace`` per token is far slower.
@@ -310,7 +312,7 @@ def annotate(corpus: Corpus) -> Corpus:
     """
     # Keyed by identity: every key is a token the corpus keeps alive.
     distinct = {id(tok): tok for entry in corpus for tok in entry.definition}
-    filled = {key: _fill(tok) for key, tok in distinct.items()}
+    filled = {key: fill(tok) for key, tok in distinct.items()}
     return Corpus(entries=tuple(
         replace(entry, definition=tuple(filled[id(tok)] for tok in entry.definition))
         for entry in corpus))

@@ -3,16 +3,17 @@
 Features are plain strings of the form ``template=value``, with context
 templates carrying a signed offset prefix (``-1:word.lower=saying``).
 Templates whose annotation field is still the sentinel are skipped, so the
-same extractor works alike on fully parsed entries and on entries whose lemma
-and UPOS alone :func:`spellvar.corpus.annotate` guessed.
+same templates serve fully parsed tokens and tokens whose lemma and UPOS
+alone :func:`spellvar.corpus.fill` guessed.
 
-:func:`extract_features` lists the strings of one entry.  :func:`feature_ids`
-interns a whole corpus to the same lists as integer ids, working per distinct
-token rather than per occurrence: a token's templates depend only on the token
-and its head token, so each distinct (token, head token) pair's templates are
+:func:`extract_features` lists the strings of one entry as given.
+:func:`feature_ids` interns a whole corpus to integer ids, working per
+distinct token rather than per occurrence: a token's templates depend only on
+the token and its head token, so each distinct (token, head token) pair is
+filled as :func:`spellvar.corpus.annotate` fills it and its templates are
 built once, each distinct template list is interned once per offset that
 lists it, and every position's ids are put together from those runs with
-array operations.
+array operations.  The corpus itself is neither filled nor copied.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spellvar.corpus import SENTINEL, DictEntry, Token
+from spellvar.corpus import SENTINEL, DictEntry, Token, fill
 from spellvar.crf.kernel import FeatureIds, IdSequences, ranges
 
 #: One feature list per token position.
@@ -57,8 +58,9 @@ def _templates(tok: Token, head: Token, context: bool) -> list[str]:
 
 def extract_features(entry: DictEntry, window: int = 1) -> FeatureSet:
     """Build per-position feature lists with context up to ``window`` tokens
-    away, plus a constant bias and sentence-boundary markers.  The strings of
-    a position are distinct: templates differ in name, offsets in prefix."""
+    away, plus a constant bias and sentence-boundary markers, from the
+    entry's tokens as given: nothing is filled.  The strings of a position
+    are distinct: templates differ in name, offsets in prefix."""
     definition = entry.definition
     n = len(definition)
     # Each token's context templates, made once for all its neighbours.
@@ -81,13 +83,13 @@ def extract_features(entry: DictEntry, window: int = 1) -> FeatureSet:
 
 
 def feature_ids(entries: Sequence[DictEntry], window: int = 1) -> IdSequences:
-    """The features of every entry as ids: position by position, the ids of
-    the strings :func:`extract_features` lists, in its order, under a fresh
-    vocabulary.  Only the numbering of the ids may differ from
-    ``FeatureIds().intern`` of those lists, since no position lists a string
-    twice."""
-    # Each distinct (token, head token) pair, by identity: the entries keep
-    # every token alive, so no id is reused meanwhile.
+    """The features of every entry, filled, as ids: position by position, the
+    ids of the strings :func:`extract_features` lists for
+    ``annotate(Corpus(entries))``, in its order, under a fresh vocabulary.
+    Only the numbering of the ids may differ from ``FeatureIds().intern`` of
+    those lists, since no position lists a string twice."""
+    # Each distinct (token, head token) pair, by identity, filled once: the
+    # entries keep every token alive, so no id is reused meanwhile.
     pair_keys: dict[tuple[int, int], int] = {}
     pairs: list[tuple[Token, Token]] = []
     keys, lengths = array("i"), array("i")
@@ -98,7 +100,7 @@ def feature_ids(entries: Sequence[DictEntry], window: int = 1) -> IdSequences:
             head = definition[tok.head]
             key = pair_keys.setdefault((id(tok), id(head)), len(pairs))
             if key == len(pairs):
-                pairs.append((tok, head))
+                pairs.append((fill(tok), fill(head)))
             keys.append(key)
 
     # Each pair's own and context template lists, numbered by value, and each

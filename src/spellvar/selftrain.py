@@ -8,10 +8,13 @@ so a round's features begin with the last round's, and every round after the
 first starts its optimizer at the last round's weights.
 
 Every entry's features are interned to integer ids once per run, per distinct
-token rather than per occurrence (:func:`spellvar.crf.features.feature_ids`).
-Each round's labeled set is taken from those ids, decoding reads its chunks of
-the remaining entries straight from them, and the decoded arrays are turned
-into per-position values only for promoted entries.
+token rather than per occurrence (:func:`spellvar.crf.features.feature_ids`),
+which fills each distinct token's missing lemma and UPOS as it goes, so the
+run holds the entries it was given and no annotated copy.  Each round's
+labeled set is taken from those ids, decoding reads its chunks of the
+remaining entries straight from them, and the decoded arrays are turned into
+per-position values only for promoted entries, then released before the next
+round trains.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from spellvar.corpus import Corpus, DictEntry, VariantPair, annotate
-# ``extract_features``, ``marginals`` and ``viterbi_decode`` are unused here
-# but stay importable under these names, which perfbench/tracer.py wraps.
+# ``annotate``, ``extract_features``, ``marginals`` and ``viterbi_decode`` are
+# unused here but stay importable under these names, which perfbench/tracer.py
+# wraps.
+from spellvar.corpus import Corpus, DictEntry, VariantPair, annotate  # noqa: F401
 from spellvar.crf.features import FeatureSet, extract_features, feature_ids  # noqa: F401
 from spellvar.crf.kernel import FeatureIds
 from spellvar.crf.model import (  # noqa: F401
@@ -205,12 +209,13 @@ def self_train(
     A token counts as confident when Viterbi labels it I and its marginal
     P(I) strictly exceeds ``confidence_tau``; entries with at least one
     confident token are promoted whole, everything else tagged O.  Gold and
-    unlabeled entries go through :func:`annotate` as one corpus, which fills
-    only missing lemmas and UPOS tags and rejects a repeated entry id.
+    unlabeled entries form one corpus, which rejects a repeated entry id, and
+    are used as given: :func:`feature_ids` fills only missing lemmas and UPOS
+    tags, per distinct token, as it interns them, so no entry is copied.
     """
     if not gold:
         raise ValueError("self-training needs gold data")
-    entries = annotate(Corpus(entries=(*(entry for entry, _ in gold), *unlabeled))).entries
+    entries = Corpus(entries=(*(entry for entry, _ in gold), *unlabeled)).entries
     labeled_tags = [tuple(tags) for _, tags in gold]
     for entry, tags in zip(entries, labeled_tags):
         if len(tags) != len(entry.definition):
@@ -261,6 +266,7 @@ def self_train(
             pairs.extend(pairs_from_tagging(entries[k], silver, margs, iteration=iteration))
         remaining = remaining[~promoted]
         record["min_promoted_marginal"] = float(p_i[confident].min())
+        del labels, _, probs, p_i, confident, owner  # not kept while the next round trains
         record["pairs_total"] = len(pairs)
         trace.append(record)
 

@@ -317,7 +317,7 @@ class TestAnnotate:
         filled = {}
         for before, after in zip(loaded, annotated):
             for old, new in zip(before.definition, after.definition, strict=True):
-                assert new == corpus_module._fill(old)
+                assert new == corpus_module.fill(old)
                 assert filled.setdefault(old, new) is new
         assert len(filled) == 5
 
@@ -340,7 +340,7 @@ class TestAnnotate:
         annotated = annotate(merged)
         for before, after in zip(merged, annotated):
             for old, new in zip(before.definition, after.definition, strict=True):
-                assert new == corpus_module._fill(old)
+                assert new == corpus_module.fill(old)
                 assert (new.xpos, new.dep, new.head) == (old.xpos, old.dep, old.head)
         cat = annotated.entries[0].definition[1]
         assert (cat.lemma, cat.upos, cat.head) == ("cat", "NOUN", 2)

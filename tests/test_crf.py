@@ -163,8 +163,10 @@ def _feature_corpora(draw) -> list[DictEntry]:
 
 
 def interned_features(entries, window) -> list[list[list[str]]]:
-    """The string oracle: each entry's features, interned and read back."""
-    return feature_names(FeatureIds().intern(extract_features(e, window) for e in entries))
+    """The string oracle: each entry's features once :func:`annotate` has
+    filled it, interned and read back."""
+    filled = annotate(Corpus(entries=tuple(entries))).entries
+    return feature_names(FeatureIds().intern(extract_features(e, window) for e in filled))
 
 
 class TestFeatureIds:
@@ -196,6 +198,8 @@ class TestFeatureIds:
         got = feature_names(feature_ids(entries, window))
         assert got == interned_features(entries, window)
         assert "head_text=saying" in got[0][1] and "head_text=your" in got[1][0]
+        # ``shared`` has no lemma; its features have the filled one.
+        assert "lemma_=your" in got[1][0]
 
     @pytest.mark.parametrize("n_entries", [0, 2])
     def test_no_tokens(self, n_entries):

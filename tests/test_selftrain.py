@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from spellvar import selftrain
-from spellvar.corpus import Corpus, CorpusFormatError, load_conllu
+from spellvar.corpus import Corpus, CorpusFormatError, DictEntry, annotate, load_conllu
 from spellvar.crf import TrainConfig, extract_features, marginals, viterbi_decode
 from spellvar.cli import main
 from spellvar.crf.features import feature_ids
@@ -323,7 +324,8 @@ class TestSelfTrain:
     def test_outputs_equal_a_run_interned_through_the_strings(self, tmp_path, monkeypatch,
                                                               window):
         def oracle(entries, window):
-            return FeatureIds().intern(extract_features(entry, window) for entry in entries)
+            filled = annotate(Corpus(entries=tuple(entries))).entries
+            return FeatureIds().intern(extract_features(entry, window) for entry in filled)
 
         data = tmp_path / "in"
         assert main(["gen-synthetic", "--kind", "selftrain", "--out", str(data)]) == 0
@@ -337,6 +339,35 @@ class TestSelfTrain:
         for name in ("pairs.tsv", "trace.jsonl", "model.json"):
             assert ((tmp_path / "ids" / name).read_bytes()
                     == (tmp_path / "strings" / name).read_bytes()), name
+
+    def test_builds_no_entry(self, staircase, monkeypatch):
+        built = []
+        real = DictEntry.__post_init__
+        monkeypatch.setattr(DictEntry, "__post_init__",
+                            lambda entry: built.append(entry.entry_id) or real(entry))
+        result = self_train(staircase.gold, staircase.unlabeled, CASCADE_CONFIG)
+        assert result.pairs
+        assert built == []
+
+    def test_no_decoded_array_outlives_its_round(self, staircase, monkeypatch):
+        decoded, alive_at_training = [], []
+        real_decode, real_train = selftrain.decode_batch, selftrain.train
+
+        def decode_batch(*args):
+            arrays = real_decode(*args)
+            decoded.extend(weakref.ref(array) for array in arrays)
+            return arrays
+
+        def train(*args, **kwargs):
+            alive_at_training.append(sum(ref() is not None for ref in decoded))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(selftrain, "decode_batch", decode_batch)
+        monkeypatch.setattr(selftrain, "train", train)
+        result = self_train(staircase.gold, staircase.unlabeled, CASCADE_CONFIG)
+        assert len(result.trace) > 1
+        assert len(decoded) == 3 * len(result.trace)
+        assert alive_at_training == [0] * len(result.trace)
 
     def test_tag_length_mismatch_rejected(self, staircase):
         entry, _ = staircase.gold[0]
